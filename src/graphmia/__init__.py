@@ -34,7 +34,7 @@ from .metrics import MetricsReport, accuracy_f1
 from .nn import GCNEncoder, MLP, ParamSet, adam_step, cosine_sim, gcn_forward
 from .pca import pca_project
 from .shadow import FisherDiag, ShadowConfig, estimate_fisher, incremental_finetune
-from .synth import sbm_graph, synthetic_domains
+from .synth import sbm_graph
 from .victim import (
     SSLObjective,
     TrainConfig,

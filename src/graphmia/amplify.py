@@ -25,6 +25,7 @@ from .nn import (
 )
 from .rng import derive_seed
 from .victim import (
+    NoNegativeError,
     NoPositiveError,
     SSLObjective,
     VictimModel,
@@ -113,8 +114,8 @@ def draw_sample_plan(
     num_negative: int,
     seed: int,
 ) -> SamplePlan:
-    """Sample positives/negatives for every node; isolated link-prediction
-    nodes are skipped and recorded."""
+    """Sample positives/negatives for every node; link-prediction nodes that
+    are isolated or adjacent to every other node are skipped and recorded."""
     kept: list[int] = []
     skipped: list[int] = []
     pos_refs: dict[int, tuple[tuple, ...]] = {}
@@ -125,7 +126,7 @@ def draw_sample_plan(
             pos, neg = make_positive_negative(
                 graph, node, objective, num_positive, num_negative, seed
             )
-        except NoPositiveError:
+        except (NoPositiveError, NoNegativeError):
             skipped.append(node)
             continue
         kept.append(node)

@@ -30,7 +30,9 @@ from .experiment import (
     build_context,
     run_experiment,
     runtime_scaling_check,
+    summarize_runs,
 )
+from .metrics import MetricsReport
 from .rng import derive_seed
 
 
@@ -48,8 +50,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _print_summary(result) -> None:
-    summary = result.summary()
+def _print_summary(summary: dict) -> None:
     for key, stats in summary["attacks"].items():
         print(f"{key}: acc {stats['acc_mean']:.4f} +- {stats['acc_std']:.4f}  "
               f"f1 {stats['f1_mean']:.4f} +- {stats['f1_std']:.4f}  ({stats['runs']} runs)")
@@ -71,14 +72,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _load(args)
     result = run_experiment(cfg, attacks=(PRIMARY_ATTACK,), variants=(VARIANT_FULL,),
                             out_dir=_out_dir(args))
-    _print_summary(result)
+    _print_summary(result.summary())
     return 1 if result.failures else 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _load(args)
     result = run_experiment(cfg, attacks=(args.name,), out_dir=_out_dir(args))
-    _print_summary(result)
+    _print_summary(result.summary())
     return 1 if result.failures else 0
 
 
@@ -87,7 +88,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variant = {"wo-ul": VARIANT_WO_UL, "wo-il": VARIANT_WO_IL}[args.variant]
     result = run_experiment(cfg, attacks=(PRIMARY_ATTACK,), variants=(variant,),
                             out_dir=_out_dir(args))
-    _print_summary(result)
+    _print_summary(result.summary())
     return 1 if result.failures else 0
 
 
@@ -131,18 +132,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not reports:
         print(f"no reports under {out}", file=sys.stderr)
         return 1
-    groups: dict[str, list[dict]] = {}
+    runs = []
     for path in reports:
         rec = json.loads(path.read_text(encoding="utf-8"))
-        groups.setdefault(f"{rec['attack']}/{rec['variant']}", []).append(rec)
-    for key, recs in sorted(groups.items()):
-        accs = [r["acc"] for r in recs]
-        f1s = [r["f1"] for r in recs]
-        n = len(recs)
-        acc_mean = sum(accs) / n
-        f1_mean = sum(f1s) / n
-        acc_std = (sum((a - acc_mean) ** 2 for a in accs) / (n - 1)) ** 0.5 if n > 1 else 0.0
-        print(f"{key}: acc {acc_mean:.4f} +- {acc_std:.4f}  f1 {f1_mean:.4f}  ({n} runs)")
+        runs.append((rec["variant"], MetricsReport.from_dict(rec)))
+    runs.sort(key=lambda run: run[1].seed)
+    _print_summary({"attacks": summarize_runs(runs), "failures": []})
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,6 +98,26 @@ class SeedFailure:
     error: str
 
 
+def summarize_runs(runs: Iterable[tuple[str, MetricsReport]]) -> dict:
+    """Run count and mean/std of acc and f1 per ``attack/variant`` key, from
+    ``(variant, MetricsReport)`` pairs in run order."""
+    groups: dict[str, list[MetricsReport]] = {}
+    for variant, report in runs:
+        groups.setdefault(f"{report.attack}/{variant}", []).append(report)
+    out = {}
+    for key, reps in sorted(groups.items()):
+        accs = np.array([r.acc for r in reps])
+        f1s = np.array([r.f1 for r in reps])
+        out[key] = {
+            "runs": len(reps),
+            "acc_mean": float(accs.mean()),
+            "acc_std": float(accs.std(ddof=1)) if len(reps) > 1 else 0.0,
+            "f1_mean": float(f1s.mean()),
+            "f1_std": float(f1s.std(ddof=1)) if len(reps) > 1 else 0.0,
+        }
+    return out
+
+
 @dataclass
 class ExperimentResult:
     records: list[RunRecord]
@@ -108,23 +129,9 @@ class ExperimentResult:
         return [r.report for r in self.records]
 
     def summary(self) -> dict:
-        groups: dict[str, list[MetricsReport]] = {}
-        for rec in self.records:
-            groups.setdefault(f"{rec.report.attack}/{rec.variant}", []).append(rec.report)
-        out = {}
-        for key, reps in sorted(groups.items()):
-            accs = np.array([r.acc for r in reps])
-            f1s = np.array([r.f1 for r in reps])
-            out[key] = {
-                "runs": len(reps),
-                "acc_mean": float(accs.mean()),
-                "acc_std": float(accs.std(ddof=1)) if len(reps) > 1 else 0.0,
-                "f1_mean": float(f1s.mean()),
-                "f1_std": float(f1s.std(ddof=1)) if len(reps) > 1 else 0.0,
-            }
         return {
             "config_hash": self.config_hash,
-            "attacks": out,
+            "attacks": summarize_runs((rec.variant, rec.report) for rec in self.records),
             "failures": [f"seed {f.seed} @ {f.stage}: {f.error}" for f in self.failures],
             "wall_time_s": self.wall_time_s,
         }

@@ -1,9 +1,10 @@
 """Immutable undirected graphs: loading, splits, subgraphs, perturbation.
 
-A :class:`Graph` stores sorted neighbor lists plus a dense node-feature
-matrix and never changes after construction, so it can be shared freely
-across concurrent pipeline stages.  All randomized operations take an
-explicit seed and derive their stream through :mod:`graphmia.rng`.
+A :class:`Graph` stores its structure once, in compressed sparse row (CSR)
+form over both edge orientations, plus a dense node-feature matrix.  It
+never changes after construction, so it can be shared freely across
+concurrent pipeline stages.  All randomized operations take an explicit
+seed and derive their stream through :mod:`graphmia.rng`.
 """
 
 from __future__ import annotations
@@ -35,69 +36,64 @@ class DegenerateSplitError(ValueError):
     """A requested split would leave some part empty."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with per-node sorted neighbor arrays.
+    """Undirected graph in CSR form.
 
-    Neighbor arrays are int64 and strictly increasing; the feature matrix is
-    float64 with one row per node.  Both are marked read-only.  Use
-    :meth:`from_edges` rather than the raw constructor so the invariants
-    (symmetry, no self-loops, no duplicates) are enforced.
+    Node ``u``'s neighbors are ``indices[indptr[u]:indptr[u + 1]]``, strictly
+    increasing; every edge appears in both orientations.  ``indptr`` and
+    ``indices`` are int64, the feature matrix is float64 with one row per
+    node, and all three are read-only.  Use :meth:`from_edges` rather than
+    the raw constructor so the invariants (symmetry, no self-loops, no
+    duplicates) are enforced.
     """
 
-    neighbors: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     features: np.ndarray
     domain_id: int = 0
 
     @property
     def num_nodes(self) -> int:
-        return len(self.neighbors)
+        return len(self.indptr) - 1
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.neighbors) // 2
+        return len(self.indices) // 2
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def degree(self, node: int) -> int:
-        return len(self.neighbors[int(node)])
+    def neighbors(self, node: int) -> np.ndarray:
+        """Sorted neighbor ids of ``node`` (a read-only view)."""
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors[int(u)]
-        i = np.searchsorted(row, v)
-        return i < len(row) and row[i] == v
+    def _rows(self) -> np.ndarray:
+        """Source node of every entry of ``indices``."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.indptr))
 
     @cached_property
     def edge_array(self) -> np.ndarray:
         """(num_edges, 2) int64 array of edges with u < v, lexicographic."""
-        pairs = [
-            (u, int(v))
-            for u in range(self.num_nodes)
-            for v in self.neighbors[u]
-            if u < v
-        ]
-        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        arr.flags.writeable = False
-        return arr
+        rows = self._rows()
+        upper = rows < self.indices
+        return _read_only(np.stack([rows[upper], self.indices[upper]], axis=1))
 
     @cached_property
     def gcn_matrix(self) -> sp.csr_matrix:
         """Symmetric-normalized adjacency with self-loops, (D+I)^-1/2 (A+I) (D+I)^-1/2."""
         n = self.num_nodes
-        deg = np.array([len(a) for a in self.neighbors], dtype=np.float64) + 1.0
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        rows = [np.arange(n, dtype=np.int64)]
-        cols = [np.arange(n, dtype=np.int64)]
-        for u in range(n):
-            if len(self.neighbors[u]):
-                rows.append(np.full(len(self.neighbors[u]), u, dtype=np.int64))
-                cols.append(self.neighbors[u])
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        vals = inv_sqrt[r] * inv_sqrt[c]
-        return sp.csr_matrix((vals, (r, c)), shape=(n, n))
+        inv_sqrt = 1.0 / np.sqrt(np.diff(self.indptr).astype(np.float64) + 1.0)
+        loops = np.arange(n, dtype=np.int64)
+        r = np.concatenate([loops, self._rows()])
+        c = np.concatenate([loops, self.indices])
+        return sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], (r, c)), shape=(n, n))
 
     @classmethod
     def from_edges(
@@ -106,13 +102,12 @@ class Graph:
         edges: np.ndarray | list[tuple[int, int]],
         features: np.ndarray,
         domain_id: int = 0,
-        dedup: bool = False,
     ) -> "Graph":
-        """Build a graph from an edge list.
+        """Build a graph from an edge list in any order and orientation.
 
-        With ``dedup`` the list may contain self-loops, duplicates and both
-        orientations; they are dropped silently (loaders report the counts).
-        Without it any violation raises.
+        Raises on a feature matrix without one row per node, then on the
+        first out-of-range id, self-loop or duplicate edge (in either
+        orientation), checked in that order.
         """
         features = np.ascontiguousarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] != num_nodes:
@@ -120,39 +115,31 @@ class Graph:
                 f"feature matrix has {features.shape[0] if features.ndim == 2 else '?'} rows, "
                 f"expected {num_nodes}"
             )
-        seen: set[tuple[int, int]] = set()
-        for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-            u, v = int(u), int(v)
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise NodeRangeError(f"edge ({u}, {v}) references node >= {num_nodes}")
-            if u == v:
-                if dedup:
-                    continue
-                raise GraphFormatError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                if dedup:
-                    continue
-                raise GraphFormatError(f"duplicate edge {key}")
-            seen.add(key)
-        adj: list[list[int]] = [[] for _ in range(num_nodes)]
-        for u, v in seen:
-            adj[u].append(v)
-            adj[v].append(u)
-        neighbors = tuple(np.array(sorted(a), dtype=np.int64) for a in adj)
-        for a in neighbors:
-            a.flags.writeable = False
-        features = features.copy()
-        features.flags.writeable = False
-        return cls(neighbors=neighbors, features=features, domain_id=int(domain_id))
-
-    def with_features(self, features: np.ndarray) -> "Graph":
-        """Same structure, replaced feature matrix (used by augmentations)."""
-        features = np.ascontiguousarray(features, dtype=np.float64).copy()
-        if features.shape[0] != self.num_nodes:
-            raise GraphFormatError("replacement features have wrong row count")
-        features.flags.writeable = False
-        return Graph(neighbors=self.neighbors, features=features, domain_id=self.domain_id)
+        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        bad = (np.minimum(u, v) < 0) | (np.maximum(u, v) >= num_nodes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NodeRangeError(f"edge ({u[i]}, {v[i]}) references node >= {num_nodes}")
+        if (u == v).any():
+            raise GraphFormatError(f"self-loop at node {u[np.argmax(u == v)]}")
+        keys, counts = np.unique(
+            np.minimum(u, v) * num_nodes + np.maximum(u, v), return_counts=True
+        )
+        if (counts > 1).any():
+            key = int(keys[np.argmax(counts > 1)])
+            raise GraphFormatError(f"duplicate edge ({key // num_nodes}, {key % num_nodes})")
+        lo, hi = np.divmod(keys, num_nodes)
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+        return cls(
+            indptr=_read_only(indptr),
+            indices=_read_only(dst[order]),
+            features=_read_only(features.copy()),
+            domain_id=int(domain_id),
+        )
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -202,9 +189,6 @@ def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int =
                 raise GraphFormatError(f"{feature_path}:{i + 2}: non-numeric value") from exc
 
     edges: list[tuple[int, int]] = []
-    dropped_self = 0
-    dropped_dup = 0
-    seen: set[tuple[int, int]] = set()
     with edge_path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -221,21 +205,18 @@ def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int =
                 raise NodeRangeError(
                     f"{edge_path}:{lineno}: edge ({u}, {v}) references node >= {num_nodes}"
                 )
-            if u == v:
-                dropped_self += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                dropped_dup += 1
-                continue
-            seen.add(key)
-            edges.append(key)
+            edges.append((u, v))
+    pairs = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    loops = pairs[:, 0] == pairs[:, 1]
+    unique = np.unique(pairs[~loops], axis=0)
+    dropped_self = int(loops.sum())
+    dropped_dup = len(pairs) - dropped_self - len(unique)
     if dropped_self or dropped_dup:
         log.warning(
             "%s: dropped %d self-loop(s) and %d duplicate edge(s)",
             edge_path, dropped_self, dropped_dup,
         )
-    return Graph.from_edges(num_nodes, edges, features, domain_id=domain_id)
+    return Graph.from_edges(num_nodes, unique, features, domain_id=domain_id)
 
 
 def split_half(graph: Graph, seed: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -295,21 +276,16 @@ def partition_shadow(graph: Graph, unlearn_fraction: float, seed: int) -> GraphP
 
 def induced_subgraph(graph: Graph, nodes) -> Graph:
     """Subgraph over ``nodes``, relabeled 0..k-1 by ascending original id."""
-    order = sorted(int(v) for v in nodes)
-    if order and (order[0] < 0 or order[-1] >= graph.num_nodes):
+    order = np.sort(np.fromiter(nodes, dtype=np.int64))
+    if len(order) and (order[0] < 0 or order[-1] >= graph.num_nodes):
         raise NodeRangeError("node set references ids outside the graph")
-    if len(set(order)) != len(order):
+    if (order[1:] == order[:-1]).any():
         raise ValueError("node set contains duplicates")
-    relabel = {v: i for i, v in enumerate(order)}
-    edges = [
-        (relabel[u], relabel[int(v)])
-        for u in order
-        for v in graph.neighbors[u]
-        if u < v and int(v) in relabel
-    ]
-    features = graph.features[np.array(order, dtype=np.int64)] if order else \
-        graph.features[:0]
-    return Graph.from_edges(len(order), edges, features, domain_id=graph.domain_id)
+    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
+    relabel[order] = np.arange(len(order), dtype=np.int64)
+    edges = relabel[graph.edge_array]
+    edges = edges[(edges >= 0).all(axis=1)]
+    return Graph.from_edges(len(order), edges, graph.features[order], domain_id=graph.domain_id)
 
 
 def perturb_edges(graph: Graph, budget_fraction: float, seed: int) -> Graph:

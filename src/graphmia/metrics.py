@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,11 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MetricsReport":
+        """Inverse of :meth:`to_dict`; keys that are not fields are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def accuracy_f1(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .rng import derive_seed, substream
+from .rng import substream
 
 
 def sbm_graph(
@@ -58,27 +58,3 @@ def sbm_graph(
     means = frng.normal(0.0, feature_shift, size=(2, feature_dim))
     features = means[blocks] + feature_noise * frng.normal(size=(num_nodes, feature_dim))
     return Graph.from_edges(num_nodes, edges, features, domain_id=domain_id)
-
-
-def synthetic_domains(
-    num_domains: int,
-    nodes_per_domain: int,
-    feature_dim: int,
-    avg_degree: float,
-    seed: int,
-    feature_shift: float = 1.0,
-    feature_noise: float = 1.0,
-) -> list[Graph]:
-    """One SBM graph per domain, domain ids 0..num_domains-1."""
-    return [
-        sbm_graph(
-            nodes_per_domain,
-            feature_dim,
-            avg_degree,
-            seed=derive_seed(seed, "domain", d),
-            domain_id=d,
-            feature_shift=feature_shift,
-            feature_noise=feature_noise,
-        )
-        for d in range(num_domains)
-    ]

@@ -9,6 +9,7 @@ attack pipeline needs: embed, fine-tune, and positive/negative sampling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class MissingProjectorError(KeyError):
 
 class NoPositiveError(ValueError):
     """A link-prediction positive was requested for an isolated node."""
+
+
+class NoNegativeError(ValueError):
+    """A negative was requested where every candidate is excluded: a node
+    adjacent to every other node, or a graph without a non-edge."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,7 @@ def _sample_distinct(rng: np.random.Generator, n: int, exclude: set[int], count:
     replacement only when the eligible pool is smaller than ``count``."""
     pool_size = n - len(exclude)
     if pool_size <= 0:
-        raise ValueError("no eligible nodes to sample")
+        raise NoNegativeError("no eligible nodes to sample")
     if pool_size <= max(4 * count, 16):
         pool = np.array(sorted(set(range(n)) - exclude), dtype=np.int64)
         picked = rng.choice(pool, size=count, replace=pool_size < count)
@@ -241,7 +247,7 @@ def make_positive_negative(
         rng = substream(seed, "neg", node)
         negatives = [("node", v) for v in _sample_distinct(rng, n, {node}, num_negative)]
         return positives, negatives
-    nbrs = graph.neighbors[node]
+    nbrs = graph.neighbors(node)
     if len(nbrs) == 0:
         raise NoPositiveError(f"node {node} is isolated; no link-prediction positive exists")
     prng = substream(seed, "pos", node)
@@ -262,13 +268,21 @@ def _sample_negative_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform non-edges (u, v), u != v; rejection-sampled."""
     n = graph.num_nodes
+    if count and graph.num_edges == n * (n - 1) // 2:
+        raise NoNegativeError(f"complete graph on {n} nodes has no non-edge")
+    starts = graph.indptr.tolist()
+    indices = graph.indices.tolist()
     us = np.empty(count, dtype=np.int64)
     vs = np.empty(count, dtype=np.int64)
     got = 0
     while got < count:
         u = int(rng.integers(n))
         v = int(rng.integers(n))
-        if u == v or graph.has_edge(u, v):
+        if u == v:
+            continue
+        # binary search for v in u's neighbor row
+        i = bisect_left(indices, v, starts[u], starts[u + 1])
+        if i < starts[u + 1] and indices[i] == v:
             continue
         us[got] = u
         vs[got] = v
@@ -358,15 +372,16 @@ def per_node_ssl_loss(
 
     Link prediction: the node's incident edges plus the same number of
     random non-edges from it.  Contrastive: the node's anchor term against
-    one augmented view and K negatives.  Isolated link-prediction nodes
+    one augmented view and K negatives.  Link-prediction nodes that are
+    isolated or adjacent to every other node (no positive or no negative)
     contribute zero loss and zero gradients.
     """
     node = int(node)
     h, cache = model.forward(graph, domain_id)
     obj = model.objective
     if obj.kind == LINK_PREDICTION:
-        nbrs = graph.neighbors[node]
-        if len(nbrs) == 0:
+        nbrs = graph.neighbors(node)
+        if len(nbrs) in (0, graph.num_nodes - 1):
             zero = model.params.zeros_like()
             return 0.0, zero, (np.zeros_like(graph.features) if want_feature_grad else None)
         rng = substream(seed, "node-negatives", node)

@@ -122,8 +122,12 @@ class TestCli:
         out = tmp_path / "runs"
         assert main(["baseline", "--name", "glo-mia", "--config", str(cli_config),
                      "--out", str(out)]) == 0
+        baseline_out = capsys.readouterr().out
         assert main(["evaluate", "--out", str(out)]) == 0
-        assert "glo-mia/full" in capsys.readouterr().out
+        evaluate_out = capsys.readouterr().out
+        assert "glo-mia/full" in evaluate_out
+        assert " f1 " in evaluate_out and evaluate_out.count("+-") == 2
+        assert evaluate_out == baseline_out
 
     def test_ablate(self, cli_config, tmp_path):
         out = tmp_path / "runs"

@@ -31,7 +31,7 @@ class TestRobustnessProbe:
         )
         seed = 6
         perturbed = perturb_edges(g, 0.5, seed=derive_seed(seed, "robustness", 0))
-        assert list(perturbed.neighbors[4]) == []
+        assert list(perturbed.neighbors(4)) == []
         model = tiny_model(g, linkpred_objective)
         probe = robustness_probe(model, g, [4], budget=0.5, trials=1, seed=seed)
         assert probe[4] == pytest.approx(1.0, abs=1e-12)

@@ -38,7 +38,7 @@ class TestLoadGraph:
         )
         g = load_graph(edge_path, feat_path, domain_id=3)
         assert (g.num_nodes, g.num_edges, g.feature_dim, g.domain_id) == (3, 2, 2, 3)
-        assert g.has_edge(1, 0) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+        assert list(g.neighbors(1)) == [0, 2] and 2 not in g.neighbors(0)
         assert g.features[2, 1] == 4.0
 
     def test_empty_edges_three_rows(self, tmp_path):
@@ -46,7 +46,7 @@ class TestLoadGraph:
         g = load_graph(edge_path, feat_path)
         assert (g.num_nodes, g.num_edges) == (3, 0)
 
-    def test_dedup_and_self_loops(self, tmp_path):
+    def test_dedup_and_self_loops(self, tmp_path, caplog):
         edge_path, feat_path = write_graph_files(
             tmp_path,
             "0\t1\n1\t2\n0\t2\n1\t0\n2\t2\n",
@@ -54,6 +54,7 @@ class TestLoadGraph:
         )
         g = load_graph(edge_path, feat_path)
         assert g.num_edges == 3
+        assert "dropped 1 self-loop(s) and 1 duplicate edge(s)" in caplog.text
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "0\t1\nbogus\n", "2 1\n0\n0\n")
@@ -74,6 +75,69 @@ class TestLoadGraph:
         edge_path, feat_path = write_graph_files(tmp_path, "", "2 2\n1 2\n3\n")
         with pytest.raises(GraphFormatError, match="expected 2 values"):
             load_graph(edge_path, feat_path)
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1), (1, -2)])
+    def test_out_of_range(self, edge):
+        with pytest.raises(NodeRangeError):
+            Graph.from_edges(3, [(0, 1), edge], np.zeros((3, 1)))
+
+    def test_self_loop(self):
+        with pytest.raises(GraphFormatError, match="self-loop at node 2"):
+            Graph.from_edges(3, [(0, 1), (2, 2)], np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("dup", [(0, 1), (1, 0)])
+    def test_duplicate_either_orientation(self, dup):
+        with pytest.raises(GraphFormatError, match=r"duplicate edge \(0, 1\)"):
+            Graph.from_edges(3, [(0, 1), (1, 2), dup], np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("features", [np.zeros((2, 1)), np.zeros((4, 1)), np.zeros(3)])
+    def test_feature_row_mismatch(self, features):
+        with pytest.raises(GraphFormatError):
+            Graph.from_edges(3, [(0, 1)], features)
+
+    def test_arrays_read_only(self):
+        g = triangle_graph(extra_nodes=1)
+        for arr in (g.indptr, g.indices, g.features, g.edge_array, g.neighbors(0)):
+            assert not arr.flags.writeable
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_invariants(self, data):
+        # a hub adjacent to every non-isolated node, random edges among the
+        # rest and at least one isolated node, under a random relabelling
+        n = data.draw(st.integers(3, 24))
+        active = data.draw(st.integers(2, n - 1))
+        pairs = [(u, v) for u in range(1, active) for v in range(u + 1, active)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        ids = data.draw(st.permutations(range(n)))
+        canon = {
+            (min(ids[u], ids[v]), max(ids[u], ids[v]))
+            for u, v in [(0, w) for w in range(1, active)] + chosen
+        }
+        listed = data.draw(st.permutations(sorted(canon)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(listed, flips)]
+        features = np.arange(n, dtype=float)[:, None]
+        g = Graph.from_edges(n, edges, features)
+
+        assert g.edge_array.tolist() == [list(e) for e in sorted(canon)]
+        both = {(u, int(v)) for u in range(n) for v in g.neighbors(u)}
+        assert both == canon | {(v, u) for u, v in canon}
+        for u in range(n):
+            assert (np.diff(g.neighbors(u)) > 0).all()
+        assert len(g.neighbors(ids[0])) == active - 1
+        assert len(g.neighbors(ids[n - 1])) == 0
+
+        keep = data.draw(st.sets(st.integers(0, n - 1)))
+        order = sorted(keep)
+        relabel = {v: i for i, v in enumerate(order)}
+        sub = induced_subgraph(g, keep)
+        expected = sorted((relabel[u], relabel[v]) for u, v in canon if u in keep and v in keep)
+        assert sub.num_nodes == len(order)
+        assert sub.edge_array.tolist() == [list(e) for e in expected]
+        np.testing.assert_array_equal(sub.features, features[order])
 
 
 class TestSplitHalf:
@@ -151,14 +215,15 @@ class TestInducedSubgraph:
     def test_identity(self):
         g = triangle_graph(extra_nodes=2)
         sub = induced_subgraph(g, range(g.num_nodes))
-        assert [list(a) for a in sub.neighbors] == [list(a) for a in g.neighbors]
+        assert [list(sub.neighbors(u)) for u in range(sub.num_nodes)] == \
+            [list(g.neighbors(u)) for u in range(g.num_nodes)]
         np.testing.assert_array_equal(sub.features, g.features)
 
     def test_path_subset(self):
         # path 0-1-2-3, keep {0, 2, 3}: only edge (2,3) survives, relabeled (1,2)
         sub = induced_subgraph(path_graph(4), {0, 2, 3})
         assert sub.num_edges == 1
-        assert sub.has_edge(1, 2)
+        assert 2 in sub.neighbors(1)
         np.testing.assert_array_equal(sub.features[0], path_graph(4).features[0])
 
     def test_out_of_range(self):
@@ -206,11 +271,11 @@ class TestPerturbEdges:
         out = perturb_edges(g, 1.0, seed=seed)
         seen = set()
         for u in range(out.num_nodes):
-            for v in out.neighbors[u]:
+            for v in out.neighbors(u):
                 assert u != v
                 assert (u, int(v)) not in seen
                 seen.add((u, int(v)))
-                assert out.has_edge(int(v), u)
+                assert u in out.neighbors(int(v))
 
 
 def sbm_1000_edges() -> Graph:

@@ -30,7 +30,7 @@ def dense_normalized_adjacency(graph: Graph) -> np.ndarray:
     n = graph.num_nodes
     a = np.eye(n)
     for u in range(n):
-        for v in graph.neighbors[u]:
+        for v in graph.neighbors(u):
             a[u, int(v)] = 1.0
     deg = a.sum(axis=1)
     out = np.zeros((n, n))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
     MissingProjectorError,
+    NoNegativeError,
     NoPositiveError,
     SSLObjective,
     TrainConfig,
@@ -134,7 +137,7 @@ class TestSampling:
         for seed in range(5):
             _, neg = make_positive_negative(g, 1, linkpred_objective, 1, 3, seed=seed)
             for _, v in neg:
-                assert v != 1 and not g.has_edge(1, v)
+                assert v != 1 and v not in g.neighbors(1)
 
     def test_contrastive_distinct_view_seeds(self, contrastive_objective):
         g = star_graph(4)
@@ -152,6 +155,52 @@ class TestSampling:
         g = star_graph(8)
         assert make_positive_negative(g, 0, linkpred_objective, 3, 3, 5) == \
             make_positive_negative(g, 0, linkpred_objective, 3, 3, 5)
+
+
+class TestDegenerateNodes:
+    """A hub adjacent to every other node has no negative and a complete
+    graph has no non-edge: both give a typed error or a counted skip."""
+
+    @staticmethod
+    def _star12() -> Graph:
+        feats = np.random.default_rng(1).normal(size=(12, 3))
+        return Graph.from_edges(12, [(0, i) for i in range(1, 12)], feats)
+
+    def test_hub_has_no_negative(self, linkpred_objective):
+        with pytest.raises(NoNegativeError):
+            make_positive_negative(self._star12(), 0, linkpred_objective, 2, 2, seed=0)
+
+    def test_hub_skipped_in_plan(self, linkpred_objective):
+        from graphmia.amplify import draw_sample_plan
+
+        plan = draw_sample_plan(self._star12(), range(12), linkpred_objective, 2, 2, seed=0)
+        assert plan.skipped == (0,)
+        assert plan.nodes == tuple(range(1, 12))
+
+    def test_hub_contributes_zero(self, linkpred_objective):
+        g = self._star12()
+        model = tiny_model(g, linkpred_objective)
+        loss, grads, dx = per_node_ssl_loss(model, g, g.domain_id, 0, seed=0,
+                                            want_feature_grad=True)
+        assert loss == 0.0
+        assert not grads.flat().any() and not dx.any()
+
+    def test_complete_graph_raises(self, linkpred_objective):
+        k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)],
+                              np.random.default_rng(2).normal(size=(5, 3)))
+        model = tiny_model(k5, linkpred_objective)
+
+        def hung(signum, frame):
+            pytest.fail("linkpred_loss did not return on a complete graph")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(NoNegativeError):
+                linkpred_loss(model, k5, k5.domain_id, seed=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestAugment:
