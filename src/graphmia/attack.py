@@ -9,7 +9,6 @@ trained on it and applied to features queried from the real target model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -207,15 +206,3 @@ def infer_membership(
     feats = np.stack([profiles[v].values() for v in order])
     labels, scores = predict_from_features(attack_model, feats)
     return {v: (int(l), float(s)) for v, l, s in zip(order, labels, scores)}
-
-
-def export_attack_dataset(dataset: AttackDataset, path: str | Path) -> None:
-    """Text table ``node,label,s1..s2m`` with 9 significant digits."""
-    path = Path(path)
-    width = dataset.feature_dim
-    header = "node,label," + ",".join(f"s{i + 1}" for i in range(width))
-    lines = [header]
-    for ex in dataset.examples:
-        vals = ",".join(f"{v:.9g}" for v in ex.feature.values())
-        lines.append(f"{ex.source_node},{ex.label},{vals}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,12 +1,16 @@
 """Six comparison attacks sharing the graph and model infrastructure.
 
 Every baseline consumes the same shadow split and seeds as the primary
-similarity attack within one experiment, so comparisons are paired.  All
-return the same prediction schema: node -> (label, membership score).
+similarity attack within one experiment, so comparisons are paired.  Each
+takes a list of query graphs and a matching list of query node sets (the
+query sides) and returns one prediction dict per side, all in the same
+schema: node -> (label, membership score).  The five shadow-trained
+attacks fit their decision rule once per call and answer every side from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -53,49 +57,56 @@ class ShadowSplit:
     test_graph: Graph
 
 
-def _mlp_attack(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    query_nodes: list[int],
-    query_x: np.ndarray,
-    config: AttackTrainConfig,
-    seed: int,
-) -> dict[int, tuple[int, float]]:
-    mlp = fit_mlp_classifier(train_x, train_y, config, seed)
-    labels, scores = classify(mlp, query_x)
-    return {v: (int(l), float(s)) for v, l, s in zip(query_nodes, labels, scores)}
+Predictions = dict[int, tuple[int, float]]
 
 
-def _shadow_features(extract, shadow_model: VictimModel, split: ShadowSplit):
-    """Stack label-1 train and label-0 test features for one extractor."""
-    x_tr = extract(shadow_model, split.train_graph, range(split.train_graph.num_nodes))
-    x_te = extract(shadow_model, split.test_graph, range(split.test_graph.num_nodes))
-    x = np.concatenate([x_tr, x_te])
-    y = np.concatenate([np.ones(len(x_tr), dtype=np.int64), np.zeros(len(x_te), dtype=np.int64)])
-    return x, y
+def _shadow_attack(extract, fit, shadow_model: VictimModel, split: ShadowSplit,
+                   target_model: VictimModel, query_graphs, query_nodes) -> list[Predictions]:
+    """Fit a decision rule once on shadow features, then answer every query side.
+
+    ``extract(model, graph, nodes, role)`` returns the nodes it kept and
+    their feature rows; ``role`` is ``"shadow"`` or ``"target"``.  Shadow
+    train rows are labelled member (1) and shadow test rows non-member (0).
+    ``fit(x, y)`` returns the rule, a map from a feature matrix to (labels,
+    membership scores).  One prediction dict per (query graph, query
+    nodes) pair, in order.
+    """
+    x_tr, x_te = (extract(shadow_model, g, list(range(g.num_nodes)), "shadow")[1]
+                  for g in (split.train_graph, split.test_graph))
+    rule = fit(
+        np.concatenate([x_tr, x_te]),
+        np.concatenate([np.ones(len(x_tr), dtype=np.int64), np.zeros(len(x_te), dtype=np.int64)]),
+    )
+    sides = []
+    for graph, nodes in zip(query_graphs, query_nodes, strict=True):
+        kept, qx = extract(target_model, graph, sorted(int(v) for v in nodes), "target")
+        labels, scores = rule(qx)
+        sides.append({v: (int(l), float(s)) for v, l, s in zip(kept, labels, scores)})
+    return sides
+
+
+def _fit_mlp(config: AttackTrainConfig, seed: int):
+    """Decision rule: the attack MLP trained on the shadow features."""
+
+    def fit(x: np.ndarray, y: np.ndarray):
+        return functools.partial(classify, fit_mlp_classifier(x, y, config, seed))
+
+    return fit
 
 
 # ---------------------------------------------------------------------------
 # Embed-MIA: raw output embeddings as features
 
 
-def embed_mia(
-    shadow_model: VictimModel,
-    split: ShadowSplit,
-    target_model: VictimModel,
-    query_graph: Graph,
-    query_nodes,
-    spec: BaselineSpec,
-    seed: int,
-) -> dict[int, tuple[int, float]]:
-    def extract(model, graph, nodes):
-        h = embed(model, graph, graph.domain_id)
-        return h[np.fromiter((int(v) for v in nodes), dtype=np.int64)]
+def embed_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
+              query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+    def extract(model, graph, nodes, role):
+        return nodes, embed(model, graph, graph.domain_id)[np.array(nodes, dtype=np.int64)]
 
-    x, y = _shadow_features(extract, shadow_model, split)
-    order = sorted(int(v) for v in query_nodes)
-    qx = extract(target_model, query_graph, order)
-    return _mlp_attack(x, y, order, qx, spec.attack, derive_seed(seed, "embed-mia"))
+    return _shadow_attack(
+        extract, _fit_mlp(spec.attack, derive_seed(seed, "embed-mia")),
+        shadow_model, split, target_model, query_graphs, query_nodes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +129,15 @@ def input_gradient_features(
     return np.stack(rows)
 
 
-def grad_mia(
-    shadow_model: VictimModel,
-    split: ShadowSplit,
-    target_model: VictimModel,
-    query_graph: Graph,
-    query_nodes,
-    spec: BaselineSpec,
-    seed: int,
-) -> dict[int, tuple[int, float]]:
-    def extract(model, graph, nodes):
-        return input_gradient_features(model, graph, list(nodes), derive_seed(seed, "grad-mia"))
+def grad_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
+             query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+    def extract(model, graph, nodes, role):
+        return nodes, input_gradient_features(model, graph, nodes, derive_seed(seed, "grad-mia"))
 
-    x, y = _shadow_features(extract, shadow_model, split)
-    order = sorted(int(v) for v in query_nodes)
-    qx = extract(target_model, query_graph, order)
-    return _mlp_attack(x, y, order, qx, spec.attack, derive_seed(seed, "grad-mia"))
+    return _shadow_attack(
+        extract, _fit_mlp(spec.attack, derive_seed(seed, "grad-mia")),
+        shadow_model, split, target_model, query_graphs, query_nodes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +163,24 @@ def pairwise_similarity_features(
     return np.stack(cols, axis=1)
 
 
-def nlo_mia(
-    shadow_model: VictimModel,
-    split: ShadowSplit,
-    target_model: VictimModel,
-    query_graph: Graph,
-    query_nodes,
-    spec: BaselineSpec,
-    seed: int,
-) -> dict[int, tuple[int, float]]:
-    def extract(model, graph, nodes):
-        return pairwise_similarity_features(
+def _view_similarities(spec: BaselineSpec, seed: int):
+    """Extractor of the pairwise view similarities under ``seed``."""
+
+    def extract(model, graph, nodes, role):
+        return nodes, pairwise_similarity_features(
             model, graph, nodes, spec.k_perturb, spec.edge_fraction,
             derive_seed(seed, "nlo-views"),
         )
 
-    x, y = _shadow_features(extract, shadow_model, split)
-    order = sorted(int(v) for v in query_nodes)
-    qx = extract(target_model, query_graph, order)
-    return _mlp_attack(x, y, order, qx, spec.attack, derive_seed(seed, "nlo-mia"))
+    return extract
+
+
+def nlo_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
+            query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+    return _shadow_attack(
+        _view_similarities(spec, seed), _fit_mlp(spec.attack, derive_seed(seed, "nlo-mia")),
+        shadow_model, split, target_model, query_graphs, query_nodes,
+    )
 
 
 def best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -193,56 +196,50 @@ def best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     return best_t
 
 
-def glo_mia(
-    shadow_model: VictimModel,
-    split: ShadowSplit,
-    target_model: VictimModel,
-    query_graph: Graph,
-    query_nodes,
-    spec: BaselineSpec,
-    seed: int,
-) -> dict[int, tuple[int, float]]:
-    """Same perturbations as NLO-MIA, but thresholding the mean similarity."""
-
-    def extract(model, graph, nodes):
-        feats = pairwise_similarity_features(
-            model, graph, nodes, spec.k_perturb, spec.edge_fraction,
-            derive_seed(seed, "nlo-views"),
-        )
-        return feats.mean(axis=1, keepdims=True)
-
-    x, y = _shadow_features(extract, shadow_model, split)
+def _fit_threshold(x: np.ndarray, y: np.ndarray):
+    """Decision rule: member iff the single feature reaches the shadow's
+    best threshold; the feature itself is the score."""
     threshold = best_threshold(x[:, 0], y)
-    order = sorted(int(v) for v in query_nodes)
-    q = extract(target_model, query_graph, order)[:, 0]
-    return {v: (int(s >= threshold), float(s)) for v, s in zip(order, q)}
+    return lambda q: ((q[:, 0] >= threshold).astype(np.int64), q[:, 0])
+
+
+def glo_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
+            query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+    """The perturbation procedure of NLO-MIA under this call's own seed,
+    but thresholding the mean similarity."""
+    views = _view_similarities(spec, seed)
+
+    def extract(model, graph, nodes, role):
+        kept, feats = views(model, graph, nodes, role)
+        return kept, feats.mean(axis=1, keepdims=True)
+
+    return _shadow_attack(
+        extract, _fit_threshold, shadow_model, split, target_model, query_graphs, query_nodes,
+    )
 
 
 # ---------------------------------------------------------------------------
 # GE-MIA: nearest reference centroid under cosine distance
 
 
-def ge_mia(
-    target_model: VictimModel,
-    member_graph: Graph,
-    member_refs,
-    nonmember_graph: Graph,
-    nonmember_refs,
-    query_graph: Graph,
-    query_nodes,
-) -> dict[int, tuple[int, float]]:
+def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
+           nonmember_graph: Graph, nonmember_refs, query_graphs, query_nodes) -> list[Predictions]:
     """Predict by the nearer of the member/non-member reference centroids;
-    exactly equidistant queries go to non-member."""
+    exactly equidistant queries go to non-member.  One prediction dict per
+    (query graph, query nodes) pair, in order."""
     h_mem = embed(target_model, member_graph, member_graph.domain_id)
     h_non = embed(target_model, nonmember_graph, nonmember_graph.domain_id)
     c_mem = h_mem[np.fromiter((int(v) for v in member_refs), dtype=np.int64)].mean(axis=0)
     c_non = h_non[np.fromiter((int(v) for v in nonmember_refs), dtype=np.int64)].mean(axis=0)
-    order = sorted(int(v) for v in query_nodes)
-    hq = embed(target_model, query_graph, query_graph.domain_id)[np.array(order, dtype=np.int64)]
-    sim_mem = cosine_rows(hq, np.broadcast_to(c_mem, hq.shape))
-    sim_non = cosine_rows(hq, np.broadcast_to(c_non, hq.shape))
-    margin = sim_mem - sim_non  # cosine distance difference, sign-flipped
-    return {v: (int(m > 0), float(m)) for v, m in zip(order, margin)}
+    sides = []
+    for graph, nodes in zip(query_graphs, query_nodes, strict=True):
+        order = sorted(int(v) for v in nodes)
+        hq = embed(target_model, graph, graph.domain_id)[np.array(order, dtype=np.int64)]
+        sim_mem = cosine_rows(hq, np.broadcast_to(c_mem, hq.shape))
+        sim_non = cosine_rows(hq, np.broadcast_to(c_non, hq.shape))
+        margin = sim_mem - sim_non  # cosine distance difference, sign-flipped
+        sides.append({v: (int(m > 0), float(m)) for v, m in zip(order, margin)})
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +281,16 @@ def parameter_change_features(
     return kept, np.stack(rows) if rows else np.zeros((0, len(base.names))), diverged
 
 
-def gpia(
-    shadow_model: VictimModel,
-    split: ShadowSplit,
-    target_model: VictimModel,
-    query_graph: Graph,
-    query_nodes,
-    spec: BaselineSpec,
-    seed: int,
-) -> dict[int, tuple[int, float]]:
-    def extract(model, graph, nodes):
-        _, feats, _ = parameter_change_features(
+def gpia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
+         query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+    def extract(model, graph, nodes, role):
+        kept, feats, _ = parameter_change_features(
             model, graph, nodes, spec.finetune_epochs, spec.finetune_lr,
-            derive_seed(seed, "gpia-shadow"),
+            derive_seed(seed, f"gpia-{role}"),
         )
-        return feats
+        return kept, feats
 
-    x, y = _shadow_features(extract, shadow_model, split)
-    order, qx, _ = parameter_change_features(
-        target_model, query_graph, sorted(int(v) for v in query_nodes),
-        spec.finetune_epochs, spec.finetune_lr, derive_seed(seed, "gpia-target"),
+    return _shadow_attack(
+        extract, _fit_mlp(spec.attack, derive_seed(seed, "gpia")),
+        shadow_model, split, target_model, query_graphs, query_nodes,
     )
-    return _mlp_attack(x, y, order, qx, spec.attack, derive_seed(seed, "gpia"))

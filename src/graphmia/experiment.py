@@ -15,6 +15,7 @@ import json
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .attack import (
     infer_membership,
     train_attack_model,
 )
+from .baselines import KINDS as BASELINE_KINDS
 from .baselines import BaselineSpec, ShadowSplit, embed_mia, ge_mia, glo_mia, gpia, grad_mia, nlo_mia
 from .config import ExperimentConfig, config_hash
 from .graph import Graph, GraphPartition, induced_subgraph, load_graph, partition_shadow, split_half
@@ -40,7 +42,6 @@ VARIANT_FULL = "full"
 VARIANT_WO_UL = "wo-ul"
 VARIANT_WO_IL = "wo-il"
 VARIANTS = (VARIANT_FULL, VARIANT_WO_UL, VARIANT_WO_IL)
-BASELINE_KINDS = ("embed-mia", "grad-mia", "nlo-mia", "glo-mia", "ge-mia", "gpia")
 
 
 @dataclass
@@ -62,8 +63,11 @@ class DomainData:
 
 @dataclass
 class AttackContext:
-    """Everything one seed's attacks share: model, splits, and subgraphs."""
+    """Everything one seed's attacks share: config, model, splits, subgraphs,
+    and the per-seed results that several attacks read, each computed once
+    on first use."""
 
+    cfg: ExperimentConfig
     seed: int
     objective: SSLObjective
     target: VictimModel
@@ -74,6 +78,47 @@ class AttackContext:
     shadow_train_graph: Graph
     shadow_test_graph: Graph
     split_fingerprint: str
+
+    @cached_property
+    def query_nodes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Local node ids to query in the member and non-member subgraphs."""
+        members = list(range(self.attack_domain.member_graph.num_nodes))
+        nonmembers = list(range(self.attack_domain.nonmember_graph.num_nodes))
+        cap = self.cfg.m_queries
+        if cap is not None:
+            rng = substream(self.seed, "query-cap")
+            if cap < len(members):
+                members = sorted(int(v) for v in rng.choice(len(members), cap, replace=False))
+            if cap < len(nonmembers):
+                nonmembers = sorted(int(v) for v in rng.choice(len(nonmembers), cap, replace=False))
+        return tuple(members), tuple(nonmembers)
+
+    @cached_property
+    def scratch_shadow(self) -> VictimModel:
+        """The no-incremental (wo-il) shadow: the target's architecture (a
+        white-box attacker), random initial parameters, fine-tuned on
+        shadow-train.  The wo-il variant and every shadow-trained baseline
+        use it."""
+        cfg = self.cfg
+        fresh = VictimModel.init(
+            {d: w.shape[0] for d, w in self.target.projectors.items()},
+            self.objective,
+            TrainConfig(epochs=0, lr=cfg.lr_shadow, layers=cfg.layers, emb_dim=cfg.emb_dim),
+            seed=derive_seed(self.seed, "scratch-shadow"),
+        )
+        model, _ = fine_tune(
+            fresh, self.shadow_train_graph, self.shadow_train_graph.domain_id,
+            epochs=cfg.epochs_shadow, lr=cfg.lr_shadow,
+            seed=derive_seed(self.seed, "shadow-ft"),
+        )
+        return model
+
+    @cached_property
+    def target_gap(self) -> float:
+        """The target's shadow-train minus shadow-test similarity margin."""
+        return similarity_margin_gap(
+            self.target, self, self.cfg.m_samples, derive_seed(self.seed, "gap-probe")
+        )
 
 
 @dataclass
@@ -208,6 +253,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> AttackContext:
     shadow_graph = attack_domain.nonmember_graph
     partition = partition_shadow(shadow_graph, cfg.unlearn_fraction, derive_seed(seed, "partition"))
     return AttackContext(
+        cfg=cfg,
         seed=seed,
         objective=objective,
         target=target,
@@ -221,22 +267,8 @@ def build_context(cfg: ExperimentConfig, seed: int) -> AttackContext:
     )
 
 
-def _eval_nodes(ctx: AttackContext, cfg: ExperimentConfig) -> tuple[list[int], list[int]]:
-    """Local node ids to query in the member and non-member subgraphs."""
-    members = list(range(ctx.attack_domain.member_graph.num_nodes))
-    nonmembers = list(range(ctx.attack_domain.nonmember_graph.num_nodes))
-    if cfg.m_queries is not None:
-        rng = substream(ctx.seed, "query-cap")
-        if cfg.m_queries < len(members):
-            members = sorted(int(v) for v in rng.choice(len(members), cfg.m_queries, replace=False))
-        if cfg.m_queries < len(nonmembers):
-            nonmembers = sorted(int(v) for v in rng.choice(len(nonmembers), cfg.m_queries, replace=False))
-    return members, nonmembers
-
-
 def _score(
     ctx: AttackContext,
-    cfg: ExperimentConfig,
     member_preds: dict[int, tuple[int, float]],
     nonmember_preds: dict[int, tuple[int, float]],
     attack: str,
@@ -294,20 +326,7 @@ def build_shadow_model(ctx: AttackContext, cfg: ExperimentConfig, variant: str) 
     """The three shadow constructions: full, no-unlearning, no-incremental."""
     seed = ctx.seed
     if variant == VARIANT_WO_IL:
-        # scratch shadow keeps the target's architecture (white-box attacker),
-        # only its parameters start from random init
-        fresh = VictimModel.init(
-            {d: w.shape[0] for d, w in ctx.target.projectors.items()},
-            ctx.objective,
-            TrainConfig(epochs=0, lr=cfg.lr_shadow, layers=cfg.layers, emb_dim=cfg.emb_dim),
-            seed=derive_seed(seed, "scratch-shadow"),
-        )
-        model, _ = fine_tune(
-            fresh, ctx.shadow_train_graph, ctx.shadow_train_graph.domain_id,
-            epochs=cfg.epochs_shadow, lr=cfg.lr_shadow,
-            seed=derive_seed(seed, "shadow-ft"),
-        )
-        return ShadowBuild(model=model, variant=variant)
+        return ShadowBuild(model=ctx.scratch_shadow, variant=variant)
 
     distill_initial = distill_final = None
     if variant == VARIANT_FULL:
@@ -364,7 +383,7 @@ def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: st
         AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack, hidden_dim=cfg.hidden_dim),
         seed=derive_seed(seed, "attack-train"),
     )
-    members, nonmembers = _eval_nodes(ctx, cfg)
+    members, nonmembers = ctx.query_nodes
     member_preds = infer_membership(
         attack_model, ctx.target, ctx.attack_domain.member_graph, members,
         cfg.m_samples, seed=derive_seed(seed, "infer-members"),
@@ -373,7 +392,7 @@ def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: st
         attack_model, ctx.target, ctx.attack_domain.nonmember_graph, nonmembers,
         cfg.m_samples, seed=derive_seed(seed, "infer-nonmembers"),
     )
-    report = _score(ctx, cfg, member_preds, nonmember_preds, PRIMARY_ATTACK)
+    report = _score(ctx, member_preds, nonmember_preds, PRIMARY_ATTACK)
     extras = {
         "attack_train_accuracy": attack_model.train_accuracy,
         "skipped_train": dataset.skipped_train,
@@ -381,9 +400,7 @@ def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: st
         "shadow_gap": similarity_margin_gap(
             build.model, ctx, cfg.m_samples, derive_seed(seed, "gap-probe")
         ),
-        "target_gap": similarity_margin_gap(
-            ctx.target, ctx, cfg.m_samples, derive_seed(seed, "gap-probe")
-        ),
+        "target_gap": ctx.target_gap,
     }
     if build.distill_initial is not None:
         extras["distill_initial"] = build.distill_initial
@@ -395,19 +412,17 @@ def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: st
 
 
 def run_baseline(ctx: AttackContext, cfg: ExperimentConfig, kind: str) -> RunRecord:
-    """Baselines attack the same splits with a scratch-trained shadow model."""
+    """Baselines attack the same splits; the shadow-trained ones use the
+    scratch shadow.  One call answers both query sides."""
     seed = ctx.seed
     spec = BaselineSpec(
         kind=kind,
         attack=AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack,
                                  hidden_dim=cfg.hidden_dim),
     )
-    split = ShadowSplit(train_graph=ctx.shadow_train_graph, test_graph=ctx.shadow_test_graph)
-    shadow = build_shadow_model(ctx, cfg, VARIANT_WO_IL).model
-    members, nonmembers = _eval_nodes(ctx, cfg)
     mg = ctx.attack_domain.member_graph
     ng = ctx.attack_domain.nonmember_graph
-    bseed = derive_seed(seed, "baseline", kind)
+    graphs, nodes = [mg, ng], list(ctx.query_nodes)
 
     if kind == "ge-mia":
         mrng = substream(seed, "ge-refs")
@@ -415,8 +430,7 @@ def run_baseline(ctx: AttackContext, cfg: ExperimentConfig, kind: str) -> RunRec
             mg.num_nodes, min(spec.reference_members, mg.num_nodes), replace=False))
         ref_n = sorted(int(v) for v in mrng.choice(
             ng.num_nodes, min(spec.reference_nonmembers, ng.num_nodes), replace=False))
-        member_preds = ge_mia(ctx.target, mg, ref_m, ng, ref_n, mg, members)
-        nonmember_preds = ge_mia(ctx.target, mg, ref_m, ng, ref_n, ng, nonmembers)
+        member_preds, nonmember_preds = ge_mia(ctx.target, mg, ref_m, ng, ref_n, graphs, nodes)
     else:
         fn = {
             "embed-mia": embed_mia,
@@ -425,9 +439,12 @@ def run_baseline(ctx: AttackContext, cfg: ExperimentConfig, kind: str) -> RunRec
             "glo-mia": glo_mia,
             "gpia": gpia,
         }[kind]
-        member_preds = fn(shadow, split, ctx.target, mg, members, spec, bseed)
-        nonmember_preds = fn(shadow, split, ctx.target, ng, nonmembers, spec, bseed)
-    report = _score(ctx, cfg, member_preds, nonmember_preds, kind)
+        split = ShadowSplit(train_graph=ctx.shadow_train_graph, test_graph=ctx.shadow_test_graph)
+        member_preds, nonmember_preds = fn(
+            ctx.scratch_shadow, split, ctx.target, graphs, nodes, spec,
+            derive_seed(seed, "baseline", kind),
+        )
+    report = _score(ctx, member_preds, nonmember_preds, kind)
     return RunRecord(
         report=report, variant=VARIANT_FULL, config_hash=config_hash(cfg),
         split_fingerprint=ctx.split_fingerprint, extras={},

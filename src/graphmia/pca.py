@@ -1,8 +1,7 @@
-"""Principal component analysis via power iteration with deflation.
+"""Principal component analysis of embedding rows.
 
-Deliberately self-contained (no library eigensolver) so the projection
-used by the separability diagnostics can itself be validated against an
-independent solver in the tests.
+The eigenvectors of the sample covariance come from ``np.linalg.eigh``;
+a fixed sign rule makes the projection reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _TOL = 1e-10
-_MAX_ITER = 10_000
 
 
 @dataclass
@@ -22,21 +20,6 @@ class PCAResult:
     components: np.ndarray        # (d, k_effective), orthonormal columns
     mean: np.ndarray
     rank_deficient: bool          # fewer informative components than requested
-
-
-def _power_iterate(cov: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
-    v = start / np.linalg.norm(start)
-    last = v
-    for _ in range(_MAX_ITER):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm <= _TOL:
-            return v, 0.0
-        v = w / norm
-        if min(np.linalg.norm(v - last), np.linalg.norm(v + last)) < _TOL:
-            break
-        last = v
-    return v, float(v @ cov @ v)
 
 
 def pca_project(embeddings: np.ndarray, k: int = 2) -> PCAResult:
@@ -60,24 +43,21 @@ def pca_project(embeddings: np.ndarray, k: int = 2) -> PCAResult:
     cov = (xc.T @ xc) / (n - 1)
     trace = float(np.trace(cov))
 
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
     components: list[np.ndarray] = []
-    eigvals: list[float] = []
-    deflated = cov.copy()
-    for j in range(k):
-        # deterministic start: a fixed direction plus a component-indexed tilt
-        start = np.ones(d) + np.linspace(0.0, 1.0, d) * (j + 1)
-        v, lam = _power_iterate(deflated, start)
+    kept: list[float] = []
+    for lam, v in zip(eigvals[::-1][:k], eigvecs.T[::-1]):
+        lam = float(lam)
         if lam <= _TOL * max(trace, 1.0):
             break
         nz = np.nonzero(np.abs(v) > 1e-12)[0]
         if len(nz) and v[nz[0]] < 0:
             v = -v
         components.append(v)
-        eigvals.append(lam)
-        deflated = deflated - lam * np.outer(v, v)
+        kept.append(lam)
 
     comp = np.stack(components, axis=1) if components else np.zeros((d, 0))
-    ratios = (np.array(eigvals) / trace) if trace > 0 else np.zeros(len(eigvals))
+    ratios = (np.array(kept) / trace) if trace > 0 else np.zeros(len(kept))
     return PCAResult(
         projection=xc @ comp,
         explained_ratios=ratios,

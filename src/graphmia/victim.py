@@ -233,15 +233,15 @@ def make_positive_negative(
     ``("node", neighbor)`` under link prediction (with replacement when the
     degree is below the request).  Negatives are always ``("node", id)``:
     uniformly random distinct non-self (contrastive) or non-neighbor
-    (link prediction) nodes in the unaugmented graph.
+    (link prediction) nodes in the unaugmented graph, drawn with
+    replacement when fewer are eligible than requested; a node with no
+    eligible negative raises ``NoNegativeError``.
 
     Sampling depends only on (graph, node, seed), never on a model, so the
     same plan can be replayed against different models.
     """
     node = int(node)
     n = graph.num_nodes
-    if n < num_negative + 1:
-        raise ValueError(f"graph too small for {num_negative} negatives")
     if objective.kind == CONTRASTIVE:
         positives = [("view", p, view_seed(seed, p)) for p in range(num_positive)]
         rng = substream(seed, "neg", node)

@@ -11,7 +11,6 @@ from graphmia.attack import (
     AttackTrainConfig,
     DataQualityError,
     build_attack_dataset,
-    export_attack_dataset,
     infer_membership,
     predict_from_features,
     train_attack_model,
@@ -187,14 +186,3 @@ class TestInferMembership:
         with pytest.raises(ShapeError):
             infer_membership(attack, model, test_g, range(5), 4, seed=5)
 
-
-class TestExport:
-    def test_table_layout(self, tmp_path):
-        ds = toy_dataset(n_per_class=3, m=2)
-        path = tmp_path / "attack.csv"
-        export_attack_dataset(ds, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "node,label,s1,s2,s3,s4"
-        assert len(lines) == 1 + len(ds.examples)
-        first = lines[1].split(",")
-        assert first[1] in {"0", "1"} and len(first) == 6

@@ -96,20 +96,20 @@ class TestThreshold:
         spec = BaselineSpec(kind="glo-mia", k_perturb=3, edge_fraction=0.0)
         # budget 0: every similarity is exactly 1, threshold grid = {1.0},
         # rule is >= so everything is predicted member
-        preds = glo_mia(model, split, model, graph, range(6), spec, seed=3)
+        preds = glo_mia(model, split, model, [graph], [range(6)], spec, seed=3)[0]
         assert all(label == 1 for label, _ in preds.values())
 
 
 class TestGeMia:
     def test_member_centroid_query(self, setting):
         graph, _, model, _ = setting
-        preds = ge_mia(model, graph, [0, 1, 2], graph, [50, 51, 52], graph, [0])
+        preds = ge_mia(model, graph, [0, 1, 2], graph, [50, 51, 52], [graph], [[0]])[0]
         assert preds[0][0] == 1
 
     def test_equidistant_tie_goes_nonmember(self, setting):
         graph, _, model, _ = setting
         refs = [3, 4, 5]
-        preds = ge_mia(model, graph, refs, graph, refs, graph, [10])
+        preds = ge_mia(model, graph, refs, graph, refs, [graph], [[10]])[0]
         assert preds[10][0] == 0
 
 
@@ -173,8 +173,8 @@ class TestEndToEndDeterminism:
             attack=AttackTrainConfig(epochs=20),
         )
         nodes = range(5)
-        a = fn(model, split, model, graph, nodes, spec, seed=8)
-        b = fn(model, split, model, graph, nodes, spec, seed=8)
+        a = fn(model, split, model, [graph], [nodes], spec, seed=8)[0]
+        b = fn(model, split, model, [graph], [nodes], spec, seed=8)[0]
         assert a == b
 
     def test_embed_feature_dim_is_embedding_dim(self, setting):
@@ -184,3 +184,78 @@ class TestEndToEndDeterminism:
 
         h = embed_fn(model, graph, graph.domain_id)
         assert h.shape[1] == model.encoder.output_dim == 10
+
+
+class TestQuerySides:
+    """The shadow-trained baselines fit once per call and answer every
+    query side from that fit."""
+
+    SHADOW_TRAINED = {
+        embed_mia: "embed",
+        grad_mia: "input_gradient_features",
+        nlo_mia: "pairwise_similarity_features",
+        glo_mia: "pairwise_similarity_features",
+        gpia: "parameter_change_features",
+    }
+
+    @staticmethod
+    def _spec():
+        from graphmia.attack import AttackTrainConfig
+
+        return BaselineSpec(
+            kind="nlo-mia", k_perturb=3, finetune_epochs=2,
+            attack=AttackTrainConfig(epochs=20),
+        )
+
+    @staticmethod
+    def _sides(setting):
+        graph, _, _, _ = setting
+        other = induced_subgraph(graph, range(40, 100))
+        return [graph, other], [range(5), [3, 0, 7]]
+
+    @pytest.mark.parametrize("fn", list(SHADOW_TRAINED), ids=lambda f: f.__name__)
+    def test_shadow_features_extracted_from_two_graphs(self, fn, setting, monkeypatch):
+        import graphmia.baselines as bl
+
+        _, _, model, split = setting
+        name = self.SHADOW_TRAINED[fn]
+        real = getattr(bl, name)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bl, name, recording)
+        graphs, nodes = self._sides(setting)
+        fn(model, split, model, graphs, nodes, self._spec(), seed=8)
+        shadow = [g for g in seen if g is split.train_graph or g is split.test_graph]
+        assert len(shadow) == 2
+        assert {id(g) for g in shadow} == {id(split.train_graph), id(split.test_graph)}
+
+    @pytest.mark.parametrize("fn", list(SHADOW_TRAINED), ids=lambda f: f.__name__)
+    def test_two_sides_equal_two_single_sides(self, fn, setting):
+        _, _, model, split = setting
+        target = model.copy()
+        for t in target.params.tensors.values():
+            t *= 1.1
+        graphs, nodes = self._sides(setting)
+        spec = self._spec()
+        both = fn(model, split, target, graphs, nodes, spec, seed=8)
+        one = [fn(model, split, target, [g], [n], spec, seed=8)[0] for g, n in zip(graphs, nodes)]
+        assert both == one
+        assert [sorted(side) for side in both] == [sorted(n) for n in nodes]
+
+    def test_ge_mia_two_sides_equal_two_single_sides(self, setting):
+        graph, _, model, _ = setting
+        graphs, nodes = self._sides(setting)
+        refs = ([0, 1, 2], [50, 51, 52])
+        both = ge_mia(model, graph, refs[0], graph, refs[1], graphs, nodes)
+        one = [ge_mia(model, graph, refs[0], graph, refs[1], [g], [n])[0]
+               for g, n in zip(graphs, nodes)]
+        assert both == one
+
+    def test_side_lists_must_match(self, setting):
+        graph, _, model, split = setting
+        with pytest.raises(ValueError):
+            embed_mia(model, split, model, [graph, graph], [range(3)], self._spec(), seed=8)

@@ -100,6 +100,30 @@ class TestRunExperiment:
         # the two surviving seeds still produced records
         assert len(res.records) == 2
 
+    def test_per_seed_work_computed_once(self, monkeypatch):
+        cfg = tiny_cfg(repetitions=2, m_queries=6, epochs_attack=10)
+        scratch, target_gaps = [], []
+        real_fine_tune = exp_mod.fine_tune
+        real_gap = exp_mod.similarity_margin_gap
+
+        def counting_fine_tune(*args, **kwargs):
+            scratch.append(1)
+            return real_fine_tune(*args, **kwargs)
+
+        def counting_gap(model, ctx, *args, **kwargs):
+            if model is ctx.target:
+                target_gaps.append(ctx.seed)
+            return real_gap(model, ctx, *args, **kwargs)
+
+        monkeypatch.setattr(exp_mod, "fine_tune", counting_fine_tune)
+        monkeypatch.setattr(exp_mod, "similarity_margin_gap", counting_gap)
+        res = run_experiment(cfg, attacks=("similarity", *exp_mod.BASELINE_KINDS),
+                             variants=("full", "wo-il"))
+        assert not res.failures
+        assert len(res.records) == 2 * (2 + len(exp_mod.BASELINE_KINDS))
+        assert len(scratch) == 2
+        assert target_gaps == cfg.seeds()
+
     def test_query_cap(self):
         cfg = tiny_cfg(m_queries=15)
         res = run_experiment(cfg, attacks=("similarity",), variants=("full",))

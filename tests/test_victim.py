@@ -203,6 +203,39 @@ class TestDegenerateNodes:
             signal.signal(signal.SIGALRM, previous)
 
 
+class TestTinySplit:
+    """A graph with fewer eligible nodes than requested negatives samples
+    them with replacement instead of aborting the seed."""
+
+    @staticmethod
+    def _path4() -> Graph:
+        return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)],
+                                np.random.default_rng(3).normal(size=(4, 3)))
+
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_plan_samples_with_replacement(self, kind):
+        from graphmia.amplify import draw_sample_plan
+
+        g = self._path4()
+        plan = draw_sample_plan(g, range(4), SSLObjective(kind), 2, 5, seed=0)
+        assert plan.nodes == (0, 1, 2, 3) and plan.skipped == ()
+        for node in plan.nodes:
+            negatives = [ref[1] for ref in plan.negative_refs[node]]
+            assert len(negatives) == 5
+            assert node not in negatives
+            if kind == LINK_PREDICTION:
+                assert not set(negatives) & set(g.neighbors(node).tolist())
+
+    def test_no_eligible_negative_is_skipped(self, linkpred_objective):
+        from graphmia.amplify import draw_sample_plan
+
+        # on a path of three nodes the middle one is adjacent to every other
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
+        plan = draw_sample_plan(g, range(3), linkpred_objective, 1, 5, seed=0)
+        assert plan.skipped == (1,)
+        assert plan.nodes == (0, 2)
+
+
 class TestAugment:
     def test_deterministic_and_input_untouched(self, small_sbm, contrastive_objective):
         fp = graph_fingerprint(small_sbm)
