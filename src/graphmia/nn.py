@@ -223,11 +223,14 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ShapeError("cosine_sim needs equal-length vectors")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    # the cosine is scale-free: rescale so that the squared norms of tiny
+    # vectors do not underflow into subnormals and lose their precision
+    scale_a = float(np.abs(a).max(initial=0.0))
+    scale_b = float(np.abs(b).max(initial=0.0))
+    if scale_a == 0.0 or scale_b == 0.0:
         return 0.0, True
-    return float(a @ b) / (na * nb), False
+    a, b = a / scale_a, b / scale_b
+    return float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))), False
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -156,6 +156,13 @@ class TestCosine:
         assert ab == pytest.approx(ba, abs=1e-12)
         assert scaled == pytest.approx(ab, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 0.07])
+    def test_tiny_vector_keeps_precision(self, scale):
+        # a hypothesis draw of the test above: |a|^2 = 1.2e-312 is subnormal,
+        # and taking the norm from it read 0.99999999999969 instead of 1
+        val, flag = cosine_sim(scale * np.array([1.1e-156, 0.0, 0.0]), [1.0, 0.0, 0.0])
+        assert val == 1.0 and not flag
+
 
 class TestMLP:
     def test_zero_weights_zero_logits(self):
