@@ -20,7 +20,7 @@ from .attack import AttackTrainConfig, classify, fit_mlp_classifier
 from .graph import Graph, perturb_edges
 from .nn import AdamState, adam_step, cosine_rows, NumericError
 from .rng import derive_seed
-from .victim import VictimModel, embed, per_node_ssl_loss
+from .victim import NodeLoss, VictimModel, embed
 
 KINDS = ("embed-mia", "grad-mia", "nlo-mia", "glo-mia", "ge-mia", "gpia")
 
@@ -118,14 +118,13 @@ def input_gradient_features(
 ) -> np.ndarray:
     rows = []
     for node in nodes:
-        _, _, dx = per_node_ssl_loss(
-            model, graph, graph.domain_id, int(node),
-            seed=derive_seed(seed, "grad-feature", int(node)),
-            want_feature_grad=True,
-        )
+        node = int(node)
+        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
+                         [derive_seed(seed, "grad-feature", node)])
+        _, _, dx = terms(model, graph.domain_id, 0, want_feature_grad=True)
         if not np.all(np.isfinite(dx)):
             raise NumericError(f"non-finite input gradient at node {node}")
-        rows.append(dx[int(node)])
+        rows.append(dx[np.searchsorted(terms.ball, node)])
     return np.stack(rows)
 
 
@@ -227,14 +226,24 @@ def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
     """Predict by the nearer of the member/non-member reference centroids;
     exactly equidistant queries go to non-member.  One prediction dict per
     (query graph, query nodes) pair, in order."""
-    h_mem = embed(target_model, member_graph, member_graph.domain_id)
-    h_non = embed(target_model, nonmember_graph, nonmember_graph.domain_id)
-    c_mem = h_mem[np.fromiter((int(v) for v in member_refs), dtype=np.int64)].mean(axis=0)
-    c_non = h_non[np.fromiter((int(v) for v in nonmember_refs), dtype=np.int64)].mean(axis=0)
+    embeddings: dict[int, np.ndarray] = {}
+
+    def embedded(graph: Graph) -> np.ndarray:
+        # graphs are immutable, so one embedding per graph object serves
+        # both the reference and the query uses
+        if id(graph) not in embeddings:
+            embeddings[id(graph)] = embed(target_model, graph, graph.domain_id)
+        return embeddings[id(graph)]
+
+    def centroid(graph: Graph, refs) -> np.ndarray:
+        return embedded(graph)[np.fromiter((int(v) for v in refs), dtype=np.int64)].mean(axis=0)
+
+    c_mem = centroid(member_graph, member_refs)
+    c_non = centroid(nonmember_graph, nonmember_refs)
     sides = []
     for graph, nodes in zip(query_graphs, query_nodes, strict=True):
         order = sorted(int(v) for v in nodes)
-        hq = embed(target_model, graph, graph.domain_id)[np.array(order, dtype=np.int64)]
+        hq = embedded(graph)[np.array(order, dtype=np.int64)]
         sim_mem = cosine_rows(hq, np.broadcast_to(c_mem, hq.shape))
         sim_non = cosine_rows(hq, np.broadcast_to(c_non, hq.shape))
         margin = sim_mem - sim_non  # cosine distance difference, sign-flipped
@@ -250,23 +259,24 @@ def parameter_change_features(
     model: VictimModel, graph: Graph, nodes, epochs: int, lr: float, seed: int
 ) -> tuple[list[int], np.ndarray, int]:
     """Per-layer L2 norms of the parameter change after fine-tuning a fresh
-    copy of the model on each node's own SSL loss.  Returns the surviving
-    node order, the feature matrix, and the diverged-node count."""
+    copy of the model on each node's own SSL loss.  Every epoch of a node
+    runs on one L-hop ball that covers all its epochs' samples.  Returns
+    the surviving node order, the feature matrix, and the diverged-node
+    count."""
     kept: list[int] = []
     rows: list[np.ndarray] = []
     diverged = 0
     base = model.params
     for node in nodes:
         node = int(node)
+        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
+                         [derive_seed(seed, "gpia", node, epoch) for epoch in range(epochs)])
         tuned = model.copy()
         params = tuned.params
         state = AdamState.init(params, lr=lr)
         try:
             for epoch in range(epochs):
-                loss, grads, _ = per_node_ssl_loss(
-                    tuned, graph, graph.domain_id, node,
-                    seed=derive_seed(seed, "gpia", node, epoch),
-                )
+                loss, grads, _ = terms(tuned, graph.domain_id, epoch)
                 if not np.isfinite(loss):
                     raise NumericError(f"per-node fine-tune diverged at node {node}")
                 adam_step(state, params, grads)

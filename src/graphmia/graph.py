@@ -86,6 +86,23 @@ class Graph:
         return _read_only(np.stack([rows[upper], self.indices[upper]], axis=1))
 
     @cached_property
+    def entry_edges(self) -> np.ndarray:
+        """Row of ``edge_array`` that each entry of ``indices`` belongs to."""
+        rows = self._rows()
+        n = self.num_nodes
+        keys = np.minimum(rows, self.indices) * n + np.maximum(rows, self.indices)
+        edge_keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]
+        return _read_only(np.searchsorted(edge_keys, keys))
+
+    def row_entries(self, nodes: np.ndarray) -> np.ndarray:
+        """Positions in ``indices`` of the neighbor entries of ``nodes``,
+        row after row."""
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        return np.repeat(starts - offsets, counts) + np.arange(counts.sum(), dtype=np.int64)
+
+    @cached_property
     def gcn_matrix(self) -> sp.csr_matrix:
         """Symmetric-normalized adjacency with self-loops, (D+I)^-1/2 (A+I) (D+I)^-1/2."""
         n = self.num_nodes

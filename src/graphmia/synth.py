@@ -12,6 +12,25 @@ from .graph import Graph
 from .rng import substream
 
 
+def triu_pair(size: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the strictly-upper-triangle pairs at the given
+    row-major positions, in the order of ``np.triu_indices(size, k=1)``,
+    using O(len(index)) memory instead of O(size^2).
+
+    Counted from the last pair, position q lies in the row k from the
+    bottom with k(k+1)/2 <= q < (k+1)(k+2)/2.  A float square root gives
+    k to within one; integer comparisons then make it exact.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    q = size * (size - 1) // 2 - 1 - index
+    k = ((np.sqrt(8.0 * q + 1.0) - 1.0) // 2.0).astype(np.int64)
+    k += (k + 1) * (k + 2) // 2 <= q
+    k -= k * (k + 1) // 2 > q
+    row = size - 2 - k
+    col = index - row * (2 * size - row - 1) // 2 + row + 1
+    return row, col
+
+
 def sbm_graph(
     num_nodes: int,
     feature_dim: int,
@@ -42,12 +61,12 @@ def sbm_graph(
     edges: list[tuple[int, int]] = []
     for lo, hi, p in ((0, b0, p_in), (b0, num_nodes, p_in)):
         size = hi - lo
-        iu, ju = np.triu_indices(size, k=1)
-        total = len(iu)
+        total = size * (size - 1) // 2
         count = int(rng.binomial(total, p))
         if count:
             pick = rng.choice(total, size=count, replace=False)
-            edges.extend(zip((iu[pick] + lo).tolist(), (ju[pick] + lo).tolist()))
+            iu, ju = triu_pair(size, pick)
+            edges.extend(zip((iu + lo).tolist(), (ju + lo).tolist()))
     total_cross = b0 * b1
     count = int(rng.binomial(total_cross, p_out))
     if count:

@@ -13,6 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, induced_subgraph
 from .nn import (
@@ -140,15 +141,18 @@ class VictimModel:
         )
 
     def forward(self, graph: Graph, domain_id: int) -> tuple[np.ndarray, ForwardCache]:
+        return self._forward(graph.features, graph.gcn_matrix, domain_id)
+
+    def _forward(self, x: np.ndarray, a_hat, domain_id: int) -> tuple[np.ndarray, ForwardCache]:
+        """Embeddings of the feature rows ``x`` under the symmetric
+        aggregation operator ``a_hat`` (a graph's, or a node ball's)."""
         dom = self._projector_domain(domain_id)
         w = self.projectors[dom]
-        x = graph.features
         if x.shape[1] != w.shape[0]:
             raise ShapeError(
                 f"domain {domain_id} features have dim {x.shape[1]}, projector expects {w.shape[0]}"
             )
         h0 = x @ w
-        a_hat = graph.gcn_matrix
         h, layers = self.encoder.forward(a_hat, h0)
         return h, ForwardCache(a_hat=a_hat, x=x, h0=h0, layers=layers, domain_id=dom)
 
@@ -360,6 +364,142 @@ def ssl_loss_and_grads(
     return contrastive_loss(model, graph, domain_id, seed)
 
 
+# ---------------------------------------------------------------------------
+# exact L-hop locality for per-node losses
+
+
+def node_ball(graph: Graph, targets, hops: int) -> np.ndarray:
+    """Sorted ids of the closed ``hops``-hop neighbourhood of ``targets``."""
+    ball = np.unique(np.asarray(targets, dtype=np.int64))
+    for _ in range(hops):
+        if len(ball) == graph.num_nodes:
+            break
+        ball = np.union1d(ball, graph.indices[graph.row_entries(ball)])
+    return ball
+
+
+def ball_matrix(graph: Graph, ball: np.ndarray, keep_edges=None) -> sp.csr_matrix:
+    """Â[ball, ball]: the rows and columns of the whole graph's normalized
+    adjacency at the sorted ids ``ball``, with the whole graph's degrees
+    (not renormalised), built from the CSR arrays in O(ball edges).
+
+    With ``ball`` the L-hop neighbourhood of some targets, an L-layer
+    encoder on this matrix embeds the targets exactly: layer k is exact on
+    the (L-k)-hop neighbourhood, whose rows read only rows one hop further
+    out.  Its backward pass starts at the targets and spreads one hop per
+    layer, so every gradient equals the whole graph's as well.  The matrix
+    is symmetric and serves as its own transpose, as Â does.
+
+    ``keep_edges`` masks ``graph.edge_array`` to an edge-dropped view; the
+    slice then is the view's operator, with the view's degrees.  A view's
+    neighbourhoods lie inside the graph's, so the same ball serves.
+    """
+    entries = graph.row_entries(ball)
+    rows = np.repeat(np.arange(len(ball)), graph.indptr[ball + 1] - graph.indptr[ball])
+    if keep_edges is None:
+        degree = graph.indptr[ball + 1] - graph.indptr[ball]
+    else:
+        kept = keep_edges[graph.entry_edges[entries]]
+        entries, rows = entries[kept], rows[kept]
+        degree = np.bincount(rows, minlength=len(ball))
+    cols = np.searchsorted(ball, graph.indices[entries])
+    inside = ball[np.minimum(cols, len(ball) - 1)] == graph.indices[entries]
+    r = np.concatenate([np.arange(len(ball)), rows[inside]])
+    c = np.concatenate([np.arange(len(ball)), cols[inside]])
+    order = np.lexsort((c, r))
+    r, c = r[order], c[order]
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64) + 1.0)
+    indptr = np.zeros(len(ball) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=len(ball)), out=indptr[1:])
+    return sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], c, indptr), shape=(len(ball), len(ball)))
+
+
+def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, seed: int):
+    """One draw of a node's references under ``seed``.  Link prediction:
+    (neighbours then as many non-neighbour negatives, labels).
+    Contrastive: (K negatives, the ``augment_graph`` draws of the node's
+    own view: kept edges and masked feature columns)."""
+    rng = substream(seed, "node-negatives", node)
+    if objective.kind == LINK_PREDICTION:
+        nbrs = graph.neighbors(node)
+        exclude = {node, *(int(v) for v in nbrs)}
+        negs = np.array(_sample_distinct(rng, graph.num_nodes, exclude, len(nbrs)))
+        labels = np.concatenate([np.ones(len(nbrs)), np.zeros(len(negs))])
+        return np.concatenate([nbrs, negs]), labels
+    negs = np.array(_sample_distinct(rng, graph.num_nodes, {node}, objective.negatives_per_positive))
+    return negs, _augment_draws(graph, objective, derive_seed(seed, "node-view", node))
+
+
+class NodeLoss:
+    """One node's SSL loss term under each of several seeds, evaluated on
+    the one L-hop ball that covers the references of every draw.
+
+    Draws depend only on (graph, node, seed), never on a model, so a
+    per-node fine-tune draws all its epochs up front and runs every epoch
+    on the same slice of the graph.  Link-prediction nodes that are
+    isolated or adjacent to every other node (no positive or no negative)
+    contribute zero loss and zero gradients.
+    """
+
+    def __init__(self, graph: Graph, objective: SSLObjective, hops: int, node: int, seeds) -> None:
+        self.graph = graph
+        self.objective = objective
+        self.node = node = int(node)
+        degree = len(graph.neighbors(node))
+        self.empty = objective.kind == LINK_PREDICTION and degree in (0, graph.num_nodes - 1)
+        if self.empty:
+            self.ball = np.array([node], dtype=np.int64)
+            return
+        self.draws = [_draw_node_refs(graph, objective, node, s) for s in seeds]
+        self.ball = node_ball(graph, np.concatenate([[node], *(d[0] for d in self.draws)]), hops)
+        self.a_hat, self.x = ball_matrix(graph, self.ball), graph.features[self.ball]
+
+    def __call__(
+        self, model: VictimModel, domain_id: int, draw: int = 0, want_feature_grad: bool = False
+    ) -> tuple[float, ParamSet, np.ndarray | None]:
+        """Loss, parameter gradients and (optionally) the gradient with
+        respect to the feature rows of ``self.ball``; every other row's is
+        zero."""
+        if self.empty:
+            dx = np.zeros((1, self.graph.feature_dim)) if want_feature_grad else None
+            return 0.0, model.params.zeros_like(), dx
+        others, extra = self.draws[draw]
+        h, cache = model._forward(self.x, self.a_hat, domain_id)
+        a = int(np.searchsorted(self.ball, self.node))
+        b = np.searchsorted(self.ball, others)
+        dh = np.zeros_like(h)
+        if self.objective.kind == LINK_PREDICTION:
+            scores = h[b] @ h[a]
+            loss, dscores = bce_with_logits(scores, extra)
+            np.add.at(dh, b, dscores[:, None] * h[a][None, :])
+            dh[a] += dscores @ h[b]
+            grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
+        else:
+            keep_edges, drop_cols = extra
+            xv = self.x.copy()
+            xv[:, drop_cols] = 0.0
+            hv, cache_v = model._forward(xv, ball_matrix(self.graph, self.ball, keep_edges),
+                                         domain_id)
+            anchor = np.repeat(h[[a]], len(b), axis=0)
+            pos_sim = cosine_rows(h[[a]], hv[[a]])
+            neg_sim = cosine_rows(anchor, h[b])[None, :]
+            loss, dpos, dneg = info_nce(pos_sim, neg_sim, self.objective.temperature)
+            dhv = np.zeros_like(hv)
+            da, db = cosine_rows_backward(h[[a]], hv[[a]], dpos)
+            dh[a] += da[0]
+            dhv[a] += db[0]
+            da, db = cosine_rows_backward(anchor, h[b], dneg[0])
+            dh[a] += da.sum(axis=0)
+            np.add.at(dh, b, db)
+            grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
+            grads_v, dx_v = model.backward(cache_v, dhv, want_feature_grad=want_feature_grad)
+            grads.add_(grads_v)
+            if want_feature_grad:
+                # masked columns of the view contribute nothing to the raw-feature grad
+                dx = dx + dx_v * (~drop_cols)[None, :]
+        return loss, grads, dx
+
+
 def per_node_ssl_loss(
     model: VictimModel,
     graph: Graph,
@@ -372,54 +512,16 @@ def per_node_ssl_loss(
 
     Link prediction: the node's incident edges plus the same number of
     random non-edges from it.  Contrastive: the node's anchor term against
-    one augmented view and K negatives.  Link-prediction nodes that are
-    isolated or adjacent to every other node (no positive or no negative)
-    contribute zero loss and zero gradients.
+    one augmented view and K negatives.  Computed exactly on the node's
+    L-hop ball (see :class:`NodeLoss`), so the cost is O(ball), not
+    O(graph); the feature gradient is zero outside the ball.
     """
-    node = int(node)
-    h, cache = model.forward(graph, domain_id)
-    obj = model.objective
-    if obj.kind == LINK_PREDICTION:
-        nbrs = graph.neighbors(node)
-        if len(nbrs) in (0, graph.num_nodes - 1):
-            zero = model.params.zeros_like()
-            return 0.0, zero, (np.zeros_like(graph.features) if want_feature_grad else None)
-        rng = substream(seed, "node-negatives", node)
-        exclude = {node, *(int(v) for v in nbrs)}
-        negs = np.array(_sample_distinct(rng, graph.num_nodes, exclude, len(nbrs)))
-        others = np.concatenate([nbrs, negs])
-        labels = np.concatenate([np.ones(len(nbrs)), np.zeros(len(negs))])
-        scores = h[others] @ h[node]
-        loss, dscores = bce_with_logits(scores, labels)
-        dh = np.zeros_like(h)
-        np.add.at(dh, others, dscores[:, None] * h[node][None, :])
-        dh[node] += dscores @ h[others]
-        grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
-        return loss, grads, dx
-
-    aug_seed = derive_seed(seed, "node-view", node)
-    view = augment_graph(graph, obj, aug_seed)
-    hv, cache_v = model.forward(view, domain_id)
-    rng = substream(seed, "node-negatives", node)
-    negs = np.array(_sample_distinct(rng, graph.num_nodes, {node}, obj.negatives_per_positive))
-    pos_sim = cosine_rows(h[[node]], hv[[node]])
-    neg_sim = cosine_rows(np.repeat(h[[node]], len(negs), axis=0), h[negs])[None, :]
-    loss, dpos, dneg = info_nce(pos_sim, neg_sim, obj.temperature)
-    dh = np.zeros_like(h)
-    dhv = np.zeros_like(hv)
-    da, db = cosine_rows_backward(h[[node]], hv[[node]], dpos)
-    dh[node] += da[0]
-    dhv[node] += db[0]
-    da, db = cosine_rows_backward(np.repeat(h[[node]], len(negs), axis=0), h[negs], dneg[0])
-    dh[node] += da.sum(axis=0)
-    np.add.at(dh, negs, db)
-    grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
-    grads_v, dx_v = model.backward(cache_v, dhv, want_feature_grad=want_feature_grad)
-    grads.add_(grads_v)
+    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, [seed])
+    loss, grads, dx = terms(model, domain_id, 0, want_feature_grad)
     if want_feature_grad:
-        # masked columns of the view contribute nothing to the raw-feature grad
-        _, drop_cols = _augment_draws(graph, obj, aug_seed)
-        dx = dx + dx_v * (~drop_cols)[None, :]
+        full = np.zeros_like(graph.features)
+        full[terms.ball] = dx
+        dx = full
     return loss, grads, dx
 
 

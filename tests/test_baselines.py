@@ -255,6 +255,25 @@ class TestQuerySides:
                for g, n in zip(graphs, nodes)]
         assert both == one
 
+    def test_ge_mia_embeds_each_graph_once(self, setting, monkeypatch):
+        # the member and non-member graphs serve as references and as
+        # query sides, as in run_baseline: two embeddings, not four
+        import graphmia.baselines as bl
+
+        graph, _, model, _ = setting
+        other = induced_subgraph(graph, range(40, 100))
+        seen = []
+        real = bl.embed
+
+        def counting(model_, g, domain_id):
+            seen.append(g)
+            return real(model_, g, domain_id)
+
+        monkeypatch.setattr(bl, "embed", counting)
+        ge_mia(model, graph, [0, 1, 2], other, [3, 4], [graph, other], [range(5), [3, 0, 7]])
+        assert len(seen) == 2
+        assert {id(g) for g in seen} == {id(graph), id(other)}
+
     def test_side_lists_must_match(self, setting):
         graph, _, model, split = setting
         with pytest.raises(ValueError):

@@ -102,6 +102,14 @@ class TestFromEdges:
         for arr in (g.indptr, g.indices, g.features, g.edge_array, g.neighbors(0)):
             assert not arr.flags.writeable
 
+    def test_entry_edges_and_row_entries(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 3), (3, 4)], np.zeros((6, 1)))
+        for pos, edge in enumerate(g.entry_edges):
+            u = int(np.searchsorted(g.indptr, pos, side="right")) - 1
+            assert sorted((u, int(g.indices[pos]))) == g.edge_array[edge].tolist()
+        assert g.indices[g.row_entries(np.array([3, 5, 0, 2]))].tolist() == [0, 4, 1, 3, 1]
+        assert len(g.row_entries(np.array([5], dtype=np.int64))) == 0
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_csr_invariants(self, data):
