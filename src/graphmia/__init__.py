@@ -2,7 +2,6 @@
 
 from .amplify import (
     SamplePlan,
-    SimilarityVector,
     UnlearnConfig,
     draw_sample_plan,
     fine_tune_augment,
@@ -12,7 +11,6 @@ from .amplify import (
 )
 from .attack import (
     AttackDataset,
-    AttackExample,
     AttackModel,
     AttackTrainConfig,
     build_attack_dataset,

@@ -3,8 +3,9 @@
 The target model is briefly fine-tuned on the unlearn subgraph to obtain an
 augment model, teacher similarity scores interpolate between the two, and a
 student copy of the target is distilled toward the teachers.  Similarity
-profiles are computed against a frozen :class:`SamplePlan` so that scores
-from different models are directly comparable entry by entry.
+profiles are (nodes x samples) matrices computed against a frozen
+:class:`SamplePlan`, so scores from different models are directly
+comparable entry by entry.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .nn import (
 )
 from .rng import derive_seed
 from .victim import (
+    CONTRASTIVE,
     NoNegativeError,
     NoPositiveError,
     SSLObjective,
@@ -33,43 +35,10 @@ from .victim import (
     embed,
     fine_tune,
     make_positive_negative,
+    view_seed,
 )
 
 _BOUND_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SimilarityVector:
-    """Cosine similarities of one node to its positive and negative samples.
-
-    ``bounded`` marks vectors whose entries are genuine cosines in [-1, 1];
-    teacher vectors may leave that range for lambda > 1 and carry False.
-    """
-
-    node: int
-    pos_sims: np.ndarray
-    neg_sims: np.ndarray
-    bounded: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos_sims", np.asarray(self.pos_sims, dtype=np.float64))
-        object.__setattr__(self, "neg_sims", np.asarray(self.neg_sims, dtype=np.float64))
-        if self.bounded:
-            for arr in (self.pos_sims, self.neg_sims):
-                if arr.size and (arr.min() < -1.0 - _BOUND_TOL or arr.max() > 1.0 + _BOUND_TOL):
-                    raise ValueError("similarity entries outside [-1, 1]")
-
-    @property
-    def num_positive(self) -> int:
-        return len(self.pos_sims)
-
-    @property
-    def num_negative(self) -> int:
-        return len(self.neg_sims)
-
-    def values(self) -> np.ndarray:
-        """Feature layout shared everywhere: positives first, then negatives."""
-        return np.concatenate([self.pos_sims, self.neg_sims])
 
 
 @dataclass(frozen=True)
@@ -89,21 +58,30 @@ class UnlearnConfig:
             raise ValueError("epoch counts must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePlan:
-    """Frozen positive/negative sample identities for a set of nodes."""
+    """Frozen sample identities for a set of nodes.
 
-    kind: str
+    Row i of ``refs`` holds the node ids that ``nodes[i]`` is compared with:
+    ``num_positive`` positives, then ``num_negative`` negatives.  Under the
+    contrastive objective positive column p is the anchor itself, read in
+    ``views[p]``, the shared augmented view drawn with ``view_seeds[p]``;
+    every other column compares two nodes of the graph itself.
+    """
+
     num_positive: int
     num_negative: int
     nodes: tuple[int, ...]
     skipped: tuple[int, ...]
-    positive_refs: dict[int, tuple[tuple, ...]]
-    negative_refs: dict[int, tuple[tuple, ...]]
+    refs: np.ndarray
     view_seeds: tuple[int, ...]
+    views: tuple[Graph, ...]
 
-    def sample_ids(self, node: int) -> tuple[tuple, ...]:
-        return self.positive_refs[node] + self.negative_refs[node]
+    def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Anchor and reference ids of every node-to-node entry, row-major."""
+        k = len(self.views)
+        anchors = np.repeat(np.asarray(self.nodes, dtype=np.int64), self.refs.shape[1] - k)
+        return anchors, self.refs[:, k:].ravel()
 
 
 def draw_sample_plan(
@@ -115,12 +93,11 @@ def draw_sample_plan(
     seed: int,
 ) -> SamplePlan:
     """Sample positives/negatives for every node; link-prediction nodes that
-    are isolated or adjacent to every other node are skipped and recorded."""
+    are isolated or adjacent to every other node are skipped and recorded.
+    A contrastive plan with kept nodes builds its shared views here."""
     kept: list[int] = []
     skipped: list[int] = []
-    pos_refs: dict[int, tuple[tuple, ...]] = {}
-    neg_refs: dict[int, tuple[tuple, ...]] = {}
-    view_seeds: tuple[int, ...] = ()
+    rows: list[np.ndarray] = []
     for node in sorted(int(v) for v in nodes):
         try:
             pos, neg = make_positive_negative(
@@ -130,110 +107,51 @@ def draw_sample_plan(
             skipped.append(node)
             continue
         kept.append(node)
-        pos_refs[node] = tuple(pos)
-        neg_refs[node] = tuple(neg)
-        if not view_seeds and pos and pos[0][0] == "view":
-            view_seeds = tuple(ref[2] for ref in pos)
+        rows.append(np.concatenate([pos, neg]))
+    refs = np.array(rows, dtype=np.int64).reshape(len(kept), num_positive + num_negative)
+    refs.flags.writeable = False
+    view_seeds = ()
+    if objective.kind == CONTRASTIVE and kept:
+        view_seeds = tuple(view_seed(seed, p) for p in range(num_positive))
     return SamplePlan(
-        kind=objective.kind,
         num_positive=num_positive,
         num_negative=num_negative,
         nodes=tuple(kept),
         skipped=tuple(skipped),
-        positive_refs=pos_refs,
-        negative_refs=neg_refs,
+        refs=refs,
         view_seeds=view_seeds,
+        views=tuple(augment_graph(graph, objective, s) for s in view_seeds),
     )
 
 
-def plan_view_graphs(graph: Graph, objective: SSLObjective, plan: SamplePlan) -> list[Graph]:
-    """Materialize the shared augmented views a contrastive plan refers to."""
-    return [augment_graph(graph, objective, s) for s in plan.view_seeds]
-
-
-@dataclass
-class _PairIndex:
-    """Vectorized entry layout for one plan: S has shape (len(nodes), P+N)."""
-
-    node_rows: np.ndarray       # anchor row per node-node entry
-    node_others: np.ndarray     # other row per node-node entry
-    node_slots: tuple[np.ndarray, np.ndarray]
-    view_rows: dict[int, np.ndarray]    # view index -> anchor rows
-    view_slots: dict[int, tuple[np.ndarray, np.ndarray]]
-
-    @classmethod
-    def from_plan(cls, plan: SamplePlan) -> "_PairIndex":
-        n_rows: list[int] = []
-        n_others: list[int] = []
-        n_slot_i: list[int] = []
-        n_slot_c: list[int] = []
-        v_rows: dict[int, list[int]] = {}
-        v_slot_i: dict[int, list[int]] = {}
-        v_slot_c: dict[int, list[int]] = {}
-        for i, node in enumerate(plan.nodes):
-            refs = list(plan.positive_refs[node]) + list(plan.negative_refs[node])
-            for c, ref in enumerate(refs):
-                if ref[0] == "node":
-                    n_rows.append(node)
-                    n_others.append(ref[1])
-                    n_slot_i.append(i)
-                    n_slot_c.append(c)
-                elif ref[0] == "view":
-                    p = ref[1]
-                    v_rows.setdefault(p, []).append(node)
-                    v_slot_i.setdefault(p, []).append(i)
-                    v_slot_c.setdefault(p, []).append(c)
-                else:
-                    raise ValueError(f"unknown sample ref {ref!r}")
-        return cls(
-            node_rows=np.array(n_rows, dtype=np.int64),
-            node_others=np.array(n_others, dtype=np.int64),
-            node_slots=(np.array(n_slot_i, dtype=np.int64), np.array(n_slot_c, dtype=np.int64)),
-            view_rows={p: np.array(r, dtype=np.int64) for p, r in v_rows.items()},
-            view_slots={
-                p: (np.array(v_slot_i[p], dtype=np.int64), np.array(v_slot_c[p], dtype=np.int64))
-                for p in v_rows
-            },
-        )
-
-
-def _plan_sims(h: np.ndarray, views_h: list[np.ndarray], plan: SamplePlan, idx: _PairIndex) -> np.ndarray:
-    s = np.zeros((len(plan.nodes), plan.num_positive + plan.num_negative))
-    if len(idx.node_rows):
-        s[idx.node_slots] = cosine_rows(h[idx.node_rows], h[idx.node_others])
-    for p, rows in idx.view_rows.items():
-        s[idx.view_slots[p]] = cosine_rows(h[rows], views_h[p][rows])
+def _plan_sims(h: np.ndarray, views_h: list[np.ndarray], plan: SamplePlan) -> np.ndarray:
+    s = np.zeros(plan.refs.shape)
+    anchors, others = plan.node_pairs()
+    s[:, len(views_h):] = cosine_rows(h[anchors], h[others]).reshape(len(plan.nodes), -1)
+    rows = np.asarray(plan.nodes, dtype=np.int64)
+    for p, hv in enumerate(views_h):
+        s[:, p] = cosine_rows(h[rows], hv[plan.refs[:, p]])
     return s
 
 
 def similarity_profile(
-    model: VictimModel,
-    graph: Graph,
-    domain_id: int,
-    plan: SamplePlan,
-    view_graphs: list[Graph] | None = None,
-) -> dict[int, SimilarityVector]:
-    """Similarity vectors for every plan node under ``model``.
+    model: VictimModel, graph: Graph, domain_id: int, plan: SamplePlan
+) -> np.ndarray:
+    """The (len(plan.nodes), P+N) similarity matrix under ``model``: row i
+    holds the cosines of ``plan.nodes[i]`` to its positives, then its
+    negatives.
 
     Profiles of different models against the same plan use identical sample
     identities, so their entry-wise differences isolate the model change.
     """
-    if view_graphs is None:
-        view_graphs = plan_view_graphs(graph, model.objective, plan)
     h = embed(model, graph, domain_id)
-    views_h = [embed(model, vg, domain_id) for vg in view_graphs]
-    idx = _PairIndex.from_plan(plan)
-    s = _plan_sims(h, views_h, plan, idx)
-    p = plan.num_positive
-    return {
-        node: SimilarityVector(node=node, pos_sims=s[i, :p], neg_sims=s[i, p:])
-        for i, node in enumerate(plan.nodes)
-    }
+    s = _plan_sims(h, [embed(model, vg, domain_id) for vg in plan.views], plan)
+    if s.size and (s.min() < -1.0 - _BOUND_TOL or s.max() > 1.0 + _BOUND_TOL):
+        raise ValueError("similarity entries outside [-1, 1]")
+    return s
 
 
-def teacher_scores(
-    s_target: SimilarityVector, s_augment: SimilarityVector, lam: float
-) -> SimilarityVector:
+def teacher_scores(s_target: np.ndarray, s_augment: np.ndarray, lam: float) -> np.ndarray:
     """Interpolated target: s_target - lam * (s_target - s_augment).
 
     Evaluated as (1 - lam) * s_target + lam * s_augment so the lam = 0 and
@@ -241,14 +159,9 @@ def teacher_scores(
     deliberately not clamped; lambda > 1 extrapolates past the augment
     scores and clamping would silently change its meaning.
     """
-    if s_target.node != s_augment.node:
-        raise ShapeError("teacher_scores needs profiles of the same node")
-    if (s_target.num_positive != s_augment.num_positive
-            or s_target.num_negative != s_augment.num_negative):
+    if s_target.shape != s_augment.shape:
         raise ShapeError("profile shapes disagree")
-    pos = (1.0 - lam) * s_target.pos_sims + lam * s_augment.pos_sims
-    neg = (1.0 - lam) * s_target.neg_sims + lam * s_augment.neg_sims
-    return SimilarityVector(node=s_target.node, pos_sims=pos, neg_sims=neg, bounded=False)
+    return (1.0 - lam) * s_target + lam * s_augment
 
 
 def fine_tune_augment(
@@ -272,8 +185,6 @@ def distill_loss_and_grads(
     domain_id: int,
     plan: SamplePlan,
     teachers: np.ndarray,
-    idx: _PairIndex,
-    view_graphs: list[Graph],
 ) -> tuple[float, ParamSet]:
     """Sum over plan nodes of ||s_student - s_teacher||^2 with exact gradients.
 
@@ -281,25 +192,24 @@ def distill_loss_and_grads(
     teacher is a constant, gradients flow only through the student.
     """
     h, cache = student.forward(graph, domain_id)
-    views = [student.forward(vg, domain_id) for vg in view_graphs]
+    views = [student.forward(vg, domain_id) for vg in plan.views]
     views_h = [v[0] for v in views]
-    s = _plan_sims(h, views_h, plan, idx)
+    s = _plan_sims(h, views_h, plan)
     resid = s - teachers
     loss = float((resid * resid).sum())
 
     upstream = 2.0 * resid
     dh = np.zeros_like(h)
-    if len(idx.node_rows):
-        da, db = cosine_rows_backward(
-            h[idx.node_rows], h[idx.node_others], upstream[idx.node_slots]
-        )
-        np.add.at(dh, idx.node_rows, da)
-        np.add.at(dh, idx.node_others, db)
+    anchors, others = plan.node_pairs()
+    da, db = cosine_rows_backward(h[anchors], h[others], upstream[:, len(views):].ravel())
+    np.add.at(dh, anchors, da)
+    np.add.at(dh, others, db)
+    rows = np.asarray(plan.nodes, dtype=np.int64)
     dviews = [np.zeros_like(vh) for vh in views_h]
-    for p, rows in idx.view_rows.items():
-        da, db = cosine_rows_backward(h[rows], views_h[p][rows], upstream[idx.view_slots[p]])
+    for p, vh in enumerate(views_h):
+        da, db = cosine_rows_backward(h[rows], vh[plan.refs[:, p]], upstream[:, p])
         np.add.at(dh, rows, da)
-        np.add.at(dviews[p], rows, db)
+        np.add.at(dviews[p], plan.refs[:, p], db)
 
     grads, _ = student.backward(cache, dh)
     for (_, vcache), dv in zip(views, dviews):
@@ -340,31 +250,24 @@ def unlearn(
     )
     if not plan.nodes:
         raise ValueError("no unlearn node admits a positive sample")
-    view_graphs = plan_view_graphs(unlearn_graph, target.objective, plan)
     domain = unlearn_graph.domain_id
+    teachers = teacher_scores(
+        similarity_profile(target, unlearn_graph, domain, plan),
+        similarity_profile(augment_model, unlearn_graph, domain, plan),
+        config.lam,
+    )
 
-    s_target = similarity_profile(target, unlearn_graph, domain, plan, view_graphs)
-    s_augment = similarity_profile(augment_model, unlearn_graph, domain, plan, view_graphs)
-    teachers = np.stack([
-        teacher_scores(s_target[v], s_augment[v], config.lam).values() for v in plan.nodes
-    ])
-
-    idx = _PairIndex.from_plan(plan)
     student = target.copy()
     params = student.params
     state = AdamState.init(params, lr=config.lr_distill)
     history: list[float] = []
     for epoch in range(config.distill_epochs):
-        loss, grads = distill_loss_and_grads(
-            student, unlearn_graph, domain, plan, teachers, idx, view_graphs
-        )
+        loss, grads = distill_loss_and_grads(student, unlearn_graph, domain, plan, teachers)
         if not np.isfinite(loss):
             raise NumericError(f"distillation diverged at epoch {epoch}")
         history.append(loss)
         adam_step(state, params, grads)
-    final_loss, _ = distill_loss_and_grads(
-        student, unlearn_graph, domain, plan, teachers, idx, view_graphs
-    )
+    final_loss, _ = distill_loss_and_grads(student, unlearn_graph, domain, plan, teachers)
     initial = history[0] if history else final_loss
     return UnlearnResult(
         model=student,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplify import SimilarityVector, draw_sample_plan, similarity_profile
+from .amplify import SamplePlan, draw_sample_plan, similarity_profile
 from .graph import Graph
 from .nn import MLP, AdamState, ShapeError, adam_step, cross_entropy, mlp_forward
 from .rng import derive_seed
@@ -23,21 +23,13 @@ class DataQualityError(ValueError):
     """Too many nodes had to be skipped while building a dataset."""
 
 
-@dataclass(frozen=True)
-class AttackExample:
-    feature: SimilarityVector
-    label: int
-    source_node: int
-    source_split: str  # "shadow-train" | "shadow-test"
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
-
-
 @dataclass
 class AttackDataset:
-    examples: list[AttackExample]
+    """Row i of ``x`` is one node's similarities to its positives, then its
+    negatives; ``y`` is 1 for shadow-train nodes and 0 for shadow-test."""
+
+    x: np.ndarray
+    y: np.ndarray
     num_samples: int  # m: positives per node (= negatives per node)
     skipped_train: int = 0
     skipped_test: int = 0
@@ -45,11 +37,6 @@ class AttackDataset:
     @property
     def feature_dim(self) -> int:
         return 2 * self.num_samples
-
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([ex.feature.values() for ex in self.examples])
-        y = np.array([ex.label for ex in self.examples], dtype=np.int64)
-        return x, y
 
 
 @dataclass
@@ -64,13 +51,13 @@ class AttackModel:
         return self.mlp.w1.shape[0]
 
 
-def _profile_split(
+def _profile(
     model: VictimModel, graph: Graph, nodes, num_samples: int, seed: int
-) -> tuple[dict[int, SimilarityVector], int]:
+) -> tuple[SamplePlan, np.ndarray]:
     plan = draw_sample_plan(
         graph, nodes, model.objective, num_samples, num_samples, seed
     )
-    return similarity_profile(model, graph, graph.domain_id, plan), len(plan.skipped)
+    return plan, similarity_profile(model, graph, graph.domain_id, plan)
 
 
 def build_attack_dataset(
@@ -89,34 +76,26 @@ def build_attack_dataset(
     """
     if num_samples < 1:
         raise ValueError("need at least one positive/negative sample per node")
-    profiles_tr, skipped_tr = _profile_split(
+    plan_tr, x_tr = _profile(
         shadow_model, shadow_train, shadow_train_nodes, num_samples,
         derive_seed(seed, "attack-train"),
     )
-    profiles_te, skipped_te = _profile_split(
+    plan_te, x_te = _profile(
         shadow_model, shadow_test, shadow_test_nodes, num_samples,
         derive_seed(seed, "attack-test"),
     )
-    for skipped, total, side in (
-        (skipped_tr, len(list(shadow_train_nodes)), "train"),
-        (skipped_te, len(list(shadow_test_nodes)), "test"),
-    ):
-        if total and skipped / total > 0.5:
+    for plan, side in ((plan_tr, "train"), (plan_te, "test")):
+        if len(plan.skipped) > len(plan.nodes):
             raise DataQualityError(f"more than half of the shadow-{side} nodes were skipped")
-    examples = [
-        AttackExample(feature=sv, label=1, source_node=node, source_split="shadow-train")
-        for node, sv in profiles_tr.items()
-    ] + [
-        AttackExample(feature=sv, label=0, source_node=node, source_split="shadow-test")
-        for node, sv in profiles_te.items()
-    ]
-    if not examples:
+    x = np.concatenate([x_tr, x_te])
+    if not len(x):
         raise DataQualityError("attack dataset is empty")
     return AttackDataset(
-        examples=examples,
+        x=x,
+        y=np.repeat(np.array([1, 0], dtype=np.int64), [len(x_tr), len(x_te)]),
         num_samples=num_samples,
-        skipped_train=skipped_tr,
-        skipped_test=skipped_te,
+        skipped_train=len(plan_tr.skipped),
+        skipped_test=len(plan_te.skipped),
     )
 
 
@@ -163,7 +142,7 @@ def train_attack_model(
     dataset: AttackDataset, config: AttackTrainConfig, seed: int
 ) -> AttackModel:
     """Train the two-layer attack MLP on a labeled similarity dataset."""
-    x, y = dataset.matrix()
+    x, y = dataset.x, dataset.y
     mlp = fit_mlp_classifier(x, y, config, seed)
     logits, _ = mlp.forward(x)
     acc = float((logits.argmax(axis=1) == y).mean())
@@ -191,7 +170,7 @@ def infer_membership(
     num_samples: int,
     seed: int,
 ) -> dict[int, tuple[int, float]]:
-    """Query the target model and classify each node's similarity vector.
+    """Query the target model and classify each node's similarity row.
 
     Returns node -> (predicted label, membership score).  Nodes whose
     features cannot be built (isolated under link prediction) are absent
@@ -199,10 +178,8 @@ def infer_membership(
     """
     if 2 * num_samples != attack_model.feature_dim:
         raise ShapeError("num_samples does not match the attack model input width")
-    profiles, _ = _profile_split(target_model, graph, nodes, num_samples, seed)
-    if not profiles:
+    plan, x = _profile(target_model, graph, nodes, num_samples, seed)
+    if not plan.nodes:
         return {}
-    order = sorted(profiles)
-    feats = np.stack([profiles[v].values() for v in order])
-    labels, scores = predict_from_features(attack_model, feats)
-    return {v: (int(l), float(s)) for v, l, s in zip(order, labels, scores)}
+    labels, scores = predict_from_features(attack_model, x)
+    return {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}

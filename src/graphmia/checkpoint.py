@@ -3,8 +3,7 @@
 Layout: magic ``MGPM``, version u32 LE, parameter count u32 LE, then per
 parameter: name length u16 LE, UTF-8 name, rows u32 LE, cols u32 LE and
 row-major float64 LE values.  Victim models add a text sidecar with the
-metadata needed to rebuild them; a Fisher diagonal rides along as one
-extra vector named ``fisher.diag``.
+metadata needed to rebuild them.
 """
 
 from __future__ import annotations
@@ -15,14 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .nn import GCNEncoder, ParamSet
-from .shadow import FisherDiag
 from .victim import SSLObjective, VictimModel
 
 MAGIC = b"MGPM"
 VERSION = 1
-
-FISHER_NAME = "fisher.diag"
-
 
 class CheckpointError(ValueError):
     pass
@@ -66,18 +61,10 @@ def load_params(path: str | Path) -> ParamSet:
     return ParamSet(tensors)
 
 
-def save_victim(
-    path: str | Path,
-    model: VictimModel,
-    seed: int = 0,
-    fisher: FisherDiag | None = None,
-) -> None:
+def save_victim(path: str | Path, model: VictimModel, seed: int = 0) -> None:
     """Checkpoint plus ``.meta`` text sidecar (key = value lines)."""
     path = Path(path)
-    params = model.params.copy()
-    if fisher is not None:
-        params.tensors[FISHER_NAME] = fisher.flat().reshape(1, -1)
-    save_params(path, params)
+    save_params(path, model.params)
     obj = model.objective
     meta = {
         "objective": obj.kind,
@@ -97,7 +84,7 @@ def save_victim(
     path.with_suffix(path.suffix + ".meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_victim(path: str | Path) -> tuple[VictimModel, FisherDiag | None]:
+def load_victim(path: str | Path) -> VictimModel:
     path = Path(path)
     params = load_params(path)
     meta: dict[str, str] = {}
@@ -116,26 +103,10 @@ def load_victim(path: str | Path) -> tuple[VictimModel, FisherDiag | None]:
     projectors = {d: params.tensors[f"proj.{d}"] for d in domains}
     layers = int(meta["layers"])
     weights = [params.tensors[f"gcn.{i}"] for i in range(layers)]
-    fisher = None
-    if FISHER_NAME in params.tensors:
-        flat = params.tensors[FISHER_NAME].ravel()
-        model_params = ParamSet(
-            {f"proj.{d}": projectors[d] for d in sorted(projectors)}
-            | {f"gcn.{i}": w for i, w in enumerate(weights)}
-        )
-        values: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, t in model_params.items():
-            values[name] = flat[offset:offset + t.size].reshape(t.shape).copy()
-            offset += t.size
-        if offset != flat.size:
-            raise CheckpointError(f"{path}: fisher vector length does not match parameters")
-        fisher = FisherDiag(values, sample_count=0)
-    model = VictimModel(
+    return VictimModel(
         projectors=projectors,
         encoder=GCNEncoder(weights=weights),
         objective=objective,
         trained_epochs=int(meta["trained_epochs"]),
         fallback_domain=int(meta["fallback_domain"]) if meta.get("fallback_domain") else None,
     )
-    return model, fisher

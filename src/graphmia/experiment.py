@@ -307,10 +307,9 @@ def similarity_margin_gap(
             graph, range(graph.num_nodes), model.objective,
             num_samples, num_samples, derive_seed(seed, "gap", tag),
         )
-        profile = similarity_profile(model, graph, graph.domain_id, plan)
-        margins.append(float(np.mean([
-            sv.pos_sims.mean() - sv.neg_sims.mean() for sv in profile.values()
-        ])))
+        s = similarity_profile(model, graph, graph.domain_id, plan)
+        margins.append(float(np.mean(s[:, :num_samples].mean(axis=1)
+                                     - s[:, num_samples:].mean(axis=1))))
     return margins[0] - margins[1]
 
 

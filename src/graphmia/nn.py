@@ -71,11 +71,6 @@ class ParamSet:
             t += scale * o
         return self
 
-    def assert_finite(self, where: str = "") -> None:
-        for k, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise NumericError(f"non-finite values in {k!r} {where}".strip())
-
 
 def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))

@@ -229,38 +229,34 @@ def make_positive_negative(
     num_positive: int,
     num_negative: int,
     seed: int,
-) -> tuple[list[tuple], list[tuple]]:
-    """Sample references for a node's similarity vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the node ids a node's similarity vector compares it with.
 
-    Positive references are ``("view", index, aug_seed)`` under the
-    contrastive objective (the node itself in a shared augmented view) and
-    ``("node", neighbor)`` under link prediction (with replacement when the
-    degree is below the request).  Negatives are always ``("node", id)``:
-    uniformly random distinct non-self (contrastive) or non-neighbor
-    (link prediction) nodes in the unaugmented graph, drawn with
-    replacement when fewer are eligible than requested; a node with no
-    eligible negative raises ``NoNegativeError``.
+    Positives under the contrastive objective are the node itself, to be
+    read in the shared augmented views ``view_seed(seed, p)``; under link
+    prediction they are neighbors (with replacement when the degree is
+    below the request).  Negatives are uniformly random distinct non-self
+    (contrastive) or non-neighbor (link prediction) nodes in the
+    unaugmented graph, drawn with replacement when fewer are eligible than
+    requested; a node with no eligible negative raises ``NoNegativeError``.
 
     Sampling depends only on (graph, node, seed), never on a model, so the
     same plan can be replayed against different models.
     """
     node = int(node)
-    n = graph.num_nodes
     if objective.kind == CONTRASTIVE:
-        positives = [("view", p, view_seed(seed, p)) for p in range(num_positive)]
-        rng = substream(seed, "neg", node)
-        negatives = [("node", v) for v in _sample_distinct(rng, n, {node}, num_negative)]
-        return positives, negatives
-    nbrs = graph.neighbors(node)
-    if len(nbrs) == 0:
-        raise NoPositiveError(f"node {node} is isolated; no link-prediction positive exists")
-    prng = substream(seed, "pos", node)
-    picked = prng.choice(nbrs, size=num_positive, replace=len(nbrs) < num_positive)
-    positives = [("node", int(v)) for v in picked]
+        positives = np.full(num_positive, node, dtype=np.int64)
+        exclude = {node}
+    else:
+        nbrs = graph.neighbors(node)
+        if len(nbrs) == 0:
+            raise NoPositiveError(f"node {node} is isolated; no link-prediction positive exists")
+        prng = substream(seed, "pos", node)
+        positives = prng.choice(nbrs, size=num_positive, replace=len(nbrs) < num_positive)
+        exclude = {node, *(int(v) for v in nbrs)}
     nrng = substream(seed, "neg", node)
-    exclude = {node, *(int(v) for v in nbrs)}
-    negatives = [("node", v) for v in _sample_distinct(nrng, n, exclude, num_negative)]
-    return positives, negatives
+    negatives = _sample_distinct(nrng, graph.num_nodes, exclude, num_negative)
+    return np.asarray(positives, dtype=np.int64), np.array(negatives, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphmia import amplify
 from graphmia.amplify import (
-    SimilarityVector,
     UnlearnConfig,
     distill_loss_and_grads,
     draw_sample_plan,
     fine_tune_augment,
-    plan_view_graphs,
     similarity_profile,
     teacher_scores,
     unlearn,
-    _PairIndex,
 )
 from graphmia.graph import Graph
 from graphmia.rng import derive_seed
@@ -25,7 +23,10 @@ from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
     SSLObjective,
+    augment_graph,
+    embed,
     ssl_loss_and_grads,
+    view_seed,
 )
 
 from conftest import finite_diff_grads, max_rel_error, tiny_model
@@ -36,16 +37,11 @@ def cycle_graph(n: int = 6, feature_dim: int = 3) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], feats)
 
 
-class TestSimilarityVector:
-    def test_lengths_and_order(self):
-        sv = SimilarityVector(node=3, pos_sims=[0.1, 0.2], neg_sims=[-0.5, 0.0, 0.9])
-        assert (sv.num_positive, sv.num_negative) == (2, 3)
-        np.testing.assert_array_equal(sv.values(), [0.1, 0.2, -0.5, 0.0, 0.9])
-
-    def test_bounded_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityVector(node=0, pos_sims=[1.5], neg_sims=[0.0])
-        SimilarityVector(node=0, pos_sims=[1.5], neg_sims=[0.0], bounded=False)
+def plain_cosine(a, b) -> float:
+    dot = sum(float(x) * float(y) for x, y in zip(a, b))
+    na = math.sqrt(sum(float(x) ** 2 for x in a))
+    nb = math.sqrt(sum(float(y) ** 2 for y in b))
+    return dot / (na * nb)
 
 
 class TestSamplePlan:
@@ -54,8 +50,9 @@ class TestSamplePlan:
         a = draw_sample_plan(g, range(20), linkpred_objective, 3, 3, seed=5)
         b = draw_sample_plan(g, range(20), linkpred_objective, 3, 3, seed=5)
         assert a.nodes == b.nodes
-        for v in a.nodes:
-            assert a.sample_ids(v) == b.sample_ids(v)
+        np.testing.assert_array_equal(a.refs, b.refs)
+        assert a.refs.shape == (len(a.nodes), 6)
+        assert not a.refs.flags.writeable
 
     def test_skips_isolated_linkpred(self, linkpred_objective):
         g = Graph.from_edges(5, [(0, 1), (1, 2)], np.ones((5, 2)))
@@ -66,47 +63,53 @@ class TestSamplePlan:
     def test_contrastive_shared_views(self, contrastive_objective):
         g = sbm_graph(12, 4, 4.0, seed=3)
         plan = draw_sample_plan(g, range(12), contrastive_objective, 2, 2, seed=9)
-        assert len(plan.view_seeds) == 2
-        for v in plan.nodes:
-            assert [r[2] for r in plan.positive_refs[v]] == list(plan.view_seeds)
+        assert plan.view_seeds == (view_seed(9, 0), view_seed(9, 1))
+        assert len(plan.views) == 2
+        # every node reads itself in each shared view
+        for p in range(2):
+            np.testing.assert_array_equal(plan.refs[:, p], plan.nodes)
 
 
 class TestSimilarityProfile:
     def test_constant_embeddings_all_ones(self, linkpred_objective):
         g = cycle_graph(6)
         model = tiny_model(g, linkpred_objective, seed=1, emb_dim=8)
-        from graphmia.victim import embed
-
         h = embed(model, g, g.domain_id)
         assert np.linalg.norm(h[0]) > 0  # guard against a dead-ReLU init
         plan = draw_sample_plan(g, range(6), linkpred_objective, 2, 3, seed=4)
         prof = similarity_profile(model, g, g.domain_id, plan)
         # regular graph with identical features -> identical nonzero rows
-        for sv in prof.values():
-            np.testing.assert_allclose(sv.values(), np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(prof, np.ones((6, 5)), atol=1e-12)
 
     def test_vector_length(self, linkpred_objective, small_sbm):
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, 3, seed=4)
         prof = similarity_profile(model, small_sbm, small_sbm.domain_id, plan)
-        for sv in prof.values():
-            assert len(sv.values()) == 5
+        assert prof.shape == (len(plan.nodes), 5)
 
     def test_matches_independent_cosine_oracle(self, linkpred_objective, small_sbm):
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(8), linkpred_objective, 2, 2, seed=6)
         prof = similarity_profile(model, small_sbm, small_sbm.domain_id, plan)
-        from graphmia.victim import embed
-
         h = embed(model, small_sbm, small_sbm.domain_id)
-        for v in plan.nodes:
-            refs = list(plan.positive_refs[v]) + list(plan.negative_refs[v])
-            for entry, (_, j) in zip(prof[v].values(), refs):
-                # plain-python recomputation
-                dot = sum(float(a) * float(b) for a, b in zip(h[v], h[j]))
-                na = math.sqrt(sum(float(a) ** 2 for a in h[v]))
-                nb = math.sqrt(sum(float(b) ** 2 for b in h[j]))
-                assert entry == pytest.approx(dot / (na * nb), abs=1e-12)
+        for i, v in enumerate(plan.nodes):
+            for entry, j in zip(prof[i], plan.refs[i]):
+                assert entry == pytest.approx(plain_cosine(h[v], h[j]), abs=1e-12)
+
+    def test_contrastive_matches_independent_cosine_oracle(self, contrastive_objective, small_sbm):
+        g, obj = small_sbm, contrastive_objective
+        model = tiny_model(g, obj)
+        plan = draw_sample_plan(g, range(8), obj, 2, 3, seed=6)
+        prof = similarity_profile(model, g, g.domain_id, plan)
+        h = embed(model, g, g.domain_id)
+        views_h = [embed(model, augment_graph(g, obj, s), g.domain_id) for s in plan.view_seeds]
+        assert len(views_h) == 2 and plan.nodes == tuple(range(8))
+        for i, v in enumerate(plan.nodes):
+            for p, hv in enumerate(views_h):
+                assert prof[i, p] == pytest.approx(plain_cosine(h[v], hv[v]), abs=1e-12)
+            for entry, j in zip(prof[i, 2:], plan.refs[i, 2:]):
+                assert j != v
+                assert entry == pytest.approx(plain_cosine(h[v], h[j]), abs=1e-12)
 
     def test_same_plan_two_models_same_samples(self, linkpred_objective, small_sbm):
         plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, 2, seed=8)
@@ -114,31 +117,38 @@ class TestSimilarityProfile:
         m2 = tiny_model(small_sbm, linkpred_objective, seed=2)
         p1 = similarity_profile(m1, small_sbm, small_sbm.domain_id, plan)
         p2 = similarity_profile(m2, small_sbm, small_sbm.domain_id, plan)
-        assert set(p1) == set(p2)  # identical node coverage, identical sample ids via plan
+        # identical node coverage, identical sample ids via plan
+        assert p1.shape == p2.shape == (len(plan.nodes), 4)
+
+    def test_out_of_range_cosine_rejected(self, linkpred_objective, small_sbm, monkeypatch):
+        model = tiny_model(small_sbm, linkpred_objective)
+        plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, 2, seed=8)
+        monkeypatch.setattr(amplify, "cosine_rows", lambda a, b: np.full(len(a), 1.5))
+        with pytest.raises(ValueError):
+            similarity_profile(model, small_sbm, small_sbm.domain_id, plan)
 
 
 class TestTeacherScores:
     def _pair(self):
-        a = SimilarityVector(node=1, pos_sims=[0.9, 0.1], neg_sims=[-0.2])
-        b = SimilarityVector(node=1, pos_sims=[0.5, 0.3], neg_sims=[0.4])
+        a = np.array([[0.9, 0.1, -0.2], [0.3, -0.6, 0.0]])
+        b = np.array([[0.5, 0.3, 0.4], [0.2, 0.7, -1.0]])
         return a, b
 
     def test_lambda_zero_is_target(self):
         a, b = self._pair()
         t = teacher_scores(a, b, 0.0)
-        np.testing.assert_array_equal(t.values(), a.values())
+        np.testing.assert_array_equal(t, a)
 
     def test_lambda_one_is_augment(self):
         a, b = self._pair()
         t = teacher_scores(a, b, 1.0)
-        np.testing.assert_array_equal(t.values(), b.values())
+        np.testing.assert_array_equal(t, b)
 
     def test_lambda_above_one_unclamped(self):
-        a = SimilarityVector(node=0, pos_sims=[0.9], neg_sims=[0.0])
-        b = SimilarityVector(node=0, pos_sims=[-0.9], neg_sims=[0.0])
+        a = np.array([[0.9, 0.0]])
+        b = np.array([[-0.9, 0.0]])
         t = teacher_scores(a, b, 2.0)
-        assert t.pos_sims[0] == pytest.approx(-2.7)
-        assert not t.bounded
+        assert t[0, 0] == pytest.approx(-2.7)
 
     @given(
         lam1=st.floats(0, 3), lam2=st.floats(0, 3),
@@ -146,17 +156,17 @@ class TestTeacherScores:
     )
     @settings(max_examples=50, deadline=None)
     def test_linear_in_lambda(self, lam1, lam2, pos):
-        a = SimilarityVector(node=0, pos_sims=pos, neg_sims=[0.3])
-        b = SimilarityVector(node=0, pos_sims=[0.1, -0.4], neg_sims=[-0.8])
-        lhs = (teacher_scores(a, b, lam1).values()
-               + teacher_scores(a, b, lam2).values()
-               - teacher_scores(a, b, 0.0).values())
-        rhs = teacher_scores(a, b, lam1 + lam2).values()
+        a = np.array([pos + [0.3]])
+        b = np.array([[0.1, -0.4, -0.8]])
+        lhs = (teacher_scores(a, b, lam1)
+               + teacher_scores(a, b, lam2)
+               - teacher_scores(a, b, 0.0))
+        rhs = teacher_scores(a, b, lam1 + lam2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_shape_mismatch(self):
-        a = SimilarityVector(node=0, pos_sims=[0.1], neg_sims=[0.2])
-        b = SimilarityVector(node=1, pos_sims=[0.1], neg_sims=[0.2])
+        a = np.array([[0.1, 0.2]])
+        b = np.array([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(Exception):
             teacher_scores(a, b, 1.0)
 
@@ -188,15 +198,13 @@ class TestDistillGradients:
         obj = SSLObjective(kind, negatives_per_positive=2)
         model = tiny_model(g, obj, emb_dim=4)
         plan = draw_sample_plan(g, range(g.num_nodes), obj, 2, 2, seed=3)
-        views = plan_view_graphs(g, obj, plan)
-        idx = _PairIndex.from_plan(plan)
         rng = np.random.default_rng(0)
         teachers = rng.uniform(-1, 1, size=(len(plan.nodes), 4))
 
         def loss_fn():
-            return distill_loss_and_grads(model, g, g.domain_id, plan, teachers, idx, views)[0]
+            return distill_loss_and_grads(model, g, g.domain_id, plan, teachers)[0]
 
-        _, grads = distill_loss_and_grads(model, g, g.domain_id, plan, teachers, idx, views)
+        _, grads = distill_loss_and_grads(model, g, g.domain_id, plan, teachers)
         numeric = finite_diff_grads(loss_fn, model.params)
         assert max_rel_error(grads, numeric) < 1e-4
 
@@ -249,5 +257,4 @@ class TestUnlearn:
             seed=derive_seed(7, "unlearn-plan"),
         )
         assert result.plan.nodes == replay.nodes
-        for v in replay.nodes:
-            assert result.plan.sample_ids(v) == replay.sample_ids(v)
+        np.testing.assert_array_equal(result.plan.refs, replay.refs)

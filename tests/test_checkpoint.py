@@ -7,7 +7,6 @@ import pytest
 
 from graphmia.checkpoint import (
     CheckpointError,
-    FISHER_NAME,
     MAGIC,
     load_params,
     load_victim,
@@ -15,7 +14,6 @@ from graphmia.checkpoint import (
     save_victim,
 )
 from graphmia.nn import ParamSet
-from graphmia.shadow import estimate_fisher
 from graphmia.victim import CONTRASTIVE, SSLObjective
 
 from conftest import tiny_model
@@ -77,8 +75,7 @@ class TestVictimRoundtrip:
         model.trained_epochs = 12
         path = tmp_path / "victim.ckpt"
         save_victim(path, model, seed=99)
-        loaded, fisher = load_victim(path)
-        assert fisher is None
+        loaded = load_victim(path)
         assert loaded.objective == obj
         assert loaded.trained_epochs == 12
         for k in model.params.names:
@@ -86,14 +83,3 @@ class TestVictimRoundtrip:
         meta = (tmp_path / "victim.ckpt.meta").read_text()
         assert "objective = contrastive" in meta
         assert "seed = 99" in meta
-
-    def test_fisher_rides_along(self, tmp_path, small_sbm, linkpred_objective):
-        model = tiny_model(small_sbm, linkpred_objective)
-        fisher = estimate_fisher(model, small_sbm, linkpred_objective, seed=5)
-        path = tmp_path / "victim.ckpt"
-        save_victim(path, model, fisher=fisher)
-        stored = load_params(path)
-        assert FISHER_NAME in stored.tensors
-        loaded, fisher2 = load_victim(path)
-        assert fisher2 is not None
-        np.testing.assert_array_equal(fisher2.flat(), fisher.flat())

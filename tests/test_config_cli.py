@@ -148,7 +148,7 @@ class TestCli:
         assert main(["pretrain", "--config", str(cli_config), "--out", str(out)]) == 0
         from graphmia.checkpoint import load_victim
 
-        model, _ = load_victim(out / "victim_seed11.ckpt")
+        model = load_victim(out / "victim_seed11.ckpt")
         assert sorted(model.projectors) == [0, 1]
 
     def test_seed_override(self, cli_config, tmp_path):
