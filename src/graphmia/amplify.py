@@ -60,7 +60,7 @@ class UnlearnConfig:
 
 @dataclass(frozen=True, eq=False)
 class SamplePlan:
-    """Frozen sample identities for a set of nodes.
+    """Frozen sample identities for a set of nodes of ``graph``.
 
     Row i of ``refs`` holds the node ids that ``nodes[i]`` is compared with:
     ``num_positive`` positives, then ``num_negative`` negatives.  Under the
@@ -69,6 +69,7 @@ class SamplePlan:
     every other column compares two nodes of the graph itself.
     """
 
+    graph: Graph
     num_positive: int
     num_negative: int
     nodes: tuple[int, ...]
@@ -114,6 +115,7 @@ def draw_sample_plan(
     if objective.kind == CONTRASTIVE and kept:
         view_seeds = tuple(view_seed(seed, p) for p in range(num_positive))
     return SamplePlan(
+        graph=graph,
         num_positive=num_positive,
         num_negative=num_negative,
         nodes=tuple(kept),
@@ -134,9 +136,7 @@ def _plan_sims(h: np.ndarray, views_h: list[np.ndarray], plan: SamplePlan) -> np
     return s
 
 
-def similarity_profile(
-    model: VictimModel, graph: Graph, domain_id: int, plan: SamplePlan
-) -> np.ndarray:
+def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
     """The (len(plan.nodes), P+N) similarity matrix under ``model``: row i
     holds the cosines of ``plan.nodes[i]`` to its positives, then its
     negatives.
@@ -144,8 +144,7 @@ def similarity_profile(
     Profiles of different models against the same plan use identical sample
     identities, so their entry-wise differences isolate the model change.
     """
-    h = embed(model, graph, domain_id)
-    s = _plan_sims(h, [embed(model, vg, domain_id) for vg in plan.views], plan)
+    s = _plan_sims(embed(model, plan.graph), [embed(model, vg) for vg in plan.views], plan)
     if s.size and (s.min() < -1.0 - _BOUND_TOL or s.max() > 1.0 + _BOUND_TOL):
         raise ValueError("similarity entries outside [-1, 1]")
     return s
@@ -171,7 +170,6 @@ def fine_tune_augment(
     tuned, _ = fine_tune(
         target,
         unlearn_graph,
-        unlearn_graph.domain_id,
         epochs=config.augment_epochs,
         lr=config.lr_augment,
         seed=derive_seed(seed, "augment-ft"),
@@ -180,19 +178,15 @@ def fine_tune_augment(
 
 
 def distill_loss_and_grads(
-    student: VictimModel,
-    graph: Graph,
-    domain_id: int,
-    plan: SamplePlan,
-    teachers: np.ndarray,
+    student: VictimModel, plan: SamplePlan, teachers: np.ndarray
 ) -> tuple[float, ParamSet]:
     """Sum over plan nodes of ||s_student - s_teacher||^2 with exact gradients.
 
     ``teachers`` is the (len(nodes), P+N) matrix of teacher entries; the
     teacher is a constant, gradients flow only through the student.
     """
-    h, cache = student.forward(graph, domain_id)
-    views = [student.forward(vg, domain_id) for vg in plan.views]
+    h, cache = student.forward(plan.graph)
+    views = [student.forward(vg) for vg in plan.views]
     views_h = [v[0] for v in views]
     s = _plan_sims(h, views_h, plan)
     resid = s - teachers
@@ -250,11 +244,8 @@ def unlearn(
     )
     if not plan.nodes:
         raise ValueError("no unlearn node admits a positive sample")
-    domain = unlearn_graph.domain_id
     teachers = teacher_scores(
-        similarity_profile(target, unlearn_graph, domain, plan),
-        similarity_profile(augment_model, unlearn_graph, domain, plan),
-        config.lam,
+        similarity_profile(target, plan), similarity_profile(augment_model, plan), config.lam
     )
 
     student = target.copy()
@@ -262,12 +253,12 @@ def unlearn(
     state = AdamState.init(params, lr=config.lr_distill)
     history: list[float] = []
     for epoch in range(config.distill_epochs):
-        loss, grads = distill_loss_and_grads(student, unlearn_graph, domain, plan, teachers)
+        loss, grads = distill_loss_and_grads(student, plan, teachers)
         if not np.isfinite(loss):
             raise NumericError(f"distillation diverged at epoch {epoch}")
         history.append(loss)
         adam_step(state, params, grads)
-    final_loss, _ = distill_loss_and_grads(student, unlearn_graph, domain, plan, teachers)
+    final_loss, _ = distill_loss_and_grads(student, plan, teachers)
     initial = history[0] if history else final_loss
     return UnlearnResult(
         model=student,

@@ -51,42 +51,24 @@ class AttackModel:
         return self.mlp.w1.shape[0]
 
 
-def _profile(
-    model: VictimModel, graph: Graph, nodes, num_samples: int, seed: int
-) -> tuple[SamplePlan, np.ndarray]:
-    plan = draw_sample_plan(
-        graph, nodes, model.objective, num_samples, num_samples, seed
-    )
-    return plan, similarity_profile(model, graph, graph.domain_id, plan)
-
-
 def build_attack_dataset(
-    shadow_model: VictimModel,
-    shadow_train: Graph,
-    shadow_train_nodes,
-    shadow_test: Graph,
-    shadow_test_nodes,
-    num_samples: int,
-    seed: int,
+    shadow_model: VictimModel, plan_tr: SamplePlan, plan_te: SamplePlan
 ) -> AttackDataset:
-    """Label-1 features for shadow-train nodes, label-0 for shadow-test.
+    """Label-1 features for the shadow-train plan's nodes, label-0 for the
+    shadow-test plan's; each plan draws m positives and m negatives.
 
     Nodes without a valid positive sample are skipped and counted; more
     than half skipped on either side is treated as a data-quality failure.
     """
+    num_samples = plan_tr.num_positive
     if num_samples < 1:
         raise ValueError("need at least one positive/negative sample per node")
-    plan_tr, x_tr = _profile(
-        shadow_model, shadow_train, shadow_train_nodes, num_samples,
-        derive_seed(seed, "attack-train"),
-    )
-    plan_te, x_te = _profile(
-        shadow_model, shadow_test, shadow_test_nodes, num_samples,
-        derive_seed(seed, "attack-test"),
-    )
+    if {plan_tr.num_negative, plan_te.num_positive, plan_te.num_negative} != {num_samples}:
+        raise ShapeError("both plans must draw m positives and m negatives per node")
     for plan, side in ((plan_tr, "train"), (plan_te, "test")):
         if len(plan.skipped) > len(plan.nodes):
             raise DataQualityError(f"more than half of the shadow-{side} nodes were skipped")
+    x_tr, x_te = similarity_profile(shadow_model, plan_tr), similarity_profile(shadow_model, plan_te)
     x = np.concatenate([x_tr, x_te])
     if not len(x):
         raise DataQualityError("attack dataset is empty")
@@ -178,8 +160,8 @@ def infer_membership(
     """
     if 2 * num_samples != attack_model.feature_dim:
         raise ShapeError("num_samples does not match the attack model input width")
-    plan, x = _profile(target_model, graph, nodes, num_samples, seed)
+    plan = draw_sample_plan(graph, nodes, target_model.objective, num_samples, num_samples, seed)
     if not plan.nodes:
         return {}
-    labels, scores = predict_from_features(attack_model, x)
+    labels, scores = predict_from_features(attack_model, similarity_profile(target_model, plan))
     return {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}

@@ -101,7 +101,7 @@ def _fit_mlp(config: AttackTrainConfig, seed: int):
 def embed_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
               query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
-        return nodes, embed(model, graph, graph.domain_id)[np.array(nodes, dtype=np.int64)]
+        return nodes, embed(model, graph)[np.array(nodes, dtype=np.int64)]
 
     return _shadow_attack(
         extract, _fit_mlp(spec.attack, derive_seed(seed, "embed-mia")),
@@ -121,7 +121,7 @@ def input_gradient_features(
         node = int(node)
         terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
                          [derive_seed(seed, "grad-feature", node)])
-        _, _, dx = terms(model, graph.domain_id, 0, want_feature_grad=True)
+        _, _, dx = terms(model, 0, want_feature_grad=True)
         if not np.all(np.isfinite(dx)):
             raise NumericError(f"non-finite input gradient at node {node}")
         rows.append(dx[np.searchsorted(terms.ball, node)])
@@ -157,7 +157,7 @@ def pairwise_similarity_features(
     """C(k, 2) pairwise cosine similarities of each node across k views."""
     views = perturbed_views(graph, k, edge_fraction, seed)
     idx = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    embs = [embed(model, g, graph.domain_id)[idx] for g in views]
+    embs = [embed(model, g)[idx] for g in views]
     cols = [cosine_rows(embs[a], embs[b]) for a, b in itertools.combinations(range(k), 2)]
     return np.stack(cols, axis=1)
 
@@ -232,7 +232,7 @@ def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
         # graphs are immutable, so one embedding per graph object serves
         # both the reference and the query uses
         if id(graph) not in embeddings:
-            embeddings[id(graph)] = embed(target_model, graph, graph.domain_id)
+            embeddings[id(graph)] = embed(target_model, graph)
         return embeddings[id(graph)]
 
     def centroid(graph: Graph, refs) -> np.ndarray:
@@ -276,7 +276,7 @@ def parameter_change_features(
         state = AdamState.init(params, lr=lr)
         try:
             for epoch in range(epochs):
-                loss, grads, _ = terms(tuned, graph.domain_id, epoch)
+                loss, grads, _ = terms(tuned, epoch)
                 if not np.isfinite(loss):
                     raise NumericError(f"per-node fine-tune diverged at node {node}")
                 adam_step(state, params, grads)

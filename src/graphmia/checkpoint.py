@@ -77,7 +77,6 @@ def save_victim(path: str | Path, model: VictimModel, seed: int = 0) -> None:
         "emb_dim": model.encoder.output_dim,
         "layers": model.encoder.num_layers,
         "trained_epochs": model.trained_epochs,
-        "fallback_domain": "" if model.fallback_domain is None else model.fallback_domain,
         "seed": seed,
     }
     lines = [f"{k} = {v}" for k, v in meta.items()]
@@ -108,5 +107,4 @@ def load_victim(path: str | Path) -> VictimModel:
         encoder=GCNEncoder(weights=weights),
         objective=objective,
         trained_epochs=int(meta["trained_epochs"]),
-        fallback_domain=int(meta["fallback_domain"]) if meta.get("fallback_domain") else None,
     )

@@ -27,11 +27,11 @@ def robustness_probe(
     if trials < 1:
         raise ValueError("need at least one trial")
     idx = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    h0 = embed(model, graph, graph.domain_id)[idx]
+    h0 = embed(model, graph)[idx]
     sims = np.zeros(len(idx))
     for t in range(trials):
         perturbed = perturb_edges(graph, budget, derive_seed(seed, "robustness", t))
-        ht = embed(model, perturbed, graph.domain_id)[idx]
+        ht = embed(model, perturbed)[idx]
         sims += cosine_rows(h0, ht)
     sims /= trials
     return {int(v): float(s) for v, s in zip(idx, sims)}
@@ -72,8 +72,8 @@ def separability_projection(
 
     Returns the projection result and the 0/1 membership labels row by row.
     """
-    h_mem = embed(model, member_graph, member_graph.domain_id)
-    h_non = embed(model, nonmember_graph, nonmember_graph.domain_id)
+    h_mem = embed(model, member_graph)
+    h_non = embed(model, nonmember_graph)
     stacked = np.concatenate([h_mem, h_non])
     labels = np.concatenate([np.ones(len(h_mem), dtype=np.int64),
                              np.zeros(len(h_non), dtype=np.int64)])

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplify import UnlearnConfig, draw_sample_plan, similarity_profile, unlearn
+from .amplify import SamplePlan, UnlearnConfig, draw_sample_plan, similarity_profile, unlearn
 from .attack import (
     AttackTrainConfig,
     build_attack_dataset,
@@ -107,18 +107,35 @@ class AttackContext:
             seed=derive_seed(self.seed, "scratch-shadow"),
         )
         model, _ = fine_tune(
-            fresh, self.shadow_train_graph, self.shadow_train_graph.domain_id,
-            epochs=cfg.epochs_shadow, lr=cfg.lr_shadow,
+            fresh, self.shadow_train_graph, epochs=cfg.epochs_shadow, lr=cfg.lr_shadow,
             seed=derive_seed(self.seed, "shadow-ft"),
         )
         return model
 
+    def _shadow_plans(self, seed_train: int, seed_test: int) -> tuple[SamplePlan, SamplePlan]:
+        """m-sample plans over every shadow-train and every shadow-test node."""
+        m = self.cfg.m_samples
+        return tuple(
+            draw_sample_plan(g, range(g.num_nodes), self.objective, m, m, s)
+            for g, s in ((self.shadow_train_graph, seed_train), (self.shadow_test_graph, seed_test))
+        )
+
+    @cached_property
+    def attack_plans(self) -> tuple[SamplePlan, SamplePlan]:
+        """The attack dataset's plans, shared by every variant's shadow."""
+        base = derive_seed(self.seed, "attack-dataset")
+        return self._shadow_plans(derive_seed(base, "attack-train"), derive_seed(base, "attack-test"))
+
+    @cached_property
+    def gap_plans(self) -> tuple[SamplePlan, SamplePlan]:
+        """The gap probe's plans, shared by the target and every shadow."""
+        base = derive_seed(self.seed, "gap-probe")
+        return self._shadow_plans(derive_seed(base, "gap", "train"), derive_seed(base, "gap", "test"))
+
     @cached_property
     def target_gap(self) -> float:
         """The target's shadow-train minus shadow-test similarity margin."""
-        return similarity_margin_gap(
-            self.target, self, self.cfg.m_samples, derive_seed(self.seed, "gap-probe")
-        )
+        return similarity_margin_gap(self.target, self.gap_plans)
 
 
 @dataclass
@@ -287,29 +304,21 @@ def _score(
     return accuracy_f1(predictions, truth, attack=attack, seed=ctx.seed)
 
 
-def similarity_margin_gap(
-    model: VictimModel,
-    ctx: AttackContext,
-    num_samples: int,
-    seed: int,
-) -> float:
-    """Membership-signal gap between shadow-train and shadow-test nodes.
+def similarity_margin_gap(model: VictimModel, plans: tuple[SamplePlan, SamplePlan]) -> float:
+    """Membership-signal gap between the nodes of a shadow-train and a
+    shadow-test plan.
 
     Per node the signal is its similarity margin, mean(positive sims) -
     mean(negative sims): how much closer the node sits to its positives
     than to random negatives, which is exactly what self-supervised
-    training pushes up for nodes it trained on.  Sample plans are shared
-    across models so gaps of different models are comparable.
+    training pushes up for nodes it trained on.  Gaps of different models
+    on the same plans are comparable.
     """
     margins = []
-    for tag, graph in (("train", ctx.shadow_train_graph), ("test", ctx.shadow_test_graph)):
-        plan = draw_sample_plan(
-            graph, range(graph.num_nodes), model.objective,
-            num_samples, num_samples, derive_seed(seed, "gap", tag),
-        )
-        s = similarity_profile(model, graph, graph.domain_id, plan)
-        margins.append(float(np.mean(s[:, :num_samples].mean(axis=1)
-                                     - s[:, num_samples:].mean(axis=1))))
+    for plan in plans:
+        s = similarity_profile(model, plan)
+        p = plan.num_positive
+        margins.append(float(np.mean(s[:, :p].mean(axis=1) - s[:, p:].mean(axis=1))))
     return margins[0] - margins[1]
 
 
@@ -321,9 +330,9 @@ class ShadowBuild:
     distill_final: float | None = None
 
 
-def build_shadow_model(ctx: AttackContext, cfg: ExperimentConfig, variant: str) -> ShadowBuild:
+def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
     """The three shadow constructions: full, no-unlearning, no-incremental."""
-    seed = ctx.seed
+    cfg, seed = ctx.cfg, ctx.seed
     if variant == VARIANT_WO_IL:
         return ShadowBuild(model=ctx.scratch_shadow, variant=variant)
 
@@ -351,9 +360,7 @@ def build_shadow_model(ctx: AttackContext, cfg: ExperimentConfig, variant: str) 
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    fisher = estimate_fisher(
-        base, ctx.shadow_train_graph, ctx.objective, seed=derive_seed(seed, "fisher")
-    )
+    fisher = estimate_fisher(base, ctx.shadow_train_graph, seed=derive_seed(seed, "fisher"))
     model, _ = incremental_finetune(
         base,
         ctx.shadow_train_graph,
@@ -367,16 +374,10 @@ def build_shadow_model(ctx: AttackContext, cfg: ExperimentConfig, variant: str) 
     )
 
 
-def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: str) -> RunRecord:
-    seed = ctx.seed
-    build = build_shadow_model(ctx, cfg, variant)
-    dataset = build_attack_dataset(
-        build.model,
-        ctx.shadow_train_graph, range(ctx.shadow_train_graph.num_nodes),
-        ctx.shadow_test_graph, range(ctx.shadow_test_graph.num_nodes),
-        cfg.m_samples,
-        seed=derive_seed(seed, "attack-dataset"),
-    )
+def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
+    cfg, seed = ctx.cfg, ctx.seed
+    build = build_shadow_model(ctx, variant)
+    dataset = build_attack_dataset(build.model, *ctx.attack_plans)
     attack_model = train_attack_model(
         dataset,
         AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack, hidden_dim=cfg.hidden_dim),
@@ -396,9 +397,7 @@ def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: st
         "attack_train_accuracy": attack_model.train_accuracy,
         "skipped_train": dataset.skipped_train,
         "skipped_test": dataset.skipped_test,
-        "shadow_gap": similarity_margin_gap(
-            build.model, ctx, cfg.m_samples, derive_seed(seed, "gap-probe")
-        ),
+        "shadow_gap": similarity_margin_gap(build.model, ctx.gap_plans),
         "target_gap": ctx.target_gap,
     }
     if build.distill_initial is not None:
@@ -410,10 +409,10 @@ def run_similarity_attack(ctx: AttackContext, cfg: ExperimentConfig, variant: st
     )
 
 
-def run_baseline(ctx: AttackContext, cfg: ExperimentConfig, kind: str) -> RunRecord:
+def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
     """Baselines attack the same splits; the shadow-trained ones use the
     scratch shadow.  One call answers both query sides."""
-    seed = ctx.seed
+    cfg, seed = ctx.cfg, ctx.seed
     spec = BaselineSpec(
         kind=kind,
         attack=AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack,
@@ -509,10 +508,10 @@ def run_experiment(
                 if attack == PRIMARY_ATTACK:
                     for variant in variants:
                         stage = f"{attack}/{variant}"
-                        records.append(run_similarity_attack(ctx, cfg, variant))
+                        records.append(run_similarity_attack(ctx, variant))
                 else:
                     stage = attack
-                    records.append(run_baseline(ctx, cfg, attack))
+                    records.append(run_baseline(ctx, attack))
         except Exception as exc:  # noqa: BLE001 - contained per seed by design
             failures.append(SeedFailure(seed=seed, stage=stage, error=f"{type(exc).__name__}: {exc}"))
             continue
@@ -548,7 +547,7 @@ def time_attack_pipeline(cfg: ExperimentConfig, seed: int) -> float:
     graph generation excluded)."""
     ctx = build_context(cfg, seed)
     t0 = time.perf_counter()
-    run_similarity_attack(ctx, cfg, VARIANT_FULL)
+    run_similarity_attack(ctx, VARIANT_FULL)
     return time.perf_counter() - t0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .graph import Graph
 from .nn import ParamSet, ShapeError
 from .rng import derive_seed
-from .victim import SSLObjective, VictimModel, fine_tune, per_node_ssl_loss
+from .victim import VictimModel, fine_tune, per_node_ssl_loss
 
 
 @dataclass
@@ -62,9 +62,7 @@ class ShadowConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def estimate_fisher(
-    model: VictimModel, shadow_train: Graph, objective: SSLObjective, seed: int
-) -> FisherDiag:
+def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> FisherDiag:
     """Empirical diagonal Fisher on the shadow training graph.
 
     Each node's SSL loss contribution counts as one sample; its squared
@@ -76,11 +74,8 @@ def estimate_fisher(
         raise ValueError("shadow training graph is empty")
     params = model.params
     acc = {k: np.zeros_like(t) for k, t in params.items()}
-    domain = shadow_train.domain_id
     for node in range(shadow_train.num_nodes):
-        _, grads, _ = per_node_ssl_loss(
-            model, shadow_train, domain, node, seed=derive_seed(seed, "fisher", node)
-        )
+        _, grads, _ = per_node_ssl_loss(model, shadow_train, node, derive_seed(seed, "fisher", node))
         for k, g in grads.items():
             acc[k] += g * g
     n = shadow_train.num_nodes
@@ -127,7 +122,6 @@ def incremental_finetune(
     return fine_tune(
         unlearned,
         shadow_train,
-        shadow_train.domain_id,
         epochs=config.epochs,
         lr=config.lr,
         seed=seed,

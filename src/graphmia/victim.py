@@ -94,7 +94,6 @@ class VictimModel:
     encoder: GCNEncoder
     objective: SSLObjective
     trained_epochs: int = 0
-    fallback_domain: int | None = None
 
     @classmethod
     def init(
@@ -128,33 +127,25 @@ class VictimModel:
             encoder=GCNEncoder(weights=[w.copy() for w in self.encoder.weights]),
             objective=self.objective,
             trained_epochs=self.trained_epochs,
-            fallback_domain=self.fallback_domain,
         )
 
-    def _projector_domain(self, domain_id: int) -> int:
-        if domain_id in self.projectors:
-            return domain_id
-        if self.fallback_domain is not None and self.fallback_domain in self.projectors:
-            return self.fallback_domain
-        raise MissingProjectorError(
-            f"no projector for domain {domain_id} and no fallback configured"
-        )
-
-    def forward(self, graph: Graph, domain_id: int) -> tuple[np.ndarray, ForwardCache]:
-        return self._forward(graph.features, graph.gcn_matrix, domain_id)
+    def forward(self, graph: Graph) -> tuple[np.ndarray, ForwardCache]:
+        """Embeddings of ``graph`` under its own domain's projector."""
+        return self._forward(graph.features, graph.gcn_matrix, graph.domain_id)
 
     def _forward(self, x: np.ndarray, a_hat, domain_id: int) -> tuple[np.ndarray, ForwardCache]:
         """Embeddings of the feature rows ``x`` under the symmetric
         aggregation operator ``a_hat`` (a graph's, or a node ball's)."""
-        dom = self._projector_domain(domain_id)
-        w = self.projectors[dom]
+        if domain_id not in self.projectors:
+            raise MissingProjectorError(f"no projector for domain {domain_id}")
+        w = self.projectors[domain_id]
         if x.shape[1] != w.shape[0]:
             raise ShapeError(
                 f"domain {domain_id} features have dim {x.shape[1]}, projector expects {w.shape[0]}"
             )
         h0 = x @ w
         h, layers = self.encoder.forward(a_hat, h0)
-        return h, ForwardCache(a_hat=a_hat, x=x, h0=h0, layers=layers, domain_id=dom)
+        return h, ForwardCache(a_hat=a_hat, x=x, h0=h0, layers=layers, domain_id=domain_id)
 
     def backward(
         self, cache: ForwardCache, d_out: np.ndarray, want_feature_grad: bool = False
@@ -169,9 +160,9 @@ class VictimModel:
         return grads, dx
 
 
-def embed(model: VictimModel, graph: Graph, domain_id: int) -> np.ndarray:
+def embed(model: VictimModel, graph: Graph) -> np.ndarray:
     """Node embeddings of ``graph`` under ``model`` (pure, no caching)."""
-    h, _ = model.forward(graph, domain_id)
+    h, _ = model.forward(graph)
     return h
 
 
@@ -266,10 +257,24 @@ def make_positive_negative(
 def _sample_negative_pairs(
     graph: Graph, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform non-edges (u, v), u != v; rejection-sampled."""
+    """Uniform non-edges (u, v), u != v.
+
+    Rejection-sampled, unless fewer than a quarter of all pairs are
+    non-edges: rejection then needs more than four draws per pair, without
+    bound as the graph nears complete, so the ordered non-edges are
+    enumerated instead (O(n^2), which is O(E) at that density).
+    """
     n = graph.num_nodes
-    if count and graph.num_edges == n * (n - 1) // 2:
+    pairs = n * (n - 1) // 2
+    if count and graph.num_edges == pairs:
         raise NoNegativeError(f"complete graph on {n} nodes has no non-edge")
+    if 4 * (pairs - graph.num_edges) < pairs:
+        edges = graph.edge_array
+        free = ~np.eye(n, dtype=bool)
+        free[edges[:, 0], edges[:, 1]] = free[edges[:, 1], edges[:, 0]] = False
+        us, vs = np.nonzero(free)
+        pick = rng.integers(len(us), size=count)
+        return us[pick], vs[pick]
     starts = graph.indptr.tolist()
     indices = graph.indices.tolist()
     us = np.empty(count, dtype=np.int64)
@@ -290,9 +295,7 @@ def _sample_negative_pairs(
     return us, vs
 
 
-def linkpred_loss(
-    model: VictimModel, graph: Graph, domain_id: int, seed: int
-) -> tuple[float, ParamSet]:
+def linkpred_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
     """BCE on sigmoid(h_u . h_v) over all edges plus matched random non-edges."""
     edges = graph.edge_array
     if len(edges) == 0:
@@ -303,7 +306,7 @@ def linkpred_loss(
     vs = np.concatenate([edges[:, 1], neg_v])
     labels = np.concatenate([np.ones(len(edges)), np.zeros(len(edges))])
 
-    h, cache = model.forward(graph, domain_id)
+    h, cache = model.forward(graph)
     scores = np.einsum("ij,ij->i", h[us], h[vs])
     loss, dscores = bce_with_logits(scores, labels)
     dh = np.zeros_like(h)
@@ -313,17 +316,15 @@ def linkpred_loss(
     return loss, grads
 
 
-def contrastive_loss(
-    model: VictimModel, graph: Graph, domain_id: int, seed: int
-) -> tuple[float, ParamSet]:
+def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
     """InfoNCE: every node against itself in one augmented view and K
     uniform in-graph negatives."""
     n = graph.num_nodes
     obj = model.objective
     k = obj.negatives_per_positive
     view = augment_graph(graph, obj, derive_seed(seed, "loss-view"))
-    h, cache = model.forward(graph, domain_id)
-    hv, cache_v = model.forward(view, domain_id)
+    h, cache = model.forward(graph)
+    hv, cache_v = model.forward(view)
 
     rng = substream(seed, "contrastive-negatives")
     raw = rng.integers(0, n - 1, size=(n, k))
@@ -352,12 +353,10 @@ def contrastive_loss(
     return loss, grads
 
 
-def ssl_loss_and_grads(
-    model: VictimModel, graph: Graph, domain_id: int, seed: int
-) -> tuple[float, ParamSet]:
+def ssl_loss_and_grads(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
     if model.objective.kind == LINK_PREDICTION:
-        return linkpred_loss(model, graph, domain_id, seed)
-    return contrastive_loss(model, graph, domain_id, seed)
+        return linkpred_loss(model, graph, seed)
+    return contrastive_loss(model, graph, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ class NodeLoss:
         self.a_hat, self.x = ball_matrix(graph, self.ball), graph.features[self.ball]
 
     def __call__(
-        self, model: VictimModel, domain_id: int, draw: int = 0, want_feature_grad: bool = False
+        self, model: VictimModel, draw: int = 0, want_feature_grad: bool = False
     ) -> tuple[float, ParamSet, np.ndarray | None]:
         """Loss, parameter gradients and (optionally) the gradient with
         respect to the feature rows of ``self.ball``; every other row's is
@@ -460,6 +459,7 @@ class NodeLoss:
             dx = np.zeros((1, self.graph.feature_dim)) if want_feature_grad else None
             return 0.0, model.params.zeros_like(), dx
         others, extra = self.draws[draw]
+        domain_id = self.graph.domain_id
         h, cache = model._forward(self.x, self.a_hat, domain_id)
         a = int(np.searchsorted(self.ball, self.node))
         b = np.searchsorted(self.ball, others)
@@ -499,7 +499,6 @@ class NodeLoss:
 def per_node_ssl_loss(
     model: VictimModel,
     graph: Graph,
-    domain_id: int,
     node: int,
     seed: int,
     want_feature_grad: bool = False,
@@ -513,7 +512,7 @@ def per_node_ssl_loss(
     O(graph); the feature gradient is zero outside the ball.
     """
     terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, [seed])
-    loss, grads, dx = terms(model, domain_id, 0, want_feature_grad)
+    loss, grads, dx = terms(model, 0, want_feature_grad)
     if want_feature_grad:
         full = np.zeros_like(graph.features)
         full[terms.ball] = dx
@@ -528,7 +527,6 @@ def per_node_ssl_loss(
 def fine_tune(
     model: VictimModel,
     graph: Graph,
-    domain_id: int,
     epochs: int,
     lr: float,
     seed: int,
@@ -546,7 +544,7 @@ def fine_tune(
     state = AdamState.init(params, lr=lr)
     history: list[float] = []
     for epoch in range(epochs):
-        loss, grads = ssl_loss_and_grads(tuned, graph, domain_id, derive_seed(seed, "epoch", epoch))
+        loss, grads = ssl_loss_and_grads(tuned, graph, derive_seed(seed, "epoch", epoch))
         if penalty_grads is not None:
             pval, pgrad = penalty_grads(params)
             loss += pval
@@ -590,15 +588,14 @@ def pretrain_multidomain(
     state = AdamState.init(params, lr=config.lr)
 
     by_domain = sorted(zip(graphs, member_node_sets), key=lambda pair: pair[0].domain_id)
-    train_graphs = [(g.domain_id, induced_subgraph(g, members)) for g, members in by_domain]
+    train_graphs = [induced_subgraph(g, members) for g, members in by_domain]
 
     for epoch in range(config.epochs):
-        for domain_id, graph in train_graphs:
-            loss, grads = ssl_loss_and_grads(
-                model, graph, domain_id, derive_seed(seed, "pretrain", domain_id, epoch)
-            )
+        for graph in train_graphs:
+            dom = graph.domain_id
+            loss, grads = ssl_loss_and_grads(model, graph, derive_seed(seed, "pretrain", dom, epoch))
             if not np.isfinite(loss):
-                raise NumericError(f"pre-training diverged at epoch {epoch}, domain {domain_id}")
+                raise NumericError(f"pre-training diverged at epoch {epoch}, domain {dom}")
             adam_step(state, params, grads)
     model.trained_epochs = config.epochs
     return model

@@ -87,9 +87,9 @@ class TestCriterion1GradientIntegrity:
             ):
                 model = tiny_model(g, SSLObjective(kind, negatives_per_positive=3),
                                    seed=seed + 2, emb_dim=8)
-                _, grads = loss_fn(model, g, g.domain_id, seed=31)
+                _, grads = loss_fn(model, g, seed=31)
                 numeric = finite_diff_grads(
-                    lambda m=model, k=loss_fn: k(m, g, g.domain_id, seed=31)[0], model.params
+                    lambda m=model, k=loss_fn: k(m, g, seed=31)[0], model.params
                 )
                 worst = max(worst, max_rel_error(grads, numeric))
 
@@ -98,9 +98,9 @@ class TestCriterion1GradientIntegrity:
             model = tiny_model(g, obj, seed=seed + 5, emb_dim=8)
             plan = draw_sample_plan(g, range(g.num_nodes), obj, 2, 2, seed=7)
             teachers = np.random.default_rng(seed).uniform(-1, 1, (len(plan.nodes), 4))
-            _, grads = distill_loss_and_grads(model, g, g.domain_id, plan, teachers)
+            _, grads = distill_loss_and_grads(model, plan, teachers)
             numeric = finite_diff_grads(
-                lambda: distill_loss_and_grads(model, g, g.domain_id, plan, teachers)[0],
+                lambda: distill_loss_and_grads(model, plan, teachers)[0],
                 model.params,
             )
             worst = max(worst, max_rel_error(grads, numeric))
@@ -155,16 +155,16 @@ class TestCriterion2AlgebraicFixedPoints:
         # lambda = 1: teacher equals the augment scores exactly
         augment = fine_tune_augment(model, g, UnlearnConfig(augment_epochs=3), seed=6)
         plan = draw_sample_plan(g, range(g.num_nodes), obj, 3, 3, seed=8)
-        s_t = similarity_profile(model, g, g.domain_id, plan)
-        s_a = similarity_profile(augment, g, g.domain_id, plan)
+        s_t = similarity_profile(model, plan)
+        s_a = similarity_profile(augment, plan)
         np.testing.assert_array_equal(teacher_scores(s_t, s_a, 1.0), s_a)
 
         # alpha = 0: shadow fine-tuning is bit-identical to plain fine-tuning
-        fisher = estimate_fisher(model, g, obj, seed=9)
+        fisher = estimate_fisher(model, g, seed=9)
         anchored, _ = incremental_finetune(
             model, g, fisher, ShadowConfig(alpha=0.0, epochs=10, lr=1e-3), seed=10
         )
-        plain, _ = fine_tune(model, g, g.domain_id, epochs=10, lr=1e-3, seed=10)
+        plain, _ = fine_tune(model, g, epochs=10, lr=1e-3, seed=10)
         for k in anchored.params.names:
             np.testing.assert_array_equal(anchored.params.tensors[k], plain.params.tensors[k])
 

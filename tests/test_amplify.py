@@ -74,24 +74,24 @@ class TestSimilarityProfile:
     def test_constant_embeddings_all_ones(self, linkpred_objective):
         g = cycle_graph(6)
         model = tiny_model(g, linkpred_objective, seed=1, emb_dim=8)
-        h = embed(model, g, g.domain_id)
+        h = embed(model, g)
         assert np.linalg.norm(h[0]) > 0  # guard against a dead-ReLU init
         plan = draw_sample_plan(g, range(6), linkpred_objective, 2, 3, seed=4)
-        prof = similarity_profile(model, g, g.domain_id, plan)
+        prof = similarity_profile(model, plan)
         # regular graph with identical features -> identical nonzero rows
         np.testing.assert_allclose(prof, np.ones((6, 5)), atol=1e-12)
 
     def test_vector_length(self, linkpred_objective, small_sbm):
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, 3, seed=4)
-        prof = similarity_profile(model, small_sbm, small_sbm.domain_id, plan)
+        prof = similarity_profile(model, plan)
         assert prof.shape == (len(plan.nodes), 5)
 
     def test_matches_independent_cosine_oracle(self, linkpred_objective, small_sbm):
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(8), linkpred_objective, 2, 2, seed=6)
-        prof = similarity_profile(model, small_sbm, small_sbm.domain_id, plan)
-        h = embed(model, small_sbm, small_sbm.domain_id)
+        prof = similarity_profile(model, plan)
+        h = embed(model, small_sbm)
         for i, v in enumerate(plan.nodes):
             for entry, j in zip(prof[i], plan.refs[i]):
                 assert entry == pytest.approx(plain_cosine(h[v], h[j]), abs=1e-12)
@@ -100,9 +100,9 @@ class TestSimilarityProfile:
         g, obj = small_sbm, contrastive_objective
         model = tiny_model(g, obj)
         plan = draw_sample_plan(g, range(8), obj, 2, 3, seed=6)
-        prof = similarity_profile(model, g, g.domain_id, plan)
-        h = embed(model, g, g.domain_id)
-        views_h = [embed(model, augment_graph(g, obj, s), g.domain_id) for s in plan.view_seeds]
+        prof = similarity_profile(model, plan)
+        h = embed(model, g)
+        views_h = [embed(model, augment_graph(g, obj, s)) for s in plan.view_seeds]
         assert len(views_h) == 2 and plan.nodes == tuple(range(8))
         for i, v in enumerate(plan.nodes):
             for p, hv in enumerate(views_h):
@@ -115,8 +115,8 @@ class TestSimilarityProfile:
         plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, 2, seed=8)
         m1 = tiny_model(small_sbm, linkpred_objective, seed=1)
         m2 = tiny_model(small_sbm, linkpred_objective, seed=2)
-        p1 = similarity_profile(m1, small_sbm, small_sbm.domain_id, plan)
-        p2 = similarity_profile(m2, small_sbm, small_sbm.domain_id, plan)
+        p1 = similarity_profile(m1, plan)
+        p2 = similarity_profile(m2, plan)
         # identical node coverage, identical sample ids via plan
         assert p1.shape == p2.shape == (len(plan.nodes), 4)
 
@@ -125,7 +125,7 @@ class TestSimilarityProfile:
         plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, 2, seed=8)
         monkeypatch.setattr(amplify, "cosine_rows", lambda a, b: np.full(len(a), 1.5))
         with pytest.raises(ValueError):
-            similarity_profile(model, small_sbm, small_sbm.domain_id, plan)
+            similarity_profile(model, plan)
 
 
 class TestTeacherScores:
@@ -184,8 +184,8 @@ class TestFineTuneAugment:
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         snapshot = model.params.copy()
         out = fine_tune_augment(model, g, UnlearnConfig(augment_epochs=5, lr_augment=1e-2), seed=3)
-        before, _ = ssl_loss_and_grads(model, g, g.domain_id, seed=77)
-        after, _ = ssl_loss_and_grads(out, g, g.domain_id, seed=77)
+        before, _ = ssl_loss_and_grads(model, g, seed=77)
+        after, _ = ssl_loss_and_grads(out, g, seed=77)
         assert after < before
         for k in snapshot.names:
             np.testing.assert_array_equal(model.params.tensors[k], snapshot.tensors[k])
@@ -202,9 +202,9 @@ class TestDistillGradients:
         teachers = rng.uniform(-1, 1, size=(len(plan.nodes), 4))
 
         def loss_fn():
-            return distill_loss_and_grads(model, g, g.domain_id, plan, teachers)[0]
+            return distill_loss_and_grads(model, plan, teachers)[0]
 
-        _, grads = distill_loss_and_grads(model, g, g.domain_id, plan, teachers)
+        _, grads = distill_loss_and_grads(model, plan, teachers)
         numeric = finite_diff_grads(loss_fn, model.params)
         assert max_rel_error(grads, numeric) < 1e-4
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from graphmia.amplify import draw_sample_plan
 from graphmia.attack import (
     AttackDataset,
     AttackModel,
@@ -15,8 +16,20 @@ from graphmia.attack import (
 )
 from graphmia.graph import Graph, induced_subgraph, partition_shadow
 from graphmia.nn import MLP, ShapeError
+from graphmia.rng import derive_seed
 from graphmia.synth import sbm_graph
 from graphmia.victim import LINK_PREDICTION, SSLObjective, TrainConfig, VictimModel
+
+
+def shadow_plans(model, train_g, test_g, m, seed, train_nodes=None):
+    """The attack dataset's two plans: every node of each side unless
+    ``train_nodes`` is given, m positives and m negatives per node."""
+    nodes = range(train_g.num_nodes) if train_nodes is None else train_nodes
+    return (
+        draw_sample_plan(train_g, nodes, model.objective, m, m, derive_seed(seed, "attack-train")),
+        draw_sample_plan(test_g, range(test_g.num_nodes), model.objective, m, m,
+                         derive_seed(seed, "attack-test")),
+    )
 
 
 def toy_dataset(n_per_class: int = 20, m: int = 5, member_level=0.9, nonmember_level=0.1, jitter=0.0):
@@ -43,10 +56,7 @@ def pipeline_bits():
 class TestBuildDataset:
     def test_cardinality_and_labels(self, pipeline_bits):
         model, train_g, test_g = pipeline_bits
-        ds = build_attack_dataset(
-            model, train_g, range(train_g.num_nodes), test_g, range(test_g.num_nodes),
-            num_samples=5, seed=1,
-        )
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 5, seed=1))
         n_tr = train_g.num_nodes - ds.skipped_train
         n_te = test_g.num_nodes - ds.skipped_test
         assert len(ds.x) == len(ds.y) == n_tr + n_te
@@ -55,36 +65,39 @@ class TestBuildDataset:
 
     def test_feature_length_2m(self, pipeline_bits):
         model, train_g, test_g = pipeline_bits
-        ds = build_attack_dataset(
-            model, train_g, range(train_g.num_nodes), test_g, range(test_g.num_nodes),
-            num_samples=5, seed=1,
-        )
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 5, seed=1))
         assert ds.feature_dim == 10
         assert ds.x.shape[1] == 10
+
+    def test_plans_must_share_m(self, pipeline_bits):
+        model, train_g, test_g = pipeline_bits
+        plan_tr, _ = shadow_plans(model, train_g, test_g, 3, seed=1)
+        _, plan_te = shadow_plans(model, train_g, test_g, 2, seed=1)
+        with pytest.raises(ShapeError):
+            build_attack_dataset(model, plan_tr, plan_te)
+        with pytest.raises(ValueError):
+            build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 0, seed=1))
 
     def test_mostly_isolated_side_rejected(self, pipeline_bits):
         model, train_g, _ = pipeline_bits
         lonely = Graph.from_edges(6, [(0, 1)], np.ones((6, 8)))
         with pytest.raises(DataQualityError):
-            build_attack_dataset(model, train_g, range(train_g.num_nodes),
-                                 lonely, range(6), num_samples=2, seed=1)
+            build_attack_dataset(model, *shadow_plans(model, train_g, lonely, 2, seed=1))
 
     def test_generator_nodes_counted_for_skip_gate(self, pipeline_bits):
         # the gate counts the plan, so a one-shot iterable is judged like a range
         model, _, test_g = pipeline_bits
         lonely = Graph.from_edges(8, [(0, 1), (1, 2)], np.ones((8, 8)))
+        plans = shadow_plans(model, lonely, test_g, 2, seed=1, train_nodes=(v for v in range(8)))
         with pytest.raises(DataQualityError):
-            build_attack_dataset(model, lonely, (v for v in range(8)),
-                                 test_g, range(test_g.num_nodes), num_samples=2, seed=1)
+            build_attack_dataset(model, *plans)
 
     def test_functorial_in_model_parameters(self, pipeline_bits):
         model, train_g, test_g = pipeline_bits
         twin = model.copy()
-        kwargs = dict(num_samples=3, seed=9)
-        a = build_attack_dataset(model, train_g, range(train_g.num_nodes),
-                                 test_g, range(test_g.num_nodes), **kwargs)
-        b = build_attack_dataset(twin, train_g, range(train_g.num_nodes),
-                                 test_g, range(test_g.num_nodes), **kwargs)
+        plans = shadow_plans(model, train_g, test_g, 3, seed=9)
+        a = build_attack_dataset(model, *plans)
+        b = build_attack_dataset(twin, *plans)
         np.testing.assert_array_equal(a.x, b.x)
 
 
@@ -162,8 +175,7 @@ class TestPredict:
 class TestInferMembership:
     def test_deterministic(self, pipeline_bits):
         model, train_g, test_g = pipeline_bits
-        ds = build_attack_dataset(model, train_g, range(train_g.num_nodes),
-                                  test_g, range(test_g.num_nodes), num_samples=3, seed=2)
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
         attack = train_attack_model(ds, AttackTrainConfig(epochs=30), seed=2)
         a = infer_membership(attack, model, test_g, range(10), 3, seed=5)
         b = infer_membership(attack, model, test_g, range(10), 3, seed=5)
@@ -171,8 +183,7 @@ class TestInferMembership:
 
     def test_sample_width_must_match(self, pipeline_bits):
         model, train_g, test_g = pipeline_bits
-        ds = build_attack_dataset(model, train_g, range(train_g.num_nodes),
-                                  test_g, range(test_g.num_nodes), num_samples=3, seed=2)
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
         attack = train_attack_model(ds, AttackTrainConfig(epochs=1), seed=2)
         with pytest.raises(ShapeError):
             infer_membership(attack, model, test_g, range(5), 4, seed=5)

@@ -142,7 +142,7 @@ class TestGradMia:
                     domain_id=g.domain_id,
                 )
                 loss, _, _ = per_node_ssl_loss(
-                    model, g2, g.domain_id, node,
+                    model, g2, node,
                     seed=derive_seed(5, "grad-feature", node),
                 )
                 vals.append(loss)
@@ -182,7 +182,7 @@ class TestEndToEndDeterminism:
         # the attack MLP input equals the victim embedding width
         from graphmia.victim import embed as embed_fn
 
-        h = embed_fn(model, graph, graph.domain_id)
+        h = embed_fn(model, graph)
         assert h.shape[1] == model.encoder.output_dim == 10
 
 
@@ -265,9 +265,9 @@ class TestQuerySides:
         seen = []
         real = bl.embed
 
-        def counting(model_, g, domain_id):
+        def counting(model_, g):
             seen.append(g)
-            return real(model_, g, domain_id)
+            return real(model_, g)
 
         monkeypatch.setattr(bl, "embed", counting)
         ge_mia(model, graph, [0, 1, 2], other, [3, 4], [graph, other], [range(5), [3, 0, 7]])

@@ -83,3 +83,14 @@ class TestVictimRoundtrip:
         meta = (tmp_path / "victim.ckpt.meta").read_text()
         assert "objective = contrastive" in meta
         assert "seed = 99" in meta
+
+    def test_old_fallback_domain_line_ignored(self, tmp_path, small_sbm, linkpred_objective):
+        model = tiny_model(small_sbm, linkpred_objective)
+        path = tmp_path / "victim.ckpt"
+        save_victim(path, model)
+        meta = tmp_path / "victim.ckpt.meta"
+        meta.write_text(meta.read_text() + "fallback_domain = 0\n")
+        loaded = load_victim(path)
+        assert not hasattr(loaded, "fallback_domain")
+        for k in model.params.names:
+            np.testing.assert_array_equal(loaded.params.tensors[k], model.params.tensors[k])

@@ -87,11 +87,11 @@ class TestRunExperiment:
         real = exp_mod.run_similarity_attack
         calls = {"n": 0}
 
-        def flaky(ctx, cfg_, variant):
+        def flaky(ctx, variant):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("injected failure")
-            return real(ctx, cfg_, variant)
+            return real(ctx, variant)
 
         monkeypatch.setattr(exp_mod, "run_similarity_attack", flaky)
         res = run_experiment(cfg, attacks=("similarity",), variants=("full",))
@@ -102,27 +102,53 @@ class TestRunExperiment:
 
     def test_per_seed_work_computed_once(self, monkeypatch):
         cfg = tiny_cfg(repetitions=2, m_queries=6, epochs_attack=10)
-        scratch, target_gaps = [], []
+        scratch, contexts, gap_models = [], [], []
         real_fine_tune = exp_mod.fine_tune
         real_gap = exp_mod.similarity_margin_gap
+        real_context = exp_mod.build_context
 
         def counting_fine_tune(*args, **kwargs):
             scratch.append(1)
             return real_fine_tune(*args, **kwargs)
 
-        def counting_gap(model, ctx, *args, **kwargs):
-            if model is ctx.target:
-                target_gaps.append(ctx.seed)
-            return real_gap(model, ctx, *args, **kwargs)
+        def recording_context(*args, **kwargs):
+            contexts.append(real_context(*args, **kwargs))
+            return contexts[-1]
+
+        def counting_gap(model, plans):
+            gap_models.append(model)
+            return real_gap(model, plans)
 
         monkeypatch.setattr(exp_mod, "fine_tune", counting_fine_tune)
+        monkeypatch.setattr(exp_mod, "build_context", recording_context)
         monkeypatch.setattr(exp_mod, "similarity_margin_gap", counting_gap)
         res = run_experiment(cfg, attacks=("similarity", *exp_mod.BASELINE_KINDS),
                              variants=("full", "wo-il"))
         assert not res.failures
         assert len(res.records) == 2 * (2 + len(exp_mod.BASELINE_KINDS))
         assert len(scratch) == 2
+        target_gaps = [ctx.seed for ctx in contexts for m in gap_models if m is ctx.target]
         assert target_gaps == cfg.seeds()
+
+    def test_plans_drawn_once_per_seed(self, monkeypatch):
+        # one unlearn plan, two attack-dataset plans and two gap-probe plans
+        # serve all three variants; each variant queries the target twice
+        import graphmia.amplify as amplify_mod
+        import graphmia.attack as attack_mod
+
+        cfg = tiny_cfg(m_queries=6, epochs_attack=5)
+        real = amplify_mod.draw_sample_plan
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (amplify_mod, attack_mod, exp_mod):
+            monkeypatch.setattr(mod, "draw_sample_plan", counting)
+        res = run_experiment(cfg, attacks=("similarity",), variants=exp_mod.VARIANTS)
+        assert not res.failures and len(res.records) == 3
+        assert len(calls) == 1 + 2 + 2 + 6
 
     def test_query_cap(self):
         cfg = tiny_cfg(m_queries=15)

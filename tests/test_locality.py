@@ -166,7 +166,7 @@ class TestBallExactness:
     def test_per_node_loss_gradients_and_dx(self, graph, kind, layers, seed):
         model = model_for(graph, kind, layers, seed)
         for node in range(graph.num_nodes):
-            loss, grads, dx = per_node_ssl_loss(model, graph, graph.domain_id, node,
+            loss, grads, dx = per_node_ssl_loss(model, graph, node,
                                                 seed=seed, want_feature_grad=True)
             ref_loss, ref_grads, ref_dx = whole_graph_loss(model, graph, node, seed)
             assert close(loss, ref_loss)
@@ -179,7 +179,7 @@ class TestBallExactness:
     @settings(max_examples=15, deadline=None)
     def test_fisher_diagonal(self, graph, kind, seed):
         model = model_for(graph, kind, 2, seed)
-        fisher = estimate_fisher(model, graph, model.objective, seed)
+        fisher = estimate_fisher(model, graph, seed)
         n = graph.num_nodes
         for name, value in fisher.values.items():
             want = sum(
@@ -230,7 +230,7 @@ class TestPartialBalls:
         for node in range(n):
             seed = derive_seed(6, "grad-feature", node)
             assert len(NodeLoss(g, model.objective, 2, node, [seed]).ball) < n
-            loss, grads, dx = per_node_ssl_loss(model, g, g.domain_id, node, seed=seed,
+            loss, grads, dx = per_node_ssl_loss(model, g, node, seed=seed,
                                                 want_feature_grad=True)
             ref_loss, ref_grads, ref_dx = whole_graph_loss(model, g, node, seed)
             assert close(loss, ref_loss)
@@ -296,7 +296,7 @@ class TestPerNodeCostIsLocal:
             return real(self, a_hat, h0)
 
         monkeypatch.setattr(GCNEncoder, "forward", counting)
-        estimate_fisher(model, g, model.objective, seed=2)
+        estimate_fisher(model, g, seed=2)
         monkeypatch.setattr(GCNEncoder, "forward", real)
         return sum(rows)
 

@@ -43,11 +43,11 @@ class TestEstimateFisher:
             1: ParamSet({k: np.full_like(t, -3.0) for k, t in model.params.items()}),
         }
 
-        def fake_loss(model_, graph_, domain_, node, seed, want_feature_grad=False):
+        def fake_loss(model_, graph_, node, seed, want_feature_grad=False):
             return 0.0, grads_by_node[node], None
 
         monkeypatch.setattr(shadow_mod, "per_node_ssl_loss", fake_loss)
-        fisher = estimate_fisher(model, g, linkpred_objective, seed=0)
+        fisher = estimate_fisher(model, g, seed=0)
         for v in fisher.values.values():
             np.testing.assert_allclose(v, 5.0)
         assert fisher.sample_count == 2
@@ -56,21 +56,21 @@ class TestEstimateFisher:
         model = tiny_model(small_sbm, linkpred_objective)
         for t in model.params.tensors.values():
             t[:] = 0.0
-        fisher = estimate_fisher(model, small_sbm, linkpred_objective, seed=1)
+        fisher = estimate_fisher(model, small_sbm, seed=1)
         assert float(fisher.flat().max()) == 0.0
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
     def test_nonnegative(self, kind, small_sbm):
         obj = SSLObjective(kind, negatives_per_positive=2)
         model = tiny_model(small_sbm, obj)
-        fisher = estimate_fisher(model, small_sbm, obj, seed=2)
+        fisher = estimate_fisher(model, small_sbm, seed=2)
         assert float(fisher.flat().min()) >= 0.0
         assert np.all(np.isfinite(fisher.flat()))
 
     def test_deterministic(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
-        a = estimate_fisher(model, small_sbm, linkpred_objective, seed=3)
-        b = estimate_fisher(model, small_sbm, linkpred_objective, seed=3)
+        a = estimate_fisher(model, small_sbm, seed=3)
+        b = estimate_fisher(model, small_sbm, seed=3)
         np.testing.assert_array_equal(a.flat(), b.flat())
 
 
@@ -106,7 +106,7 @@ class TestIncrementalFinetune:
         tuned, _ = incremental_finetune(
             model, g, fisher, ShadowConfig(alpha=0.0, epochs=15, lr=1e-3), seed=6
         )
-        plain, _ = fine_tune(model, g, g.domain_id, epochs=15, lr=1e-3, seed=6)
+        plain, _ = fine_tune(model, g, epochs=15, lr=1e-3, seed=6)
         for k in tuned.params.names:
             np.testing.assert_array_equal(tuned.params.tensors[k], plain.params.tensors[k])
 
@@ -141,7 +141,7 @@ class TestIncrementalFinetune:
     def test_objective_final_not_above_initial(self, linkpred_objective):
         g = sbm_graph(40, 5, 6.0, seed=11)
         model = tiny_model(g, linkpred_objective, emb_dim=8)
-        fisher = estimate_fisher(model, g, linkpred_objective, seed=12)
+        fisher = estimate_fisher(model, g, seed=12)
         _, history = incremental_finetune(
             model, g, fisher, ShadowConfig(alpha=1.0, epochs=40, lr=1e-3), seed=13
         )

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import graphmia
 from graphmia import amplify, attack
+from graphmia.experiment import build_context, run_experiment
+
+from test_experiment import tiny_cfg
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -33,3 +36,23 @@ def test_install_and_restore():
     finally:
         restore()
     assert (amplify.similarity_profile, attack.draw_sample_plan, graphmia.unlearn) == originals
+
+
+def test_counters_read_the_traced_arguments():
+    # the tracer's counters read positional arguments and results of the
+    # functions it wraps; a read that no longer fits fails the seed
+    tracing = load_tracing()
+    cfg = tiny_cfg(m_queries=6, epochs_attack=5)
+    shadow_train = len(build_context(cfg, cfg.seed).partition.shadow_train_nodes)
+    tracer = tracing.Tracer()
+    restore = tracer.install()
+    try:
+        res = run_experiment(cfg, attacks=("similarity", "gpia"), variants=("full",))
+    finally:
+        restore()
+    assert not res.failures
+    summary = tracer.summary()
+    assert summary["shadow.estimate_fisher.nodes"] == shadow_train
+    assert summary["attack.infer_membership.answered_ratio"] > 0
+    assert summary["baselines.gpia.answered_ratio"] > 0
+    assert "quality.skipped_train" in tracer.counters

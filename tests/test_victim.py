@@ -18,6 +18,7 @@ from graphmia.victim import (
     SSLObjective,
     TrainConfig,
     VictimModel,
+    _sample_negative_pairs,
     augment_graph,
     contrastive_loss,
     embed,
@@ -65,8 +66,8 @@ class TestModelBasics:
             seed=derive_seed(9, "init"),
         )
         for g in graphs:
-            before, _ = ssl_loss_and_grads(fresh, g, g.domain_id, seed=123)
-            after, _ = ssl_loss_and_grads(model, g, g.domain_id, seed=123)
+            before, _ = ssl_loss_and_grads(fresh, g, seed=123)
+            after, _ = ssl_loss_and_grads(model, g, seed=123)
             assert after < before
 
     def test_five_domains_five_projectors(self, linkpred_objective):
@@ -88,11 +89,10 @@ class TestModelBasics:
 
     def test_missing_projector(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
+        unseen = Graph.from_edges(small_sbm.num_nodes, small_sbm.edge_array, small_sbm.features,
+                                  domain_id=42)
         with pytest.raises(MissingProjectorError):
-            embed(model, small_sbm, domain_id=42)
-        model.fallback_domain = small_sbm.domain_id
-        h = embed(model, small_sbm, domain_id=42)
-        assert h.shape == (small_sbm.num_nodes, 6)
+            embed(model, unseen)
 
 
 class TestEmbed:
@@ -101,19 +101,19 @@ class TestEmbed:
         for t in model.params.tensors.values():
             t[:] = 0.0
         np.testing.assert_array_equal(
-            embed(model, small_sbm, small_sbm.domain_id),
+            embed(model, small_sbm),
             np.zeros((small_sbm.num_nodes, 6)),
         )
 
     def test_purity(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
-        a = embed(model, small_sbm, small_sbm.domain_id)
-        b = embed(model, small_sbm, small_sbm.domain_id)
+        a = embed(model, small_sbm)
+        b = embed(model, small_sbm)
         np.testing.assert_array_equal(a, b)
 
     def test_composition_oracle(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
-        got = embed(model, small_sbm, small_sbm.domain_id)
+        got = embed(model, small_sbm)
         projected = small_sbm.features @ model.projectors[small_sbm.domain_id]
         want = gcn_forward(model.encoder, small_sbm, projected)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -184,7 +184,7 @@ class TestDegenerateNodes:
     def test_hub_contributes_zero(self, linkpred_objective):
         g = self._star12()
         model = tiny_model(g, linkpred_objective)
-        loss, grads, dx = per_node_ssl_loss(model, g, g.domain_id, 0, seed=0,
+        loss, grads, dx = per_node_ssl_loss(model, g, 0, seed=0,
                                             want_feature_grad=True)
         assert loss == 0.0
         assert not grads.flat().any() and not dx.any()
@@ -201,10 +201,30 @@ class TestDegenerateNodes:
         signal.alarm(20)
         try:
             with pytest.raises(NoNegativeError):
-                linkpred_loss(model, k5, k5.domain_id, seed=0)
+                linkpred_loss(model, k5, seed=0)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_one_non_edge_is_drawn_without_rejection(self):
+        class CountingRng:
+            """Generator stand-in that fails once rejection sampling would
+            still be drawing."""
+
+            def __init__(self):
+                self.rng, self.left = np.random.default_rng(3), 300
+
+            def integers(self, *args, **kwargs):
+                self.left -= 1
+                assert self.left >= 0, "negative sampler kept drawing"
+                return self.rng.integers(*args, **kwargs)
+
+        n = 60
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (7, 42)]
+        g = Graph.from_edges(n, edges, np.zeros((n, 2)))
+        us, vs = _sample_negative_pairs(g, len(edges), CountingRng())
+        assert len(us) == len(vs) == len(edges)
+        assert set(zip(us.tolist(), vs.tolist())) == {(7, 42), (42, 7)}
 
 
 class TestTinySplit:
@@ -255,17 +275,17 @@ class TestGradients:
         g = sbm_graph(8, 3, 3.0, seed=2)
         model = tiny_model(g, linkpred_objective, emb_dim=4)
         params = model.params
-        loss, grads = linkpred_loss(model, g, g.domain_id, seed=11)
-        numeric = finite_diff_grads(lambda: linkpred_loss(model, g, g.domain_id, seed=11)[0], params)
+        loss, grads = linkpred_loss(model, g, seed=11)
+        numeric = finite_diff_grads(lambda: linkpred_loss(model, g, seed=11)[0], params)
         assert max_rel_error(grads, numeric) < 1e-4
 
     def test_contrastive_loss_gradient(self, contrastive_objective):
         g = sbm_graph(8, 3, 3.0, seed=3)
         model = tiny_model(g, contrastive_objective, emb_dim=4)
         params = model.params
-        loss, grads = contrastive_loss(model, g, g.domain_id, seed=13)
+        loss, grads = contrastive_loss(model, g, seed=13)
         numeric = finite_diff_grads(
-            lambda: contrastive_loss(model, g, g.domain_id, seed=13)[0], params
+            lambda: contrastive_loss(model, g, seed=13)[0], params
         )
         assert max_rel_error(grads, numeric) < 1e-4
 
@@ -274,9 +294,9 @@ class TestGradients:
         g = sbm_graph(8, 3, 3.0, seed=4)
         model = tiny_model(g, SSLObjective(kind, negatives_per_positive=3), emb_dim=4)
         params = model.params
-        _, grads, _ = per_node_ssl_loss(model, g, g.domain_id, 2, seed=17)
+        _, grads, _ = per_node_ssl_loss(model, g, 2, seed=17)
         numeric = finite_diff_grads(
-            lambda: per_node_ssl_loss(model, g, g.domain_id, 2, seed=17)[0], params
+            lambda: per_node_ssl_loss(model, g, 2, seed=17)[0], params
         )
         assert max_rel_error(grads, numeric) < 1e-4
 
@@ -285,7 +305,7 @@ class TestGradients:
         g = sbm_graph(7, 3, 3.0, seed=5)
         model = tiny_model(g, SSLObjective(kind, negatives_per_positive=2), emb_dim=4)
         node = 1
-        _, _, dx = per_node_ssl_loss(model, g, g.domain_id, node, seed=19, want_feature_grad=True)
+        _, _, dx = per_node_ssl_loss(model, g, node, seed=19, want_feature_grad=True)
         # finite differences on the node's own feature row
         feats = g.features.copy()
         step = 1e-5
@@ -298,7 +318,7 @@ class TestGradients:
                     g.num_nodes, [tuple(e) for e in g.edge_array.tolist()], bumped,
                     domain_id=g.domain_id,
                 )
-                val, _, _ = per_node_ssl_loss(model, g2, g.domain_id, node, seed=19)
+                val, _, _ = per_node_ssl_loss(model, g2, node, seed=19)
                 numeric[j] += sign * val / (2 * step)
         np.testing.assert_allclose(dx[node], numeric, rtol=1e-4, atol=1e-7)
 
@@ -307,13 +327,13 @@ class TestFineTune:
     def test_input_model_unmutated(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
         snapshot = model.params.copy()
-        fine_tune(model, small_sbm, small_sbm.domain_id, epochs=3, lr=1e-2, seed=1)
+        fine_tune(model, small_sbm, epochs=3, lr=1e-2, seed=1)
         for k in snapshot.names:
             np.testing.assert_array_equal(model.params.tensors[k], snapshot.tensors[k])
 
     def test_zero_epochs_identity(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
-        tuned, history = fine_tune(model, small_sbm, small_sbm.domain_id, 0, 1e-3, seed=1)
+        tuned, history = fine_tune(model, small_sbm, 0, 1e-3, seed=1)
         assert history == []
         for k in model.params.names:
             np.testing.assert_array_equal(tuned.params.tensors[k], model.params.tensors[k])
@@ -340,7 +360,7 @@ class TestOverfittingWedge:
         for tag, nodes in (("member", members), ("holdout", holdout)):
             g = induced_subgraph(graph, nodes)
             plan = draw_sample_plan(g, range(g.num_nodes), obj, 5, 5, seed=99)
-            prof = similarity_profile(model, g, g.domain_id, plan)
+            prof = similarity_profile(model, plan)
             pos = float(np.mean(prof[:, :5].mean(axis=1)))
             neg = float(np.mean(prof[:, 5:].mean(axis=1)))
             stats[tag] = (pos, pos - neg)
