@@ -142,6 +142,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             elif key.startswith("dataset."):
                 saw_dataset = True
                 _, dom, attr = key.split(".", 2)
+                if attr not in ("edges", "features"):
+                    raise ConfigError(f"line {lineno}: unknown key {key!r}")
                 dataset_kv.setdefault(int(dom), {})[attr] = value
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")

@@ -259,8 +259,7 @@ def build_context(cfg: ExperimentConfig, seed: int) -> AttackContext:
     if cfg.attack_domain not in by_id:
         raise ValueError(f"attack domain {cfg.attack_domain} not among the loaded domains")
     target = pretrain_multidomain(
-        [d.graph for d in domains],
-        [d.member_nodes for d in domains],
+        [d.member_graph for d in domains],
         objective,
         TrainConfig(epochs=cfg.epochs_pretrain, lr=cfg.lr_pretrain,
                     layers=cfg.layers, emb_dim=cfg.emb_dim),

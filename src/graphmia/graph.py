@@ -48,9 +48,11 @@ class Graph:
     Node ``u``'s neighbors are ``indices[indptr[u]:indptr[u + 1]]``, strictly
     increasing; every edge appears in both orientations.  ``indptr`` and
     ``indices`` are int64, the feature matrix is float64 with one row per
-    node, and all three are read-only.  Use :meth:`from_edges` rather than
-    the raw constructor so the invariants (symmetry, no self-loops, no
-    duplicates) are enforced.
+    node, and all three are read-only.  An edge list from outside, or a
+    generated one, goes through :meth:`from_edges`, which enforces the
+    invariants (symmetry, no self-loops, no duplicates).  A derived graph
+    (induced subgraph, augmented view) is a slice of its parent's CSR,
+    valid by construction.  The raw constructor serves neither.
     """
 
     indptr: np.ndarray
@@ -105,12 +107,7 @@ class Graph:
     @cached_property
     def gcn_matrix(self) -> sp.csr_matrix:
         """Symmetric-normalized adjacency with self-loops, (D+I)^-1/2 (A+I) (D+I)^-1/2."""
-        n = self.num_nodes
-        inv_sqrt = 1.0 / np.sqrt(np.diff(self.indptr).astype(np.float64) + 1.0)
-        loops = np.arange(n, dtype=np.int64)
-        r = np.concatenate([loops, self._rows()])
-        c = np.concatenate([loops, self.indices])
-        return sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], (r, c)), shape=(n, n))
+        return ball_matrix(self, np.arange(self.num_nodes, dtype=np.int64))
 
     @classmethod
     def from_edges(
@@ -159,6 +156,52 @@ class Graph:
         )
 
 
+def _csr_slice(
+    graph: Graph, keep: np.ndarray, features: np.ndarray, nodes: np.ndarray | None = None
+) -> Graph:
+    """The graph of the entries of ``graph.indices`` where ``keep`` holds,
+    over the sorted ids ``nodes`` (default all) relabeled 0..k-1 in order.
+
+    ``keep`` must agree on each entry and its reverse and keep only
+    entries with both ends in ``nodes``; the parent being valid, the slice
+    then is too, so nothing is checked again.
+    """
+    ends = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[graph.indptr]
+    indices = graph.indices[keep]
+    if nodes is not None:
+        ends = np.concatenate([[0], np.cumsum(np.diff(ends)[nodes])])
+        indices = np.searchsorted(nodes, indices)
+    return Graph(_read_only(ends), _read_only(indices), _read_only(features), graph.domain_id)
+
+
+def ball_matrix(graph: Graph, ball: np.ndarray) -> sp.csr_matrix:
+    """Â[ball, ball]: the rows and columns of the whole graph's normalized
+    adjacency at the sorted ids ``ball``, with the whole graph's degrees
+    (not renormalised), built from the CSR arrays in O(ball edges).  The
+    one builder of Â: ``Graph.gcn_matrix`` is the whole-graph ball.
+
+    With ``ball`` the L-hop neighbourhood of some targets, an L-layer
+    encoder on this matrix embeds the targets exactly: layer k is exact on
+    the (L-k)-hop neighbourhood, whose rows read only rows one hop further
+    out.  Its backward pass starts at the targets and spreads one hop per
+    layer, so every gradient equals the whole graph's as well.  The matrix
+    is symmetric and serves as its own transpose, as Â does.
+    """
+    entries = graph.row_entries(ball)
+    degree = graph.indptr[ball + 1] - graph.indptr[ball]
+    rows = np.repeat(np.arange(len(ball)), degree)
+    cols = np.searchsorted(ball, graph.indices[entries])
+    inside = ball[np.minimum(cols, len(ball) - 1)] == graph.indices[entries]
+    r = np.concatenate([np.arange(len(ball)), rows[inside]])
+    c = np.concatenate([np.arange(len(ball)), cols[inside]])
+    order = np.lexsort((c, r))
+    r, c = r[order], c[order]
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64) + 1.0)
+    indptr = np.zeros(len(ball) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=len(ball)), out=indptr[1:])
+    return sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], c, indptr), shape=(len(ball), len(ball)))
+
+
 def graph_fingerprint(graph: Graph) -> str:
     """SHA-256 over structure and features; equal graphs hash equal."""
     h = hashlib.sha256()
@@ -173,8 +216,8 @@ def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int =
 
     Edge file: one ``u<TAB>v`` pair per line, 0-based decimal ids, lines
     starting with ``#`` ignored.  Feature file: header line ``n d`` followed
-    by n lines of d space-separated reals.  Self-loops and duplicate edges
-    are dropped with a logged count.
+    by n lines of d space-separated reals, then only blank lines.
+    Self-loops and duplicate edges are dropped with a logged count.
     """
     feature_path = Path(feature_path)
     edge_path = Path(edge_path)
@@ -204,6 +247,11 @@ def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int =
                 features[i] = [float(x) for x in row]
             except ValueError as exc:
                 raise GraphFormatError(f"{feature_path}:{i + 2}: non-numeric value") from exc
+        for lineno, line in enumerate(fh, start=num_nodes + 2):
+            if line.strip():
+                raise GraphFormatError(
+                    f"{feature_path}:{lineno}: more feature rows than the {num_nodes} in the header"
+                )
 
     edges: list[tuple[int, int]] = []
     with edge_path.open("r", encoding="utf-8") as fh:
@@ -298,11 +346,10 @@ def induced_subgraph(graph: Graph, nodes) -> Graph:
         raise NodeRangeError("node set references ids outside the graph")
     if (order[1:] == order[:-1]).any():
         raise ValueError("node set contains duplicates")
-    relabel = np.full(graph.num_nodes, -1, dtype=np.int64)
-    relabel[order] = np.arange(len(order), dtype=np.int64)
-    edges = relabel[graph.edge_array]
-    edges = edges[(edges >= 0).all(axis=1)]
-    return Graph.from_edges(len(order), edges, graph.features[order], domain_id=graph.domain_id)
+    inside = np.zeros(graph.num_nodes, dtype=bool)
+    inside[order] = True
+    keep = inside[graph._rows()] & inside[graph.indices]
+    return _csr_slice(graph, keep, graph.features[order], order)
 
 
 def perturb_edges(graph: Graph, budget_fraction: float, seed: int) -> Graph:

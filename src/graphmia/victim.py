@@ -13,9 +13,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _csr_slice, ball_matrix
 from .nn import (
     GCNEncoder,
     NumericError,
@@ -182,9 +181,7 @@ def augment_graph(graph: Graph, objective: SSLObjective, seed: int) -> Graph:
     keep_edges, drop_cols = _augment_draws(graph, objective, seed)
     masked = graph.features.copy()
     masked[:, drop_cols] = 0.0
-    return Graph.from_edges(
-        graph.num_nodes, graph.edge_array[keep_edges], masked, domain_id=graph.domain_id
-    )
+    return _csr_slice(graph, keep_edges[graph.entry_edges], masked)
 
 
 def view_seed(seed: int, view_index: int) -> int:
@@ -373,42 +370,6 @@ def node_ball(graph: Graph, targets, hops: int) -> np.ndarray:
     return ball
 
 
-def ball_matrix(graph: Graph, ball: np.ndarray, keep_edges=None) -> sp.csr_matrix:
-    """Â[ball, ball]: the rows and columns of the whole graph's normalized
-    adjacency at the sorted ids ``ball``, with the whole graph's degrees
-    (not renormalised), built from the CSR arrays in O(ball edges).
-
-    With ``ball`` the L-hop neighbourhood of some targets, an L-layer
-    encoder on this matrix embeds the targets exactly: layer k is exact on
-    the (L-k)-hop neighbourhood, whose rows read only rows one hop further
-    out.  Its backward pass starts at the targets and spreads one hop per
-    layer, so every gradient equals the whole graph's as well.  The matrix
-    is symmetric and serves as its own transpose, as Â does.
-
-    ``keep_edges`` masks ``graph.edge_array`` to an edge-dropped view; the
-    slice then is the view's operator, with the view's degrees.  A view's
-    neighbourhoods lie inside the graph's, so the same ball serves.
-    """
-    entries = graph.row_entries(ball)
-    rows = np.repeat(np.arange(len(ball)), graph.indptr[ball + 1] - graph.indptr[ball])
-    if keep_edges is None:
-        degree = graph.indptr[ball + 1] - graph.indptr[ball]
-    else:
-        kept = keep_edges[graph.entry_edges[entries]]
-        entries, rows = entries[kept], rows[kept]
-        degree = np.bincount(rows, minlength=len(ball))
-    cols = np.searchsorted(ball, graph.indices[entries])
-    inside = ball[np.minimum(cols, len(ball) - 1)] == graph.indices[entries]
-    r = np.concatenate([np.arange(len(ball)), rows[inside]])
-    c = np.concatenate([np.arange(len(ball)), cols[inside]])
-    order = np.lexsort((c, r))
-    r, c = r[order], c[order]
-    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64) + 1.0)
-    indptr = np.zeros(len(ball) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=len(ball)), out=indptr[1:])
-    return sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], c, indptr), shape=(len(ball), len(ball)))
-
-
 def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, seed: int):
     """One draw of a node's references under ``seed``.  Link prediction:
     (neighbours then as many non-neighbour negatives, labels).
@@ -472,10 +433,11 @@ class NodeLoss:
             grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
         else:
             keep_edges, drop_cols = extra
+            # the view's neighbourhoods lie inside the graph's: the ball serves
+            view = _csr_slice(self.graph, keep_edges[self.graph.entry_edges], self.graph.features)
             xv = self.x.copy()
             xv[:, drop_cols] = 0.0
-            hv, cache_v = model._forward(xv, ball_matrix(self.graph, self.ball, keep_edges),
-                                         domain_id)
+            hv, cache_v = model._forward(xv, ball_matrix(view, self.ball), domain_id)
             anchor = np.repeat(h[[a]], len(b), axis=0)
             pos_sim = cosine_rows(h[[a]], hv[[a]])
             neg_sim = cosine_rows(anchor, h[b])[None, :]
@@ -558,40 +520,35 @@ def fine_tune(
 
 
 def pretrain_multidomain(
-    graphs: list[Graph],
-    member_node_sets: list[frozenset[int]],
+    member_graphs: list[Graph],
     objective: SSLObjective,
     config: TrainConfig,
     seed: int,
 ) -> VictimModel:
     """Jointly train projectors and the shared encoder across domains.
 
-    Each epoch walks the domains in ascending domain-id order and applies
-    one Adam step per domain.  The loss only ever sees the member-induced
-    subgraph of each domain, so member nodes are exactly the pre-training
-    data the attack later targets.  Sampling streams are keyed by domain
-    id, not list position.
+    Each epoch walks the domains of ``member_graphs`` in ascending
+    domain-id order and applies one Adam step per domain.  Each graph is
+    its domain's member-induced subgraph, so member nodes are exactly the
+    pre-training data the attack later targets.  Sampling streams are
+    keyed by domain id, not list position.
     """
-    if not graphs:
+    if not member_graphs:
         raise ValueError("need at least one domain graph")
-    if len(graphs) != len(member_node_sets):
-        raise ValueError("one member set per graph required")
-    if len({g.domain_id for g in graphs}) != len(graphs):
+    if len({g.domain_id for g in member_graphs}) != len(member_graphs):
         raise ValueError("domain ids must be unique")
-    for g, members in zip(graphs, member_node_sets):
-        if not members:
-            raise ValueError(f"domain {g.domain_id} has an empty member set")
+    for g in member_graphs:
+        if g.num_nodes == 0:
+            raise ValueError(f"domain {g.domain_id} has an empty member graph")
 
-    domain_dims = {g.domain_id: g.feature_dim for g in graphs}
+    domain_dims = {g.domain_id: g.feature_dim for g in member_graphs}
     model = VictimModel.init(domain_dims, objective, config, seed=derive_seed(seed, "init"))
     params = model.params
     state = AdamState.init(params, lr=config.lr)
 
-    by_domain = sorted(zip(graphs, member_node_sets), key=lambda pair: pair[0].domain_id)
-    train_graphs = [induced_subgraph(g, members) for g, members in by_domain]
-
+    by_domain = sorted(member_graphs, key=lambda g: g.domain_id)
     for epoch in range(config.epochs):
-        for graph in train_graphs:
+        for graph in by_domain:
             dom = graph.domain_id
             loss, grads = ssl_loss_and_grads(model, graph, derive_seed(seed, "pretrain", dom, epoch))
             if not np.isfinite(loss):

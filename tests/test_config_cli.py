@@ -75,6 +75,16 @@ class TestParsing:
         assert cfg.synthetic is None
         assert cfg.dataset[0]["edges"].endswith("e.tsv")
 
+    def test_unknown_dataset_attribute(self, tmp_path):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "f.txt").write_text("2 1\n0\n0\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "dataset.0.edges = e.tsv\ndataset.0.features = f.txt\ndataset.0.edegs = oops\n"
+        )
+        with pytest.raises(ConfigError, match=r"line 3: unknown key 'dataset\.0\.edegs'"):
+            load_config(cfg_path)
+
     def test_missing_dataset_file(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("dataset.0.edges = ghost.tsv\ndataset.0.features = ghost.txt\n")

@@ -18,6 +18,8 @@ from graphmia.graph import (
     split_half,
 )
 
+from graphmia.victim import CONTRASTIVE, SSLObjective, _augment_draws, augment_graph
+
 from conftest import path_graph, triangle_graph
 
 
@@ -75,6 +77,17 @@ class TestLoadGraph:
         edge_path, feat_path = write_graph_files(tmp_path, "", "2 2\n1 2\n3\n")
         with pytest.raises(GraphFormatError, match="expected 2 values"):
             load_graph(edge_path, feat_path)
+
+    def test_feature_rows_beyond_header(self, tmp_path):
+        edge_path, feat_path = write_graph_files(
+            tmp_path, "", "2 2\n1 2\n3 4\n\n5 6\n7 8\n"
+        )
+        with pytest.raises(GraphFormatError, match=r"features\.txt:5: "):
+            load_graph(edge_path, feat_path)
+
+    def test_trailing_blank_feature_lines(self, tmp_path):
+        edge_path, feat_path = write_graph_files(tmp_path, "", "2 1\n1\n2\n\n  \n")
+        assert load_graph(edge_path, feat_path).num_nodes == 2
 
 
 class TestFromEdges:
@@ -237,6 +250,69 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(NodeRangeError):
             induced_subgraph(triangle_graph(), {0, 9})
+
+
+@st.composite
+def graphs_with_isolated(draw):
+    """Random graphs on 1..16 nodes whose trailing 1..3 nodes (when there
+    are that many) have no edge."""
+    n = draw(st.integers(1, 16))
+    core = n - draw(st.integers(1, min(3, n)))
+    pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    feats = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(n, 3))
+    return Graph.from_edges(n, edges, feats, domain_id=draw(st.integers(0, 3)))
+
+
+def assert_same_bytes(got: Graph, want: Graph) -> None:
+    """Equal CSR arrays, features and normalized adjacency, byte for byte,
+    with the derived graph's arrays read-only."""
+    assert got.domain_id == want.domain_id
+    pairs = [(got.indptr, want.indptr), (got.indices, want.indices),
+             (got.features, want.features)]
+    for arr, _ in pairs:
+        assert not arr.flags.writeable
+    a, b = got.gcn_matrix, want.gcn_matrix
+    pairs += [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)]
+    for x, y in pairs:
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+class TestCsrSlices:
+    """Derived graphs are slices of the parent's CSR; each must equal a
+    validating ``from_edges`` rebuild of the same edges."""
+
+    @given(graph=graphs_with_isolated(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_subgraph_matches_rebuild(self, graph, data):
+        n = graph.num_nodes
+        drawn = data.draw(st.sets(st.integers(0, n - 1)))
+        for keep in (drawn, {data.draw(st.integers(0, n - 1))}, range(n)):
+            order = np.array(sorted(keep), dtype=np.int64)
+            relabel = {int(v): i for i, v in enumerate(order)}
+            edges = [(relabel[u], relabel[v]) for u, v in graph.edge_array.tolist()
+                     if u in relabel and v in relabel]
+            want = Graph.from_edges(len(order), edges, graph.features[order],
+                                    domain_id=graph.domain_id)
+            assert_same_bytes(induced_subgraph(graph, keep), want)
+
+    @given(graph=graphs_with_isolated(), rate=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_view_matches_rebuild(self, graph, rate, seed):
+        obj = SSLObjective(CONTRASTIVE, edge_drop_rate=rate)
+        keep_edges, drop_cols = _augment_draws(graph, obj, seed)
+        masked = graph.features.copy()
+        masked[:, drop_cols] = 0.0
+        want = Graph.from_edges(graph.num_nodes, graph.edge_array[keep_edges], masked,
+                                domain_id=graph.domain_id)
+        view = augment_graph(graph, obj, seed)
+        assert_same_bytes(view, want)
+        if rate == 0.0:
+            assert view.num_edges == graph.num_edges
+        if rate == 1.0:
+            assert view.num_edges == 0
 
 
 class TestPerturbEdges:

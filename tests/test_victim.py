@@ -47,7 +47,8 @@ class TestModelBasics:
     def test_zero_lr_keeps_init(self, small_sbm, linkpred_objective):
         cfg = TrainConfig(epochs=1, lr=0.0, emb_dim=8)
         members = frozenset(range(small_sbm.num_nodes))
-        trained = pretrain_multidomain([small_sbm], [members], linkpred_objective, cfg, seed=4)
+        trained = pretrain_multidomain([induced_subgraph(small_sbm, members)], linkpred_objective,
+                                       cfg, seed=4)
         init = VictimModel.init(
             {small_sbm.domain_id: small_sbm.feature_dim}, linkpred_objective, cfg,
             seed=derive_seed(4, "init"),
@@ -58,9 +59,9 @@ class TestModelBasics:
     def test_loss_decreases_two_domains(self, linkpred_objective):
         graphs = [sbm_graph(40, 6, 6.0, seed=1, domain_id=0),
                   sbm_graph(40, 5, 6.0, seed=2, domain_id=1)]
-        members = [frozenset(range(40))] * 2
+        members = [induced_subgraph(g, range(40)) for g in graphs]
         cfg = TrainConfig(epochs=200, lr=1e-3, emb_dim=8)
-        model = pretrain_multidomain(graphs, members, linkpred_objective, cfg, seed=9)
+        model = pretrain_multidomain(members, linkpred_objective, cfg, seed=9)
         fresh = VictimModel.init(
             {0: 6, 1: 5}, linkpred_objective, cfg,
             seed=derive_seed(9, "init"),
@@ -72,18 +73,27 @@ class TestModelBasics:
 
     def test_five_domains_five_projectors(self, linkpred_objective):
         graphs = [sbm_graph(20, 4, 4.0, seed=d, domain_id=d) for d in range(5)]
-        members = [frozenset(range(20))] * 5
+        members = [induced_subgraph(g, range(20)) for g in graphs]
         model = pretrain_multidomain(
-            graphs, members, linkpred_objective, TrainConfig(epochs=1, emb_dim=6), seed=0
+            members, linkpred_objective, TrainConfig(epochs=1, emb_dim=6), seed=0
         )
         assert sorted(model.projectors) == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("case, match", [
+        ("none", "at least one"), ("twice", "unique"), ("empty", "empty member graph"),
+    ])
+    def test_rejects_bad_member_graphs(self, small_sbm, linkpred_objective, case, match):
+        graphs = {"none": [], "twice": [small_sbm, small_sbm],
+                  "empty": [induced_subgraph(small_sbm, [])]}[case]
+        with pytest.raises(ValueError, match=match):
+            pretrain_multidomain(graphs, linkpred_objective, TrainConfig(epochs=1), seed=0)
+
     def test_domain_order_irrelevant(self, linkpred_objective):
         graphs = [sbm_graph(25, 4, 5.0, seed=d, domain_id=d) for d in range(2)]
-        members = [frozenset(range(25))] * 2
+        members = [induced_subgraph(g, range(25)) for g in graphs]
         cfg = TrainConfig(epochs=10, emb_dim=6)
-        a = pretrain_multidomain(graphs, members, linkpred_objective, cfg, seed=5)
-        b = pretrain_multidomain(graphs[::-1], members, linkpred_objective, cfg, seed=5)
+        a = pretrain_multidomain(members, linkpred_objective, cfg, seed=5)
+        b = pretrain_multidomain(members[::-1], linkpred_objective, cfg, seed=5)
         for k in a.params.names:
             np.testing.assert_array_equal(a.params.tensors[k], b.params.tensors[k])
 
@@ -353,7 +363,7 @@ class TestOverfittingWedge:
         obj = SSLObjective(kind)
         members, holdout = split_half(graph, seed=seed + 1)
         model = pretrain_multidomain(
-            [graph], [members], obj,
+            [induced_subgraph(graph, members)], obj,
             TrainConfig(epochs=300, lr=1e-3, emb_dim=64), seed=seed + 2,
         )
         stats = {}
