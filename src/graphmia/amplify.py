@@ -21,8 +21,8 @@ from .nn import (
     ParamSet,
     ShapeError,
     adam_step,
-    cosine_rows,
-    cosine_rows_backward,
+    ref_cosines,
+    ref_cosines_backward,
 )
 from .rng import derive_seed
 from .victim import (
@@ -78,12 +78,6 @@ class SamplePlan:
     view_seeds: tuple[int, ...]
     views: tuple[Graph, ...]
 
-    def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Anchor and reference ids of every node-to-node entry, row-major."""
-        k = len(self.views)
-        anchors = np.repeat(np.asarray(self.nodes, dtype=np.int64), self.refs.shape[1] - k)
-        return anchors, self.refs[:, k:].ravel()
-
 
 def draw_sample_plan(
     graph: Graph,
@@ -126,16 +120,6 @@ def draw_sample_plan(
     )
 
 
-def _plan_sims(h: np.ndarray, views_h: list[np.ndarray], plan: SamplePlan) -> np.ndarray:
-    s = np.zeros(plan.refs.shape)
-    anchors, others = plan.node_pairs()
-    s[:, len(views_h):] = cosine_rows(h[anchors], h[others]).reshape(len(plan.nodes), -1)
-    rows = np.asarray(plan.nodes, dtype=np.int64)
-    for p, hv in enumerate(views_h):
-        s[:, p] = cosine_rows(h[rows], hv[plan.refs[:, p]])
-    return s
-
-
 def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
     """The (len(plan.nodes), P+N) similarity matrix under ``model``: row i
     holds the cosines of ``plan.nodes[i]`` to its positives, then its
@@ -144,7 +128,8 @@ def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
     Profiles of different models against the same plan use identical sample
     identities, so their entry-wise differences isolate the model change.
     """
-    s = _plan_sims(embed(model, plan.graph), [embed(model, vg) for vg in plan.views], plan)
+    views_h = [embed(model, vg) for vg in plan.views]
+    s = ref_cosines(embed(model, plan.graph), views_h, plan.nodes, plan.refs)
     if s.size and (s.min() < -1.0 - _BOUND_TOL or s.max() > 1.0 + _BOUND_TOL):
         raise ValueError("similarity entries outside [-1, 1]")
     return s
@@ -188,23 +173,9 @@ def distill_loss_and_grads(
     h, cache = student.forward(plan.graph)
     views = [student.forward(vg) for vg in plan.views]
     views_h = [v[0] for v in views]
-    s = _plan_sims(h, views_h, plan)
-    resid = s - teachers
+    resid = ref_cosines(h, views_h, plan.nodes, plan.refs) - teachers
     loss = float((resid * resid).sum())
-
-    upstream = 2.0 * resid
-    dh = np.zeros_like(h)
-    anchors, others = plan.node_pairs()
-    da, db = cosine_rows_backward(h[anchors], h[others], upstream[:, len(views):].ravel())
-    np.add.at(dh, anchors, da)
-    np.add.at(dh, others, db)
-    rows = np.asarray(plan.nodes, dtype=np.int64)
-    dviews = [np.zeros_like(vh) for vh in views_h]
-    for p, vh in enumerate(views_h):
-        da, db = cosine_rows_backward(h[rows], vh[plan.refs[:, p]], upstream[:, p])
-        np.add.at(dh, rows, da)
-        np.add.at(dviews[p], plan.refs[:, p], db)
-
+    dh, dviews = ref_cosines_backward(h, views_h, plan.nodes, plan.refs, 2.0 * resid)
     grads, _ = student.backward(cache, dh)
     for (_, vcache), dv in zip(views, dviews):
         g, _ = student.backward(vcache, dv)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .victim import CONTRASTIVE, LINK_PREDICTION
+from .victim import LINK_PREDICTION, SSLObjective
 
 
 class ConfigError(ValueError):
@@ -67,8 +67,10 @@ class ExperimentConfig:
         return [self.seed + r for r in range(self.repetitions)]
 
     def validate(self) -> None:
-        if self.objective not in (CONTRASTIVE, LINK_PREDICTION):
-            raise ConfigError(f"unknown objective {self.objective!r}")
+        try:
+            SSLObjective(self.objective, self.temperature, self.negatives_per_positive)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.lam < 0:
             raise ConfigError("lambda must be >= 0")
         if self.alpha is not None and self.alpha < 0:
@@ -92,6 +94,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if (self.synthetic is None) == (self.dataset is None):
             raise ConfigError("exactly one of synthetic.* or dataset.* must be configured")
+        synth = self.synthetic
+        if synth is not None and (min(synth.domains, synth.feature_dim) < 1 or synth.avg_degree <= 0
+                                  or synth.nodes_per_domain < 4 or synth.feature_shift < 0):
+            raise ConfigError("synthetic.* needs domains >= 1, nodes_per_domain >= 4, "
+                              "feature_dim >= 1, avg_degree > 0 and feature_shift >= 0")
+        domains = range(synth.domains) if synth is not None else self.dataset
+        if self.attack_domain not in domains:
+            raise ConfigError(f"attack_domain {self.attack_domain} is not a configured domain")
         if self.dataset is not None:
             for dom, spec in self.dataset.items():
                 for key in ("edges", "features"):

@@ -261,6 +261,39 @@ def cosine_rows_backward(
     return da, db
 
 
+def ref_cosines(h: np.ndarray, views_h: list, anchors, refs: np.ndarray) -> np.ndarray:
+    """Cosine of each anchor row of ``h`` to its references: entry (i, c)
+    compares ``h[anchors[i]]`` with node ``refs[i, c]``, read in
+    ``views_h[c]`` for c < len(views_h) and in ``h`` for every later c."""
+    anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
+    s = np.zeros(refs.shape)
+    for p, hv in enumerate(views_h):
+        s[:, p] = cosine_rows(h[anchors], hv[refs[:, p]])
+    rep = np.repeat(anchors, refs.shape[1] - k)
+    s[:, k:] = cosine_rows(h[rep], h[refs[:, k:].ravel()]).reshape(len(anchors), -1)
+    return s
+
+
+def ref_cosines_backward(
+    h: np.ndarray, views_h: list, anchors, refs: np.ndarray, upstream: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Gradients of sum(upstream * ref_cosines(h, views_h, anchors, refs))
+    w.r.t. ``h`` and each view.  Each view column is scattered in turn,
+    then the columns read in ``h``, row-major."""
+    anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
+    dh = np.zeros_like(h)
+    dviews = [np.zeros_like(hv) for hv in views_h]
+    for p, hv in enumerate(views_h):
+        da, db = cosine_rows_backward(h[anchors], hv[refs[:, p]], upstream[:, p])
+        np.add.at(dh, anchors, da)
+        np.add.at(dviews[p], refs[:, p], db)
+    rep, others = np.repeat(anchors, refs.shape[1] - k), refs[:, k:].ravel()
+    da, db = cosine_rows_backward(h[rep], h[others], upstream[:, k:].ravel())
+    np.add.at(dh, rep, da)
+    np.add.at(dh, others, db)
+    return dh, dviews
+
+
 # ---------------------------------------------------------------------------
 # losses (each returns loss and gradient w.r.t. its direct inputs)
 

@@ -58,7 +58,7 @@ def sbm_graph(
     p_out = min(1.0, (1.0 - intra_weight) * avg_degree / max(b1, 1))
 
     rng = substream(seed, "sbm-edges", domain_id)
-    edges: list[tuple[int, int]] = []
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for lo, hi, p in ((0, b0, p_in), (b0, num_nodes, p_in)):
         size = hi - lo
         total = size * (size - 1) // 2
@@ -66,14 +66,14 @@ def sbm_graph(
         if count:
             pick = rng.choice(total, size=count, replace=False)
             iu, ju = triu_pair(size, pick)
-            edges.extend(zip((iu + lo).tolist(), (ju + lo).tolist()))
+            edges.append(np.stack([iu, ju], axis=1) + lo)
     total_cross = b0 * b1
     count = int(rng.binomial(total_cross, p_out))
     if count:
         pick = rng.choice(total_cross, size=count, replace=False)
-        edges.extend(zip((pick // b1).tolist(), (pick % b1 + b0).tolist()))
+        edges.append(np.stack([pick // b1, pick % b1 + b0], axis=1))
 
     frng = substream(seed, "sbm-features", domain_id)
     means = frng.normal(0.0, feature_shift, size=(2, feature_dim))
     features = means[blocks] + feature_noise * frng.normal(size=(num_nodes, feature_dim))
-    return Graph.from_edges(num_nodes, edges, features, domain_id=domain_id)
+    return Graph.from_edges(num_nodes, np.concatenate(edges), features, domain_id=domain_id)

@@ -23,10 +23,10 @@ from .nn import (
     AdamState,
     adam_step,
     bce_with_logits,
-    cosine_rows,
-    cosine_rows_backward,
     glorot,
     info_nce,
+    ref_cosines,
+    ref_cosines_backward,
 )
 from .rng import derive_seed, substream
 
@@ -292,6 +292,27 @@ def _sample_negative_pairs(
     return us, vs
 
 
+def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
+    """BCE on sigmoid(h_u . h_v) over the pairs (us, vs); gradient w.r.t. h."""
+    scores = np.einsum("ij,ij->i", h[us], h[vs])
+    loss, dscores = bce_with_logits(scores, labels)
+    dh = np.zeros_like(h)
+    np.add.at(dh, us, dscores[:, None] * h[vs])
+    np.add.at(dh, vs, dscores[:, None] * h[us])
+    return loss, dh
+
+
+def _view_info_nce(h: np.ndarray, hv: np.ndarray, anchors, negatives, temperature: float):
+    """InfoNCE of each anchor against itself in the view ``hv`` and its row
+    of ``negatives`` in ``h``: the one-view plan row [anchor | negatives].
+    Returns the loss and its gradients w.r.t. ``h`` and ``hv``."""
+    refs = np.concatenate([anchors[:, None], negatives], axis=1)
+    s = ref_cosines(h, [hv], anchors, refs)
+    loss, dpos, dneg = info_nce(s[:, 0], s[:, 1:], temperature)
+    dh, (dhv,) = ref_cosines_backward(h, [hv], anchors, refs, np.column_stack([dpos, dneg]))
+    return loss, dh, dhv
+
+
 def linkpred_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
     """BCE on sigmoid(h_u . h_v) over all edges plus matched random non-edges."""
     edges = graph.edge_array
@@ -304,11 +325,7 @@ def linkpred_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, P
     labels = np.concatenate([np.ones(len(edges)), np.zeros(len(edges))])
 
     h, cache = model.forward(graph)
-    scores = np.einsum("ij,ij->i", h[us], h[vs])
-    loss, dscores = bce_with_logits(scores, labels)
-    dh = np.zeros_like(h)
-    np.add.at(dh, us, dscores[:, None] * h[vs])
-    np.add.at(dh, vs, dscores[:, None] * h[us])
+    loss, dh = _pair_bce(h, us, vs, labels)
     grads, _ = model.backward(cache, dh)
     return loss, grads
 
@@ -318,31 +335,15 @@ def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float
     uniform in-graph negatives."""
     n = graph.num_nodes
     obj = model.objective
-    k = obj.negatives_per_positive
     view = augment_graph(graph, obj, derive_seed(seed, "loss-view"))
     h, cache = model.forward(graph)
     hv, cache_v = model.forward(view)
 
     rng = substream(seed, "contrastive-negatives")
-    raw = rng.integers(0, n - 1, size=(n, k))
-    anchors = np.arange(n)[:, None]
-    neg_idx = raw + (raw >= anchors)
-
-    pos_sim = cosine_rows(h, hv)
-    flat_neg = neg_idx.ravel()
-    rep_anchor = np.repeat(np.arange(n), k)
-    neg_sim = cosine_rows(h[rep_anchor], h[flat_neg]).reshape(n, k)
-
-    loss, dpos, dneg = info_nce(pos_sim, neg_sim, obj.temperature)
-
-    dh = np.zeros_like(h)
-    dhv = np.zeros_like(hv)
-    da, db = cosine_rows_backward(h, hv, dpos)
-    dh += da
-    dhv += db
-    da, db = cosine_rows_backward(h[rep_anchor], h[flat_neg], dneg.ravel())
-    np.add.at(dh, rep_anchor, da)
-    np.add.at(dh, flat_neg, db)
+    raw = rng.integers(0, n - 1, size=(n, obj.negatives_per_positive))
+    anchors = np.arange(n)
+    negatives = raw + (raw >= anchors[:, None])
+    loss, dh, dhv = _view_info_nce(h, hv, anchors, negatives, obj.temperature)
 
     grads, _ = model.backward(cache, dh)
     grads_v, _ = model.backward(cache_v, dhv)
@@ -420,41 +421,25 @@ class NodeLoss:
             dx = np.zeros((1, self.graph.feature_dim)) if want_feature_grad else None
             return 0.0, model.params.zeros_like(), dx
         others, extra = self.draws[draw]
-        domain_id = self.graph.domain_id
-        h, cache = model._forward(self.x, self.a_hat, domain_id)
-        a = int(np.searchsorted(self.ball, self.node))
+        h, cache = model._forward(self.x, self.a_hat, self.graph.domain_id)
+        a = np.searchsorted(self.ball, [self.node])
         b = np.searchsorted(self.ball, others)
-        dh = np.zeros_like(h)
         if self.objective.kind == LINK_PREDICTION:
-            scores = h[b] @ h[a]
-            loss, dscores = bce_with_logits(scores, extra)
-            np.add.at(dh, b, dscores[:, None] * h[a][None, :])
-            dh[a] += dscores @ h[b]
-            grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
-        else:
-            keep_edges, drop_cols = extra
-            # the view's neighbourhoods lie inside the graph's: the ball serves
-            view = _csr_slice(self.graph, keep_edges[self.graph.entry_edges], self.graph.features)
-            xv = self.x.copy()
-            xv[:, drop_cols] = 0.0
-            hv, cache_v = model._forward(xv, ball_matrix(view, self.ball), domain_id)
-            anchor = np.repeat(h[[a]], len(b), axis=0)
-            pos_sim = cosine_rows(h[[a]], hv[[a]])
-            neg_sim = cosine_rows(anchor, h[b])[None, :]
-            loss, dpos, dneg = info_nce(pos_sim, neg_sim, self.objective.temperature)
-            dhv = np.zeros_like(hv)
-            da, db = cosine_rows_backward(h[[a]], hv[[a]], dpos)
-            dh[a] += da[0]
-            dhv[a] += db[0]
-            da, db = cosine_rows_backward(anchor, h[b], dneg[0])
-            dh[a] += da.sum(axis=0)
-            np.add.at(dh, b, db)
-            grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
-            grads_v, dx_v = model.backward(cache_v, dhv, want_feature_grad=want_feature_grad)
-            grads.add_(grads_v)
-            if want_feature_grad:
-                # masked columns of the view contribute nothing to the raw-feature grad
-                dx = dx + dx_v * (~drop_cols)[None, :]
+            loss, dh = _pair_bce(h, np.repeat(a, len(b)), b, extra)
+            return (loss, *model.backward(cache, dh, want_feature_grad=want_feature_grad))
+        keep_edges, drop_cols = extra
+        # the view's neighbourhoods lie inside the graph's: the ball serves
+        view = _csr_slice(self.graph, keep_edges[self.graph.entry_edges], self.graph.features)
+        xv = self.x.copy()
+        xv[:, drop_cols] = 0.0
+        hv, cache_v = model._forward(xv, ball_matrix(view, self.ball), self.graph.domain_id)
+        loss, dh, dhv = _view_info_nce(h, hv, a, b[None, :], self.objective.temperature)
+        grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
+        grads_v, dx_v = model.backward(cache_v, dhv, want_feature_grad=want_feature_grad)
+        grads.add_(grads_v)
+        if want_feature_grad:
+            # masked columns of the view contribute nothing to the raw-feature grad
+            dx = dx + dx_v * (~drop_cols)[None, :]
         return loss, grads, dx
 
 

@@ -123,7 +123,8 @@ class TestSimilarityProfile:
     def test_out_of_range_cosine_rejected(self, linkpred_objective, small_sbm, monkeypatch):
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, 2, seed=8)
-        monkeypatch.setattr(amplify, "cosine_rows", lambda a, b: np.full(len(a), 1.5))
+        monkeypatch.setattr(amplify, "ref_cosines",
+                            lambda h, views_h, anchors, refs: np.full(refs.shape, 1.5))
         with pytest.raises(ValueError):
             similarity_profile(model, plan)
 

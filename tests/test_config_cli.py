@@ -91,6 +91,31 @@ class TestParsing:
         with pytest.raises(ConfigError, match="no such file"):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("text, match", [
+        (SAMPLE + "temperature = 0\n", "temperature must be positive"),
+        (SAMPLE + "negatives_per_positive = 0\n", "at least one negative"),
+        (SAMPLE + "synthetic.domains = 0\n", "domains >= 1"),
+        (SAMPLE + "synthetic.nodes_per_domain = 1\n", "nodes_per_domain >= 4"),
+        (SAMPLE + "synthetic.nodes_per_domain = 3\n", "nodes_per_domain >= 4"),
+        (SAMPLE + "synthetic.feature_dim = 0\n", "feature_dim >= 1"),
+        (SAMPLE + "synthetic.avg_degree = -3\n", "avg_degree > 0"),
+        (SAMPLE + "synthetic.feature_shift = -1\n", "feature_shift >= 0"),
+        (SAMPLE + "attack_domain = 5\n", "attack_domain"),
+        (SAMPLE + "attack_domain = -1\n", "attack_domain"),
+        ("dataset.1.edges = e.tsv\ndataset.1.features = f.txt\n", "attack_domain"),
+    ], ids=[
+        "temperature-0", "negatives-0", "domains-0", "nodes-1", "nodes-3", "feature_dim-0",
+        "avg_degree-neg", "feature_shift-neg", "attack_domain-5", "attack_domain-neg",
+        "attack_domain-not-a-dataset-key",
+    ])
+    def test_rejects_configs_no_seed_can_run(self, tmp_path, text, match):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "f.txt").write_text("2 1\n0\n0\n")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(cfg_path)
+
     def test_alpha_defaults_by_objective(self):
         assert ExperimentConfig(objective="link_prediction").resolved_alpha() == 1.0
         assert ExperimentConfig(objective="contrastive").resolved_alpha() == pytest.approx(1e-2)

@@ -20,6 +20,8 @@ from graphmia.nn import (
     gcn_forward,
     info_nce,
     mlp_forward,
+    ref_cosines,
+    ref_cosines_backward,
 )
 
 from conftest import finite_diff_grads, max_rel_error, path_graph
@@ -162,6 +164,62 @@ class TestCosine:
         # and taking the norm from it read 0.99999999999969 instead of 1
         val, flag = cosine_sim(scale * np.array([1.1e-156, 0.0, 0.0]), [1.0, 0.0, 0.0])
         assert val == 1.0 and not flag
+
+
+class TestRefCosines:
+    """The one cosine kernel behind similarity profiles, distillation and
+    every InfoNCE row, checked entry by entry and by central differences."""
+
+    # anchors 0 repeated; every view column repeats a reference across
+    # rows; the columns read in h repeat one within rows 0 and 2 and hold
+    # an anchor's own id (row 1); node 5 is a zero embedding row in h and
+    # node 4 in the first view
+    ANCHORS = np.array([0, 3, 0, 2])
+    REFS = np.array([[1, 2, 4, 4, 5], [4, 1, 0, 3, 1], [0, 2, 1, 1, 5], [1, 1, 2, 3, 0]])
+
+    def _inputs(self, num_views):
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(6, 4))
+        h[5] = 0.0
+        views_h = [rng.normal(size=(6, 4)) for _ in range(num_views)]
+        if views_h:
+            views_h[0][4] = 0.0
+        return h, views_h, rng.normal(size=self.REFS.shape)
+
+    @pytest.mark.parametrize("num_views", [0, 1, 2])
+    def test_entries_are_plain_cosines(self, num_views):
+        h, views_h, _ = self._inputs(num_views)
+        s = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        for i, a in enumerate(self.ANCHORS):
+            for c, r in enumerate(self.REFS[i]):
+                other = views_h[c][r] if c < num_views else h[r]
+                assert s[i, c] == pytest.approx(cosine_sim(h[a], other)[0], abs=1e-14)
+
+    @pytest.mark.parametrize("num_views", [0, 1, 2])
+    def test_backward_matches_finite_differences(self, num_views):
+        h, views_h, upstream = self._inputs(num_views)
+        dh, dviews = ref_cosines_backward(h, views_h, self.ANCHORS, self.REFS, upstream)
+        assert len(dviews) == num_views
+
+        def loss():
+            return float((upstream * ref_cosines(h, views_h, self.ANCHORS, self.REFS)).sum())
+
+        step = 1e-6
+        zero_rows = [5, 4, None][:1 + num_views]
+        for x, grad, zero_row in zip([h, *views_h], [dh, *dviews], zero_rows):
+            # the cosine of a zero vector is not differentiable; its gradient is zero
+            if zero_row is not None:
+                assert np.all(grad[zero_row] == 0.0)
+            for idx in np.ndindex(*x.shape):
+                if idx[0] == zero_row:
+                    continue
+                orig = x[idx]
+                x[idx] = orig + step
+                up = loss()
+                x[idx] = orig - step
+                down = loss()
+                x[idx] = orig
+                assert grad[idx] == pytest.approx((up - down) / (2.0 * step), abs=1e-8)
 
 
 class TestMLP:
