@@ -1,23 +1,30 @@
-"""Bit-exact parameter checkpoints.
+"""Bit-exact parameter checkpoints and the victim cache they back.
 
 Layout: magic ``MGPM``, version u32 LE, parameter count u32 LE, then per
 parameter: name length u16 LE, UTF-8 name, rows u32 LE, cols u32 LE and
 row-major float64 LE values.  Victim models add a text sidecar with the
-metadata needed to rebuild them.
+metadata needed to rebuild them and, when written by ``pretrain``, the
+``pretrain_key`` that addresses the victim by the inputs it was trained on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .graph import Graph, graph_fingerprint
 from .nn import GCNEncoder, ParamSet
-from .victim import SSLObjective, VictimModel
+from .victim import SSLObjective, TrainConfig, VictimModel
 
 MAGIC = b"MGPM"
 VERSION = 1
+# Part of every pretrain key: bump it whenever a change moves the numbers
+# pretrain_multidomain produces, so that older checkpoints miss the cache.
+PRETRAIN_KEY_VERSION = 1
+
 
 class CheckpointError(ValueError):
     pass
@@ -37,32 +44,70 @@ def save_params(path: str | Path, params: ParamSet) -> None:
 
 
 def load_params(path: str | Path) -> ParamSet:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes {data[:4]!r}")
-    version, count = struct.unpack_from("<II", data, 4)
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc}") from exc
+    offset = 0
+
+    def take(nbytes: int) -> bytes:
+        nonlocal offset
+        if offset + nbytes > len(data):
+            raise CheckpointError(f"{path}: truncated at {len(data)} bytes "
+                                  f"(needs at least {offset + nbytes})")
+        chunk = data[offset:offset + nbytes]
+        offset += nbytes
+        return chunk
+
+    magic = take(4)
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: bad magic bytes {magic!r}")
+    version, count = struct.unpack("<II", take(8))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    offset = 12
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        rows, cols = struct.unpack_from("<II", data, offset)
-        offset += 8
-        nbytes = rows * cols * 8
-        vals = np.frombuffer(data[offset:offset + nbytes], dtype="<f8").astype(np.float64)
-        offset += nbytes
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8") from exc
+        rows, cols = struct.unpack("<II", take(8))
+        vals = np.frombuffer(take(rows * cols * 8), dtype="<f8").astype(np.float64)
         tensors[name] = vals.reshape(rows, cols)
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
     return ParamSet(tensors)
 
 
-def save_victim(path: str | Path, model: VictimModel, seed: int = 0) -> None:
-    """Checkpoint plus ``.meta`` text sidecar (key = value lines)."""
+def victim_path(out_dir: str | Path, seed: int) -> Path:
+    """Where ``pretrain`` checkpoints one seed's victim in an output directory."""
+    return Path(out_dir) / f"victim_seed{seed}.ckpt"
+
+
+def _meta_path(path: Path) -> Path:
+    return path.with_suffix(path.suffix + ".meta")
+
+
+def pretrain_key(
+    member_graphs: list[Graph],
+    objective: SSLObjective,
+    config: TrainConfig,
+    seed: int,
+) -> str:
+    """SHA-256 over the arguments of ``pretrain_multidomain``: equal keys,
+    bit-identical victims.  Graphs enter by content, in domain order."""
+    h = hashlib.sha256()
+    h.update(f"v{PRETRAIN_KEY_VERSION};seed={seed};{objective!r};{config!r}".encode())
+    for graph in sorted(member_graphs, key=lambda g: g.domain_id):
+        h.update(graph_fingerprint(graph).encode())
+    return h.hexdigest()
+
+
+def save_victim(path: str | Path, model: VictimModel, seed: int = 0,
+                key: str | None = None) -> None:
+    """Checkpoint plus ``.meta`` text sidecar (key = value lines); ``key``,
+    when given, is recorded as the ``pretrain_key`` line."""
     path = Path(path)
     save_params(path, model.params)
     obj = model.objective
@@ -79,32 +124,88 @@ def save_victim(path: str | Path, model: VictimModel, seed: int = 0) -> None:
         "trained_epochs": model.trained_epochs,
         "seed": seed,
     }
+    if key is not None:
+        meta["pretrain_key"] = key
     lines = [f"{k} = {v}" for k, v in meta.items()]
-    path.with_suffix(path.suffix + ".meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _meta_path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_victim(path: str | Path) -> VictimModel:
-    path = Path(path)
-    params = load_params(path)
+def read_meta(path: str | Path) -> dict[str, str]:
+    """The ``key = value`` lines of a victim checkpoint's sidecar."""
+    meta_path = _meta_path(Path(path))
+    try:
+        text = meta_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{meta_path}: cannot read: {exc}") from exc
     meta: dict[str, str] = {}
-    for line in path.with_suffix(path.suffix + ".meta").read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if "=" in line:
             k, v = line.split("=", 1)
             meta[k.strip()] = v.strip()
-    objective = SSLObjective(
-        kind=meta["objective"],
-        temperature=float(meta["temperature"]),
-        negatives_per_positive=int(meta["negatives_per_positive"]),
-        edge_drop_rate=float(meta["edge_drop_rate"]),
-        feature_mask_rate=float(meta["feature_mask_rate"]),
-    )
-    domains = [int(d) for d in meta["domains"].split(",") if d]
-    projectors = {d: params.tensors[f"proj.{d}"] for d in domains}
-    layers = int(meta["layers"])
-    weights = [params.tensors[f"gcn.{i}"] for i in range(layers)]
+    return meta
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def load_victim(path: str | Path) -> VictimModel:
+    """Rebuild a victim; the tensor set and every shape must agree with the
+    sidecar, or ``CheckpointError`` names what does not."""
+    path = Path(path)
+    params = load_params(path)
+    meta = read_meta(path)
+    meta_path = _meta_path(path)
+    try:
+        objective = SSLObjective(
+            kind=meta["objective"],
+            temperature=float(meta["temperature"]),
+            negatives_per_positive=int(meta["negatives_per_positive"]),
+            edge_drop_rate=float(meta["edge_drop_rate"]),
+            feature_mask_rate=float(meta["feature_mask_rate"]),
+        )
+        domains = _int_list(meta["domains"])
+        dims = _int_list(meta["domain_dims"])
+        emb_dim = int(meta["emb_dim"])
+        layers = int(meta["layers"])
+        trained_epochs = int(meta["trained_epochs"])
+    except KeyError as exc:
+        raise CheckpointError(f"{meta_path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{meta_path}: malformed value: {exc}") from exc
+    if len(dims) != len(domains) or layers < 1:
+        raise CheckpointError(f"{meta_path}: {len(domains)} domains with {len(dims)} "
+                              f"domain_dims and {layers} layers")
+    expected = {f"proj.{d}": (dim, emb_dim) for d, dim in zip(domains, dims)}
+    expected.update({f"gcn.{i}": (emb_dim, emb_dim) for i in range(layers)})
+    found = {name: t.shape for name, t in params.items()}
+    if found != expected:
+        problems = [f"{name} is {found.get(name, 'missing')}, meta implies {expected.get(name, 'none')}"
+                    for name in sorted(found.keys() | expected.keys())
+                    if found.get(name) != expected.get(name)]
+        raise CheckpointError(f"{path}: " + "; ".join(problems))
     return VictimModel(
-        projectors=projectors,
-        encoder=GCNEncoder(weights=weights),
+        projectors={d: params.tensors[f"proj.{d}"] for d in domains},
+        encoder=GCNEncoder(weights=[params.tensors[f"gcn.{i}"] for i in range(layers)]),
         objective=objective,
-        trained_epochs=int(meta["trained_epochs"]),
+        trained_epochs=trained_epochs,
     )
+
+
+def load_pretrained(
+    path: str | Path,
+    member_graphs: list[Graph],
+    objective: SSLObjective,
+    config: TrainConfig,
+    seed: int,
+) -> VictimModel | None:
+    """The victim checkpointed at ``path`` if its meta records the pretrain
+    key of these inputs, else None (no checkpoint, no meta, no key line or
+    another key).  A matching checkpoint that cannot be loaded raises
+    ``CheckpointError``; it is never silently pre-trained again."""
+    path = Path(path)
+    if not path.is_file() or not _meta_path(path).is_file():
+        return None
+    if read_meta(path).get("pretrain_key") != pretrain_key(member_graphs, objective, config, seed):
+        return None
+    return load_victim(path)

@@ -3,6 +3,9 @@
 Subcommands: ``pretrain``, ``attack``, ``baseline``, ``ablate``,
 ``diagnose``, ``evaluate``, ``scaling``.  All take ``--config`` (flat
 key = value file), ``--seed`` (overrides the config seed) and ``--out``.
+``pretrain`` checkpoints each seed's victim into ``--out``; the commands
+that attack or diagnose it load that checkpoint when its pretrain key
+matches their config and pre-train the victim themselves otherwise.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .baselines import KINDS
-from .checkpoint import save_victim
+from .checkpoint import pretrain_key, save_victim, victim_path
 from .config import ExperimentConfig, load_config
 from .diagnostics import (
     robustness_probe,
@@ -28,12 +31,15 @@ from .experiment import (
     VARIANT_WO_IL,
     VARIANT_WO_UL,
     build_context,
+    prepare_domains,
+    pretrain_args,
     run_experiment,
     runtime_scaling_check,
     summarize_runs,
 )
 from .metrics import MetricsReport
 from .rng import derive_seed
+from .victim import pretrain_multidomain
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -59,12 +65,15 @@ def _print_summary(summary: dict) -> None:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
+    """Checkpoint every seed's victim, keyed by its pretrain inputs, where
+    the other commands writing to the same ``--out`` look for it."""
     cfg = _load(args)
     out = _out_dir(args)
-    ctx = build_context(cfg, cfg.seed)
-    path = out / f"victim_seed{cfg.seed}.ckpt"
-    save_victim(path, ctx.target, seed=cfg.seed)
-    print(f"wrote {path}")
+    for seed in cfg.seeds():
+        pretrain = pretrain_args(cfg, seed, prepare_domains(cfg, seed))
+        path = victim_path(out, seed)
+        save_victim(path, pretrain_multidomain(*pretrain), seed=seed, key=pretrain_key(*pretrain))
+        print(f"wrote {path}")
     return 0
 
 
@@ -95,7 +104,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    ctx = build_context(cfg, cfg.seed)
+    ctx = build_context(cfg, cfg.seed, out)
     dom = ctx.attack_domain
     if args.probe == "pca":
         result, labels = separability_projection(ctx.target, dom.member_graph, dom.nonmember_graph)

@@ -29,6 +29,7 @@ from .attack import (
 )
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import BaselineSpec, ShadowSplit, embed_mia, ge_mia, glo_mia, gpia, grad_mia, nlo_mia
+from .checkpoint import load_pretrained, victim_path
 from .config import ExperimentConfig, config_hash
 from .graph import Graph, GraphPartition, induced_subgraph, load_graph, partition_shadow, split_half
 from .metrics import MetricsReport, accuracy_f1
@@ -252,19 +253,36 @@ def _split_fingerprint(domains: list[DomainData], partition: GraphPartition) -> 
     return h.hexdigest()[:16]
 
 
-def build_context(cfg: ExperimentConfig, seed: int) -> AttackContext:
+def pretrain_args(
+    cfg: ExperimentConfig, seed: int, domains: list[DomainData],
+) -> tuple[list[Graph], SSLObjective, TrainConfig, int]:
+    """The arguments of ``pretrain_multidomain`` for one seed: all the
+    victim depends on, and so all its checkpoint's pretrain key covers."""
+    return (
+        [d.member_graph for d in domains],
+        _objective_from(cfg),
+        TrainConfig(epochs=cfg.epochs_pretrain, lr=cfg.lr_pretrain,
+                    layers=cfg.layers, emb_dim=cfg.emb_dim),
+        derive_seed(seed, "pretrain"),
+    )
+
+
+def build_context(cfg: ExperimentConfig, seed: int,
+                  victim_dir: str | Path | None = None) -> AttackContext:
+    """One seed's shared state.  The victim is loaded from ``victim_dir``
+    when ``pretrain`` checkpointed it there from the same inputs, and
+    pre-trained otherwise; a miss writes nothing."""
     objective = _objective_from(cfg)
     domains = prepare_domains(cfg, seed)
     by_id = {d.graph.domain_id: d for d in domains}
     if cfg.attack_domain not in by_id:
         raise ValueError(f"attack domain {cfg.attack_domain} not among the loaded domains")
-    target = pretrain_multidomain(
-        [d.member_graph for d in domains],
-        objective,
-        TrainConfig(epochs=cfg.epochs_pretrain, lr=cfg.lr_pretrain,
-                    layers=cfg.layers, emb_dim=cfg.emb_dim),
-        seed=derive_seed(seed, "pretrain"),
-    )
+    args = pretrain_args(cfg, seed, domains)
+    target = None
+    if victim_dir is not None:
+        target = load_pretrained(victim_path(victim_dir, seed), *args)
+    if target is None:
+        target = pretrain_multidomain(*args)
     attack_domain = by_id[cfg.attack_domain]
     shadow_graph = attack_domain.nonmember_graph
     partition = partition_shadow(shadow_graph, cfg.unlearn_fraction, derive_seed(seed, "partition"))
@@ -502,7 +520,7 @@ def run_experiment(
     for seed in cfg.seeds():
         stage = "context"
         try:
-            ctx = build_context(cfg, seed)
+            ctx = build_context(cfg, seed, out_path)
             for attack in attacks:
                 if attack == PRIMARY_ATTACK:
                     for variant in variants:

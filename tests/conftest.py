@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads its BLAS: the wall-clock gates
+# (criterion 8 above all) then measure size scaling, not thread scaling.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import re
 
 import numpy as np

@@ -94,3 +94,111 @@ class TestVictimRoundtrip:
         assert not hasattr(loaded, "fallback_domain")
         for k in model.params.names:
             np.testing.assert_array_equal(loaded.params.tensors[k], model.params.tensors[k])
+
+
+class TestTruncated:
+    def test_every_cut_raises_checkpoint_error(self, tmp_path, small_sbm, linkpred_objective):
+        full = tmp_path / "full.ckpt"
+        save_params(full, tiny_model(small_sbm, linkpred_objective).params)
+        data = full.read_bytes()
+        path = tmp_path / "cut.ckpt"
+        for end in range(len(data)):
+            path.write_bytes(data[:end])
+            with pytest.raises(CheckpointError, match="cut.ckpt"):
+                load_params(path)
+
+    @pytest.mark.parametrize("keep", [10, 20, -8])
+    def test_short_tensor(self, tmp_path, keep):
+        path = tmp_path / "m.ckpt"
+        save_params(path, ParamSet({"w": np.arange(12.0).reshape(3, 4)}))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_params(path)
+
+
+def _victim_files(tmp_path, small_sbm, objective):
+    model = tiny_model(small_sbm, objective)
+    path = tmp_path / "victim.ckpt"
+    save_victim(path, model, seed=3)
+    return model, path, tmp_path / "victim.ckpt.meta"
+
+
+def _edit_meta(meta, key, value):
+    """Replace (or, with ``value=None``, drop) one ``key = value`` line."""
+    lines = [line for line in meta.read_text().splitlines() if line.split("=")[0].strip() != key]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    meta.write_text("\n".join(lines) + "\n")
+
+
+class TestVictimMetaChecked:
+    def test_missing_meta(self, tmp_path, small_sbm, linkpred_objective):
+        _, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        meta.unlink()
+        with pytest.raises(CheckpointError, match="victim.ckpt.meta"):
+            load_victim(path)
+
+    @pytest.mark.parametrize("key", [
+        "objective", "temperature", "negatives_per_positive", "edge_drop_rate",
+        "feature_mask_rate", "domains", "domain_dims", "emb_dim", "layers",
+        "trained_epochs",
+    ])
+    def test_missing_key(self, tmp_path, small_sbm, linkpred_objective, key):
+        _, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        _edit_meta(meta, key, None)
+        with pytest.raises(CheckpointError, match=key):
+            load_victim(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("objective", "masked_autoencoder"),
+        ("temperature", "warm"),
+        ("temperature", "0"),
+        ("negatives_per_positive", "1.5"),
+        ("domains", "zero"),
+        ("domains", ""),
+        ("domain_dims", "6,6"),
+        ("emb_dim", "six"),
+        ("layers", "0"),
+        ("trained_epochs", ""),
+    ])
+    def test_malformed_value(self, tmp_path, small_sbm, linkpred_objective, key, value):
+        _, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        _edit_meta(meta, key, value)
+        with pytest.raises(CheckpointError):
+            load_victim(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("domain_dims", "7"),       # projector input dim contradicts the meta
+        ("emb_dim", "5"),
+        ("layers", "1"),            # gcn.1 is extra
+        ("layers", "3"),            # gcn.2 is missing
+        ("domains", "1"),           # proj.1 missing, proj.0 extra
+    ])
+    def test_meta_contradicts_tensors(self, tmp_path, small_sbm, linkpred_objective, key, value):
+        _, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        _edit_meta(meta, key, value)
+        with pytest.raises(CheckpointError):
+            load_victim(path)
+
+    @pytest.mark.parametrize("edit", ["drop proj.0", "drop gcn.1", "add gcn.2", "add extra",
+                                      "reshape gcn.0", "reshape proj.0"])
+    def test_tensor_set_and_shapes(self, tmp_path, small_sbm, linkpred_objective, edit):
+        model, path, _ = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        tensors = dict(model.params.tensors)
+        action, name = edit.split()
+        if action == "drop":
+            del tensors[name]
+        elif action == "add":
+            tensors[name] = np.zeros((6, 6))
+        else:
+            tensors[name] = tensors[name][:, :-1]
+        save_params(path, ParamSet(tensors))
+        with pytest.raises(CheckpointError):
+            load_victim(path)
+
+    def test_no_pretrain_key_still_loads(self, tmp_path, small_sbm, linkpred_objective):
+        model, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        assert "pretrain_key" not in meta.read_text()
+        loaded = load_victim(path)
+        for k in model.params.names:
+            np.testing.assert_array_equal(loaded.params.tensors[k], model.params.tensors[k])
