@@ -29,7 +29,7 @@ from .graph import (
     split_half,
 )
 from .metrics import MetricsReport, accuracy_f1
-from .nn import GCNEncoder, MLP, ParamSet, adam_step, cosine_sim, gcn_forward
+from .nn import GCNEncoder, MLP, ParamSet, adam_step
 from .pca import pca_project
 from .shadow import FisherDiag, ShadowConfig, estimate_fisher, incremental_finetune
 from .synth import sbm_graph

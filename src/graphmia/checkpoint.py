@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, graph_fingerprint
-from .nn import GCNEncoder, ParamSet
+from .nn import ParamSet
 from .victim import SSLObjective, TrainConfig, VictimModel
 
 MAGIC = b"MGPM"
@@ -117,8 +117,8 @@ def save_victim(path: str | Path, model: VictimModel, seed: int = 0,
         "negatives_per_positive": obj.negatives_per_positive,
         "edge_drop_rate": repr(obj.edge_drop_rate),
         "feature_mask_rate": repr(obj.feature_mask_rate),
-        "domains": ",".join(str(d) for d in sorted(model.projectors)),
-        "domain_dims": ",".join(str(model.projectors[d].shape[0]) for d in sorted(model.projectors)),
+        "domains": ",".join(str(d) for d in model.projectors),
+        "domain_dims": ",".join(str(w.shape[0]) for w in model.projectors.values()),
         "emb_dim": model.encoder.output_dim,
         "layers": model.encoder.num_layers,
         "trained_epochs": model.trained_epochs,
@@ -150,8 +150,9 @@ def _int_list(text: str) -> list[int]:
 
 
 def load_victim(path: str | Path) -> VictimModel:
-    """Rebuild a victim; the tensor set and every shape must agree with the
-    sidecar, or ``CheckpointError`` names what does not."""
+    """Rebuild a victim around the ParamSet read from ``path``; its tensors,
+    their shapes and their order must agree with the sidecar, or
+    ``CheckpointError`` names what does not."""
     path = Path(path)
     params = load_params(path)
     meta = read_meta(path)
@@ -176,20 +177,16 @@ def load_victim(path: str | Path) -> VictimModel:
     if len(dims) != len(domains) or layers < 1:
         raise CheckpointError(f"{meta_path}: {len(domains)} domains with {len(dims)} "
                               f"domain_dims and {layers} layers")
-    expected = {f"proj.{d}": (dim, emb_dim) for d, dim in zip(domains, dims)}
+    expected = {f"proj.{d}": (dim, emb_dim) for d, dim in sorted(zip(domains, dims))}
     expected.update({f"gcn.{i}": (emb_dim, emb_dim) for i in range(layers)})
-    found = {name: t.shape for name, t in params.items()}
-    if found != expected:
+    if params.layout != tuple(expected.items()):
+        found = dict(params.layout)
         problems = [f"{name} is {found.get(name, 'missing')}, meta implies {expected.get(name, 'none')}"
                     for name in sorted(found.keys() | expected.keys())
                     if found.get(name) != expected.get(name)]
-        raise CheckpointError(f"{path}: " + "; ".join(problems))
-    return VictimModel(
-        projectors={d: params.tensors[f"proj.{d}"] for d in domains},
-        encoder=GCNEncoder(weights=[params.tensors[f"gcn.{i}"] for i in range(layers)]),
-        objective=objective,
-        trained_epochs=trained_epochs,
-    )
+        raise CheckpointError(f"{path}: " + ("; ".join(problems)
+                                             or f"tensors are not in the order {', '.join(expected)}"))
+    return VictimModel(params, objective, trained_epochs)
 
 
 def load_pretrained(

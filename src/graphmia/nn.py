@@ -3,11 +3,17 @@
 Everything is float64 and every trainable operation has a hand-written
 backward pass returning exact analytic gradients; there is no general
 autodiff.  Forward passes cache exactly what their backward needs.
+
+A model's parameters are one contiguous float64 vector (a ``ParamSet``);
+its named matrices are views into that vector, and its gradients share
+its layout.  Adam, the Fisher estimate and the EWC penalty are therefore
+element-wise operations on whole vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,49 +32,65 @@ class NumericError(FloatingPointError):
 # parameters
 
 
-@dataclass
 class ParamSet:
-    """Ordered, named 2-D float64 matrices with order-stable flattening."""
+    """Named 2-D float64 matrices stored as one contiguous vector.
 
-    tensors: dict[str, np.ndarray]
+    ``layout`` is the tuple of (name, shape) in insertion order, and
+    ``vector`` holds the matrices row-major in that order; ``tensors`` maps
+    each name to a reshaped view into ``vector``.  ``ParamSet(dict)`` copies
+    the matrices in.
+    """
 
-    def __post_init__(self) -> None:
-        for name, t in self.tensors.items():
+    def __init__(self, tensors: dict[str, np.ndarray]) -> None:
+        for name, t in tensors.items():
             if t.ndim != 2 or t.dtype != np.float64:
                 raise ShapeError(f"parameter {name!r} must be a 2-D float64 matrix")
+        self.layout = tuple((name, t.shape) for name, t in tensors.items())
+        self.vector = np.concatenate([np.zeros(0), *(t.ravel() for t in tensors.values())])
+
+    @classmethod
+    def over(cls, vector: np.ndarray, layout: tuple) -> "ParamSet":
+        """The ParamSet whose matrices are views into ``vector`` (no copy)."""
+        ps = cls.__new__(cls)
+        ps.vector, ps.layout = vector, layout
+        return ps
+
+    @cached_property
+    def tensors(self) -> dict[str, np.ndarray]:
+        views, start = {}, 0
+        for name, (rows, cols) in self.layout:
+            views[name] = self.vector[start:start + rows * cols].reshape(rows, cols)
+            start += rows * cols
+        return views
 
     @property
     def names(self) -> list[str]:
-        return list(self.tensors)
+        return [name for name, _ in self.layout]
 
     @property
     def total_len(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return self.vector.size
 
     def items(self):
         return self.tensors.items()
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self.tensors.items()})
+        return ParamSet.over(self.vector.copy(), self.layout)
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self.tensors.items()})
+        return ParamSet.over(np.zeros_like(self.vector), self.layout)
 
     def flat(self) -> np.ndarray:
-        if not self.tensors:
-            return np.zeros(0)
-        return np.concatenate([t.ravel() for t in self.tensors.values()])
+        return self.vector.copy()
 
-    def add_(self, other: "ParamSet", scale: float = 1.0) -> "ParamSet":
-        """In-place self += scale * other; shapes must align."""
-        for k, t in self.tensors.items():
-            o = other.tensors[k]
-            if o.shape != t.shape:
-                raise ShapeError(f"shape mismatch for {k!r}: {t.shape} vs {o.shape}")
-            t += scale * o
+    def check_layout(self, other: "ParamSet") -> None:
+        if other.layout != self.layout:
+            raise ShapeError(f"parameter layout mismatch: {self.layout} vs {other.layout}")
+
+    def add_(self, other: "ParamSet") -> "ParamSet":
+        """In-place self += other; the layouts must be equal."""
+        self.check_layout(other)
+        self.vector += other.vector
         return self
 
 
@@ -86,7 +108,7 @@ class GCNEncoder:
     """Stack of symmetric-normalized aggregation + linear layers.
 
     ReLU between layers, linear output so embeddings are signed.  Weights
-    are named ``gcn.{l}`` and shared into the owning model's ParamSet.
+    are named ``gcn.{l}``; in a model they are views into its ParamSet.
     """
 
     weights: list[np.ndarray]
@@ -144,24 +166,17 @@ class GCNEncoder:
         return grads, dh
 
 
-def gcn_forward(encoder: GCNEncoder, graph, features: np.ndarray) -> np.ndarray:
-    """Embeddings of ``features`` under ``encoder`` on ``graph``."""
-    h, _ = encoder.forward(graph.gcn_matrix, np.asarray(features, dtype=np.float64))
-    return h
-
-
 # ---------------------------------------------------------------------------
 # two-layer MLP
 
 
-@dataclass
 class MLP:
-    """in -> hidden (ReLU) -> out, with biases."""
+    """in -> hidden (ReLU) -> out, with biases.  ``w1``, ``b1``, ``w2`` and
+    ``b2`` are views into the one ParamSet ``params``."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> None:
+        self.params = ParamSet({"mlp.w1": w1, "mlp.b1": b1, "mlp.w2": w2, "mlp.b2": b2})
+        self.w1, self.b1, self.w2, self.b2 = self.params.tensors.values()
 
     @classmethod
     def init(cls, in_dim: int, hidden_dim: int, out_dim: int, seed: int) -> "MLP":
@@ -172,11 +187,6 @@ class MLP:
             w2=glorot(hidden_dim, out_dim, rng),
             b2=np.zeros((1, out_dim)),
         )
-
-    @property
-    def params(self) -> ParamSet:
-        return ParamSet({"mlp.w1": self.w1, "mlp.b1": self.b1,
-                         "mlp.w2": self.w2, "mlp.b2": self.b2})
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -189,13 +199,14 @@ class MLP:
 
     def backward(self, cache: tuple, dlogits: np.ndarray) -> ParamSet:
         x, z1, h1 = cache
-        dw2 = h1.T @ dlogits
-        db2 = dlogits.sum(axis=0, keepdims=True)
-        dh1 = dlogits @ self.w2.T
-        dz1 = dh1 * (z1 > 0.0)
-        dw1 = x.T @ dz1
-        db1 = dz1.sum(axis=0, keepdims=True)
-        return ParamSet({"mlp.w1": dw1, "mlp.b1": db1, "mlp.w2": dw2, "mlp.b2": db2})
+        grads = self.params.zeros_like()
+        dw1, db1, dw2, db2 = grads.tensors.values()
+        dw2[:] = h1.T @ dlogits
+        db2[:] = dlogits.sum(axis=0)
+        dz1 = (dlogits @ self.w2.T) * (z1 > 0.0)
+        dw1[:] = x.T @ dz1
+        db1[:] = dz1.sum(axis=0)
+        return grads
 
 
 def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
@@ -205,27 +216,6 @@ def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # similarity
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """Cosine of two vectors; returns (value, degenerate_flag).
-
-    A zero vector makes the cosine undefined; by convention the value is
-    0.0 and the flag is set instead of raising, because perturbation
-    pipelines can legitimately produce zero embeddings.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError("cosine_sim needs equal-length vectors")
-    # the cosine is scale-free: rescale so that the squared norms of tiny
-    # vectors do not underflow into subnormals and lose their precision
-    scale_a = float(np.abs(a).max(initial=0.0))
-    scale_b = float(np.abs(b).max(initial=0.0))
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0, True
-    a, b = a / scale_a, b / scale_b
-    return float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))), False
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,40 +366,31 @@ def info_nce(
 # Adam
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments aligned with a ParamSet."""
+    """Bias-corrected Adam moments, one vector each, on a ParamSet's layout."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def init(cls, params: ParamSet, lr: float = 1e-3) -> "AdamState":
-        return cls(
-            lr=lr,
-            m={k: np.zeros_like(t) for k, t in params.items()},
-            v={k: np.zeros_like(t) for k, t in params.items()},
-        )
+        return cls(lr=lr, m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
 def adam_step(state: AdamState, params: ParamSet, grads: ParamSet) -> None:
     """One in-place Adam update of ``params`` (and ``state``)."""
+    params.check_layout(grads)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    for k, t in params.items():
-        g = grads.tensors[k]
-        if g.shape != t.shape:
-            raise ShapeError(f"gradient shape mismatch for {k!r}")
-        m = state.m[k]
-        v = state.v[k]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        t -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    g, m, v = grads.vector, state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    params.vector -= state.lr * (m / (1.0 - BETA1 ** state.step)) / (
+        np.sqrt(v / (1.0 - BETA2 ** state.step)) + EPS)

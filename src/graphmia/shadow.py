@@ -19,34 +19,21 @@ from .rng import derive_seed
 from .victim import VictimModel, fine_tune, per_node_ssl_loss
 
 
-@dataclass
-class FisherDiag:
-    """Non-negative per-parameter importance weights aligned with a ParamSet."""
+class FisherDiag(ParamSet):
+    """Non-negative per-parameter importance weights on a model's layout."""
 
-    values: dict[str, np.ndarray]
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        for name, v in self.values.items():
-            if not np.all(np.isfinite(v)) or np.any(v < 0):
-                raise ValueError(f"Fisher entries for {name!r} must be finite and >= 0")
-
-    @property
-    def total_len(self) -> int:
-        return sum(v.size for v in self.values.values())
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self.values.values()])
+    def __init__(self, tensors: dict[str, np.ndarray], sample_count: int) -> None:
+        super().__init__(tensors)
+        self.sample_count = sample_count
+        if not np.all(np.isfinite(self.vector)) or np.any(self.vector < 0):
+            raise ValueError("Fisher entries must be finite and >= 0")
 
     @classmethod
     def uniform(cls, params: ParamSet, value: float = 1.0) -> "FisherDiag":
         return cls({k: np.full_like(t, value) for k, t in params.items()}, sample_count=0)
 
     def aligned_with(self, params: ParamSet) -> bool:
-        return (
-            list(self.values) == params.names
-            and all(self.values[k].shape == params.tensors[k].shape for k in self.values)
-        )
+        return self.layout == params.layout
 
 
 @dataclass(frozen=True)
@@ -72,14 +59,12 @@ def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> Fishe
     """
     if shadow_train.num_nodes == 0:
         raise ValueError("shadow training graph is empty")
-    params = model.params
-    acc = {k: np.zeros_like(t) for k, t in params.items()}
+    acc = model.params.zeros_like()
     for node in range(shadow_train.num_nodes):
         _, grads, _ = per_node_ssl_loss(model, shadow_train, node, derive_seed(seed, "fisher", node))
-        for k, g in grads.items():
-            acc[k] += g * g
-    n = shadow_train.num_nodes
-    return FisherDiag({k: v / n for k, v in acc.items()}, sample_count=n)
+        acc.vector += grads.vector * grads.vector
+    acc.vector /= shadow_train.num_nodes
+    return FisherDiag(acc.tensors, sample_count=shadow_train.num_nodes)
 
 
 def ewc_penalty(
@@ -88,14 +73,9 @@ def ewc_penalty(
     """alpha * sum_i I_i (theta_i - anchor_i)^2 and its exact gradient."""
     if not fisher.aligned_with(params):
         raise ShapeError("Fisher diagonal is not aligned with the parameter set")
-    value = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for k, t in params.items():
-        diff = t - anchor.tensors[k]
-        fi = fisher.values[k]
-        value += float(alpha * np.sum(fi * diff * diff))
-        grads[k] = 2.0 * alpha * fi * diff
-    return value, ParamSet(grads)
+    diff = params.vector - anchor.vector
+    value = float(alpha * np.sum(fisher.vector * diff * diff))
+    return value, ParamSet.over(2.0 * alpha * fisher.vector * diff, params.layout)
 
 
 def incremental_finetune(

@@ -10,7 +10,7 @@ attack pipeline needs: embed, fine-tune, and positive/negative sampling.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,8 @@ class NoPositiveError(ValueError):
 
 class NoNegativeError(ValueError):
     """A negative was requested where every candidate is excluded: a node
-    adjacent to every other node, or a graph without a non-edge."""
+    adjacent to every other node, a graph without a non-edge, or a
+    contrastive graph of fewer than two nodes."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,22 @@ class ForwardCache:
 
 @dataclass
 class VictimModel:
-    """Per-domain projectors plus a shared GCN encoder."""
+    """Per-domain projectors plus a shared GCN encoder.
 
-    projectors: dict[int, np.ndarray]
-    encoder: GCNEncoder
+    ``params`` holds ``proj.<d>`` by ascending domain id, then ``gcn.<i>``;
+    ``projectors`` and ``encoder.weights`` are views into it.
+    """
+
+    params: ParamSet
     objective: SSLObjective
     trained_epochs: int = 0
+    projectors: dict[int, np.ndarray] = field(init=False, repr=False)
+    encoder: GCNEncoder = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tensors = self.params.tensors
+        self.projectors = {int(k[5:]): w for k, w in tensors.items() if k.startswith("proj.")}
+        self.encoder = GCNEncoder([w for k, w in tensors.items() if k.startswith("gcn.")])
 
     @classmethod
     def init(
@@ -104,29 +115,16 @@ class VictimModel:
     ) -> "VictimModel":
         if not domain_dims:
             raise ValueError("need at least one domain")
-        projectors = {
-            d: glorot(dim, config.emb_dim, substream(seed, "proj-init", d))
+        tensors = {
+            f"proj.{d}": glorot(dim, config.emb_dim, substream(seed, "proj-init", d))
             for d, dim in sorted(domain_dims.items())
         }
         dims = [config.emb_dim] * (config.layers + 1)
-        encoder = GCNEncoder.init(dims, seed=derive_seed(seed, "encoder-init"))
-        return cls(projectors=projectors, encoder=encoder, objective=objective)
-
-    @property
-    def params(self) -> ParamSet:
-        tensors: dict[str, np.ndarray] = {}
-        for d in sorted(self.projectors):
-            tensors[f"proj.{d}"] = self.projectors[d]
-        tensors.update(dict(self.encoder.param_items()))
-        return ParamSet(tensors)
+        tensors.update(GCNEncoder.init(dims, seed=derive_seed(seed, "encoder-init")).param_items())
+        return cls(ParamSet(tensors), objective)
 
     def copy(self) -> "VictimModel":
-        return VictimModel(
-            projectors={d: w.copy() for d, w in self.projectors.items()},
-            encoder=GCNEncoder(weights=[w.copy() for w in self.encoder.weights]),
-            objective=self.objective,
-            trained_epochs=self.trained_epochs,
-        )
+        return VictimModel(self.params.copy(), self.objective, self.trained_epochs)
 
     def forward(self, graph: Graph) -> tuple[np.ndarray, ForwardCache]:
         """Embeddings of ``graph`` under its own domain's projector."""
@@ -334,6 +332,8 @@ def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float
     """InfoNCE: every node against itself in one augmented view and K
     uniform in-graph negatives."""
     n = graph.num_nodes
+    if n < 2:
+        raise NoNegativeError(f"contrastive graph on {n} node(s) has no negative")
     obj = model.objective
     view = augment_graph(graph, obj, derive_seed(seed, "loss-view"))
     h, cache = model.forward(graph)

@@ -34,7 +34,7 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {num} ({name.replace('_', ' ')}): {outcome}")
 
 from graphmia.graph import Graph
-from graphmia.nn import ParamSet
+from graphmia.nn import GCNEncoder, ParamSet, ShapeError
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
     LINK_PREDICTION,
@@ -78,6 +78,32 @@ def tiny_model(graph: Graph, objective: SSLObjective, seed: int = 5, emb_dim: in
         TrainConfig(epochs=0, emb_dim=emb_dim, layers=2),
         seed=seed,
     )
+
+
+def gcn_forward(encoder: GCNEncoder, graph: Graph, features: np.ndarray) -> np.ndarray:
+    """Embeddings of ``features`` under ``encoder`` on ``graph``."""
+    h, _ = encoder.forward(graph.gcn_matrix, np.asarray(features, dtype=np.float64))
+    return h
+
+
+def cosine_sim(a, b) -> tuple[float, bool]:
+    """Oracle cosine of two vectors; returns (value, degenerate_flag).
+
+    A zero vector makes the cosine undefined: the value is 0.0 and the
+    flag is set.
+    """
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ShapeError("cosine_sim needs equal-length vectors")
+    # the cosine is scale-free: rescale so that the squared norms of tiny
+    # vectors do not underflow into subnormals and lose their precision
+    scale_a = float(np.abs(a).max(initial=0.0))
+    scale_b = float(np.abs(b).max(initial=0.0))
+    if scale_a == 0.0 or scale_b == 0.0:
+        return 0.0, True
+    a, b = a / scale_a, b / scale_b
+    return float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))), False
 
 
 def finite_diff_grads(loss_fn, params: ParamSet, step: float = 1e-5) -> ParamSet:

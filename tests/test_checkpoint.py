@@ -196,6 +196,14 @@ class TestVictimMetaChecked:
         with pytest.raises(CheckpointError):
             load_victim(path)
 
+    def test_tensor_order(self, tmp_path, small_sbm, linkpred_objective):
+        # the loaded vector is the model's: its tensors must come in layout order
+        model, path, _ = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        tensors = dict(reversed(list(model.params.tensors.items())))
+        save_params(path, ParamSet(tensors))
+        with pytest.raises(CheckpointError, match="not in the order proj.0, gcn.0, gcn.1"):
+            load_victim(path)
+
     def test_no_pretrain_key_still_loads(self, tmp_path, small_sbm, linkpred_objective):
         model, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
         assert "pretrain_key" not in meta.read_text()

@@ -181,7 +181,7 @@ class TestBallExactness:
         model = model_for(graph, kind, 2, seed)
         fisher = estimate_fisher(model, graph, seed)
         n = graph.num_nodes
-        for name, value in fisher.values.items():
+        for name, value in fisher.items():
             want = sum(
                 whole_graph_loss(model, graph, v, derive_seed(seed, "fisher", v))[1].tensors[name] ** 2
                 for v in range(n)

@@ -15,16 +15,15 @@ from graphmia.nn import (
     ShapeError,
     adam_step,
     bce_with_logits,
-    cosine_sim,
     cross_entropy,
-    gcn_forward,
     info_nce,
     mlp_forward,
     ref_cosines,
     ref_cosines_backward,
 )
+from graphmia.victim import LINK_PREDICTION, SSLObjective, TrainConfig, VictimModel, embed
 
-from conftest import finite_diff_grads, max_rel_error, path_graph
+from conftest import cosine_sim, finite_diff_grads, gcn_forward, max_rel_error, path_graph
 
 
 def dense_normalized_adjacency(graph: Graph) -> np.ndarray:
@@ -59,6 +58,58 @@ class TestParamSet:
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):
             ParamSet({"v": np.zeros(3)})
+
+
+class TestOneParameterVector:
+    """A model's parameters are one vector, and its weights are views into it."""
+
+    @staticmethod
+    def _model() -> VictimModel:
+        return VictimModel.init({10: 3, 2: 4}, SSLObjective(LINK_PREDICTION),
+                                TrainConfig(epochs=0, emb_dim=5, layers=2), seed=1)
+
+    def test_layout(self):
+        params = self._model().params
+        assert params.names == ["proj.2", "proj.10", "gcn.0", "gcn.1"]
+        assert params.layout == (("proj.2", (4, 5)), ("proj.10", (3, 5)),
+                                 ("gcn.0", (5, 5)), ("gcn.1", (5, 5)))
+        assert params.vector.ndim == 1 and params.vector.flags.c_contiguous
+        assert params.vector.size == 4 * 5 + 3 * 5 + 2 * 5 * 5
+        np.testing.assert_array_equal(
+            params.vector, np.concatenate([t.ravel() for t in params.tensors.values()]))
+
+    def test_adam_step_through_params_moves_embed(self):
+        model = self._model()
+        g = path_graph(4, feature_dim=4)
+        g = Graph.from_edges(4, g.edge_array, g.features, domain_id=2)
+        before = embed(model, g)
+        grads = model.params.zeros_like()
+        grads.vector[:] = 1.0
+        adam_step(AdamState.init(model.params, lr=0.1), model.params, grads)
+        assert not np.allclose(embed(model, g), before)
+        for w in [*model.projectors.values(), *model.encoder.weights]:
+            assert np.shares_memory(w, model.params.vector)
+
+    def test_copies_share_no_memory(self):
+        model = self._model()
+        copy = model.copy()
+        assert not np.shares_memory(copy.params.vector, model.params.vector)
+        np.testing.assert_array_equal(copy.params.vector, model.params.vector)
+        for w in [*copy.projectors.values(), *copy.encoder.weights]:
+            assert not np.shares_memory(w, model.params.vector)
+        for source in ({"w": np.ones((2, 3))}, {"a": np.ones((2, 3)), "b": np.zeros((1, 1))}):
+            ps = ParamSet(source)
+            assert not any(np.shares_memory(ps.vector, t) for t in source.values())
+
+    def test_other_layout_raises(self):
+        params = ParamSet({"a": np.zeros((2, 2)), "b": np.zeros((1, 2))})
+        for other in (ParamSet({"b": np.ones((1, 2)), "a": np.ones((2, 2))}),
+                      ParamSet({"a": np.ones((1, 4)), "b": np.ones((1, 2))})):
+            with pytest.raises(ShapeError):
+                adam_step(AdamState.init(params), params, other)
+            with pytest.raises(ShapeError):
+                params.add_(other)
+        assert not params.vector.any()
 
 
 class TestGCNForward:
@@ -121,6 +172,8 @@ class TestGCNForward:
         h, cache = enc.forward(a_hat, g.features)
         grads, _ = enc.backward(a_hat, cache, 2.0 * (h - target))
         params = ParamSet(dict(enc.param_items()))
+        # ParamSet(dict) copies: perturb the encoder through its views
+        enc.weights = list(params.tensors.values())
         numeric = finite_diff_grads(loss_fn, params)
         analytic = ParamSet({f"gcn.{i}": gw for i, gw in enumerate(grads)})
         assert max_rel_error(analytic, numeric) < 1e-4
@@ -306,6 +359,26 @@ class TestAdam:
             return params.tensors["w"]
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_matches_per_tensor_reference(self):
+        # the update is element-wise, so one vector gives the bytes of a
+        # loop over the tensors
+        rng = np.random.default_rng(8)
+        params = ParamSet({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 5))})
+        want = {k: t.copy() for k, t in params.items()}
+        m = {k: np.zeros_like(t) for k, t in want.items()}
+        v = {k: np.zeros_like(t) for k, t in want.items()}
+        state = AdamState.init(params, lr=0.01)
+        for step in range(1, 11):
+            grads = ParamSet({k: rng.normal(size=t.shape) for k, t in want.items()})
+            adam_step(state, params, grads)
+            for k, t in want.items():
+                g = grads.tensors[k]
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+                t -= 0.01 * (m[k] / (1.0 - 0.9 ** step)) / (np.sqrt(v[k] / (1.0 - 0.999 ** step)) + 1e-8)
+        for k, t in want.items():
+            np.testing.assert_array_equal(params.tensors[k], t)
 
     def test_shape_mismatch(self):
         params = ParamSet({"w": np.zeros((2, 2))})

@@ -48,7 +48,7 @@ class TestEstimateFisher:
 
         monkeypatch.setattr(shadow_mod, "per_node_ssl_loss", fake_loss)
         fisher = estimate_fisher(model, g, seed=0)
-        for v in fisher.values.values():
+        for v in fisher.tensors.values():
             np.testing.assert_allclose(v, 5.0)
         assert fisher.sample_count == 2
 
@@ -89,6 +89,23 @@ class TestEwcPenalty:
         numeric = finite_diff_grads(lambda: ewc_penalty(params, anchor, fisher, 0.7)[0], params)
         assert max_rel_error(grads, numeric) < 1e-6
         assert value > 0
+
+    def test_matches_per_tensor_reference(self, small_sbm, linkpred_objective):
+        # one flat sum reorders the value's summation: equal to within a few
+        # ulps of float64; the gradient is element-wise and stays exact
+        model = tiny_model(small_sbm, linkpred_objective)
+        params, rng = model.params, np.random.default_rng(6)
+        anchor = params.copy()
+        anchor.vector += rng.normal(scale=0.2, size=anchor.vector.size)
+        fisher = FisherDiag({k: rng.uniform(0, 2, size=t.shape) for k, t in params.items()},
+                            sample_count=1)
+        value, grads = ewc_penalty(params, anchor, fisher, alpha=0.7)
+        want = 0.0
+        for k, t in params.items():
+            diff = t - anchor.tensors[k]
+            want += float(0.7 * np.sum(fisher.tensors[k] * diff * diff))
+            np.testing.assert_array_equal(grads.tensors[k], 2.0 * 0.7 * fisher.tensors[k] * diff)
+        assert value == pytest.approx(want, rel=1e-14)
 
     def test_zero_at_anchor(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)

@@ -7,7 +7,6 @@ import pytest
 
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, split_half
 from graphmia.rng import derive_seed
-from graphmia.nn import gcn_forward
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
     CONTRASTIVE,
@@ -31,7 +30,7 @@ from graphmia.victim import (
     view_seed,
 )
 
-from conftest import finite_diff_grads, max_rel_error, tiny_model
+from conftest import finite_diff_grads, gcn_forward, max_rel_error, tiny_model
 
 
 def star_graph(leaves: int = 5, feature_dim: int = 2, spare: int = 4) -> Graph:
@@ -172,8 +171,9 @@ class TestSampling:
 
 
 class TestDegenerateNodes:
-    """A hub adjacent to every other node has no negative and a complete
-    graph has no non-edge: both give a typed error or a counted skip."""
+    """A hub adjacent to every other node has no negative, a complete graph
+    has no non-edge and a one-node contrastive graph has no other node: each
+    gives a typed error or a counted skip."""
 
     @staticmethod
     def _star12() -> Graph:
@@ -215,6 +215,12 @@ class TestDegenerateNodes:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_one_node_contrastive_graph_raises(self, contrastive_objective):
+        g = Graph.from_edges(1, [], np.ones((1, 3)))
+        model = tiny_model(g, contrastive_objective)
+        with pytest.raises(NoNegativeError, match="on 1 node"):
+            contrastive_loss(model, g, seed=0)
 
     def test_one_non_edge_is_drawn_without_rejection(self):
         class CountingRng:
