@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .graph import partition_sizes
 from .victim import LINK_PREDICTION, SSLObjective
 
 
@@ -99,6 +100,16 @@ class ExperimentConfig:
                                   or synth.nodes_per_domain < 4 or synth.feature_shift < 0):
             raise ConfigError("synthetic.* needs domains >= 1, nodes_per_domain >= 4, "
                               "feature_dim >= 1, avg_degree > 0 and feature_shift >= 0")
+        if synth is not None:
+            # the shadow graph is the attack domain's non-member half, the
+            # smaller half for odd sizes; a one-node part has no contrastive
+            # negative and no link-prediction positive
+            shadow = synth.nodes_per_domain // 2
+            sizes = partition_sizes(shadow, self.unlearn_fraction)
+            if min(sizes) < 2:
+                raise ConfigError(
+                    f"unlearn_fraction {self.unlearn_fraction} splits the {shadow}-node shadow graph "
+                    f"into unlearn, train and test parts of {sizes} nodes; each needs at least 2")
         domains = range(synth.domains) if synth is not None else self.dataset
         if self.attack_domain not in domains:
             raise ConfigError(f"attack_domain {self.attack_domain} is not a configured domain")

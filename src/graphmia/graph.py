@@ -88,13 +88,17 @@ class Graph:
         return _read_only(np.stack([rows[upper], self.indices[upper]], axis=1))
 
     @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """Key ``u * num_nodes + v`` of each row (u, v) of ``edge_array``;
+        strictly increasing, so an edge is found by binary search."""
+        return _read_only(self.edge_array[:, 0] * self.num_nodes + self.edge_array[:, 1])
+
+    @cached_property
     def entry_edges(self) -> np.ndarray:
         """Row of ``edge_array`` that each entry of ``indices`` belongs to."""
         rows = self._rows()
-        n = self.num_nodes
-        keys = np.minimum(rows, self.indices) * n + np.maximum(rows, self.indices)
-        edge_keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]
-        return _read_only(np.searchsorted(edge_keys, keys))
+        keys = np.minimum(rows, self.indices) * self.num_nodes + np.maximum(rows, self.indices)
+        return _read_only(np.searchsorted(self.edge_keys, keys))
 
     def row_entries(self, nodes: np.ndarray) -> np.ndarray:
         """Positions in ``indices`` of the neighbor entries of ``nodes``,
@@ -312,19 +316,22 @@ class GraphPartition:
             raise DegenerateSplitError("partition parts overlap")
 
 
-def partition_shadow(graph: Graph, unlearn_fraction: float, seed: int) -> GraphPartition:
-    """Split a shadow graph into unlearn / train / test node sets.
+def partition_sizes(n: int, unlearn_fraction: float) -> tuple[int, int, int]:
+    """Unlearn / train / test sizes of :func:`partition_shadow` on ``n``
+    nodes: ``round(unlearn_fraction * n)`` unlearn nodes, the remainder
+    halved (train receives the extra node for odd remainders)."""
+    n_unlearn = int(round(unlearn_fraction * n))
+    n_train = math.ceil((n - n_unlearn) / 2)
+    return n_unlearn, n_train, n - n_unlearn - n_train
 
-    ``round(unlearn_fraction * n)`` nodes go to the unlearn set; the
-    remainder is halved (train receives the extra node for odd remainders).
-    """
+
+def partition_shadow(graph: Graph, unlearn_fraction: float, seed: int) -> GraphPartition:
+    """Split a shadow graph into unlearn / train / test node sets of
+    :func:`partition_sizes`."""
     if not 0.0 < unlearn_fraction < 1.0:
         raise ValueError("unlearn_fraction must lie in (0, 1)")
     n = graph.num_nodes
-    n_unlearn = int(round(unlearn_fraction * n))
-    rest = n - n_unlearn
-    n_train = math.ceil(rest / 2)
-    n_test = rest - n_train
+    n_unlearn, n_train, n_test = partition_sizes(n, unlearn_fraction)
     if min(n_unlearn, n_train, n_test) < 1:
         raise DegenerateSplitError(
             f"fraction {unlearn_fraction} on {n} nodes yields sizes "

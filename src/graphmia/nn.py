@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
+import scipy.sparse as sp
 
 from .rng import substream
 
@@ -215,6 +217,30 @@ def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# scatter-add
+
+
+def scatter_matrix(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray,
+                   shape: tuple[int, int]) -> sp.csr_array:
+    """The CSR operator S of ``shape`` with S[targets[i], sources[i]] +=
+    weights[i], duplicates kept as separate entries.
+
+    ``S @ x`` equals, bit for bit, ``out = zeros((shape[0], x.shape[1]))``
+    followed by ``np.add.at(out, targets, weights[:, None] * x[sources])``:
+    the entries are stored by target with a stable sort, so each row keeps
+    its terms in index order, and the CSR product starts each row at zero
+    and adds one ``weight * x[source]`` row at a time in stored order.
+    Building S costs O(len(targets) + shape[0]) memory; the product
+    forms no (len(targets) x dim) array.
+    """
+    # the narrowest unsigned type lets numpy radix-sort targets below 2**16
+    order = np.argsort(targets.astype(np.min_scalar_type(max(shape[0] - 1, 0))), kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_array((weights[order], sources[order], indptr), shape=shape)
+
+
+# ---------------------------------------------------------------------------
 # similarity
 
 
@@ -268,20 +294,28 @@ def ref_cosines_backward(
     h: np.ndarray, views_h: list, anchors, refs: np.ndarray, upstream: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Gradients of sum(upstream * ref_cosines(h, views_h, anchors, refs))
-    w.r.t. ``h`` and each view.  Each view column is scattered in turn,
-    then the columns read in ``h``, row-major."""
+    w.r.t. ``h`` and each view.
+
+    All of them come from one :func:`scatter_matrix` product over the
+    rows of ``h`` stacked on those of each view, so each gradient has the
+    bits of ``np.add.at`` applied term after term in this order: into
+    ``h``, the anchor rows of view column 0, 1, ..., then the anchor rows
+    of the columns read in ``h`` and last their reference rows, both
+    row-major; into view p, the reference rows of column p.
+    """
     anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
-    dh = np.zeros_like(h)
-    dviews = [np.zeros_like(hv) for hv in views_h]
+    starts = list(accumulate([len(h), *(len(hv) for hv in views_h)], initial=0))
+    targets, terms = [], []
     for p, hv in enumerate(views_h):
         da, db = cosine_rows_backward(h[anchors], hv[refs[:, p]], upstream[:, p])
-        np.add.at(dh, anchors, da)
-        np.add.at(dviews[p], refs[:, p], db)
+        targets += [anchors, refs[:, p] + starts[p + 1]]
+        terms += [da, db]
     rep, others = np.repeat(anchors, refs.shape[1] - k), refs[:, k:].ravel()
     da, db = cosine_rows_backward(h[rep], h[others], upstream[:, k:].ravel())
-    np.add.at(dh, rep, da)
-    np.add.at(dh, others, db)
-    return dh, dviews
+    targets, terms = np.concatenate([*targets, rep, others]), np.concatenate([*terms, da, db])
+    m = len(terms)
+    grads = scatter_matrix(targets, np.arange(m), np.ones(m), (starts[-1], m)) @ terms
+    return grads[:len(h)], [grads[a:b] for a, b in zip(starts[1:], starts[2:])]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ attack pipeline needs: embed, fine-tune, and positive/negative sampling.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .nn import (
     info_nce,
     ref_cosines,
     ref_cosines_backward,
+    scatter_matrix,
 )
 from .rng import derive_seed, substream
 
@@ -187,9 +187,24 @@ def view_seed(seed: int, view_index: int) -> int:
     return derive_seed(seed, "view", view_index)
 
 
+def _block_size(need: int, accept: float) -> int:
+    """Draws for one block of rejection sampling: enough for ``need``
+    acceptances at rate ``accept`` in one block, but for rare shortfalls."""
+    return int(1.1 * need / accept) + 8
+
+
 def _sample_distinct(rng: np.random.Generator, n: int, exclude: set[int], count: int) -> list[int]:
     """Uniform sample of ``count`` nodes outside ``exclude``; falls back to
-    replacement only when the eligible pool is smaller than ``count``."""
+    replacement only when the eligible pool is smaller than ``count``.
+
+    A pool of at most ``max(4 * count, 16)`` nodes is sampled with one
+    ``rng.choice``.  A larger one is rejection-sampled: the result is the
+    first ``count`` distinct draws of ``rng.integers(n)`` outside
+    ``exclude``.  The draws come in blocks, which numpy's Generator fills
+    with the same integers as one scalar call per draw, so the result is
+    that of the scalar loop; ``rng`` is left past the block's surplus
+    draws, so callers pass a generator of their own.
+    """
     pool_size = n - len(exclude)
     if pool_size <= 0:
         raise NoNegativeError("no eligible nodes to sample")
@@ -200,11 +215,13 @@ def _sample_distinct(rng: np.random.Generator, n: int, exclude: set[int], count:
     chosen: list[int] = []
     taken = set(exclude)
     while len(chosen) < count:
-        v = int(rng.integers(n))
-        if v in taken:
-            continue
-        taken.add(v)
-        chosen.append(v)
+        block = rng.integers(n, size=_block_size(count - len(chosen), (pool_size - len(chosen)) / n))
+        for v in block.tolist():
+            if v not in taken:
+                taken.add(v)
+                chosen.append(v)
+                if len(chosen) == count:
+                    break
     return chosen
 
 
@@ -258,6 +275,14 @@ def _sample_negative_pairs(
     non-edges: rejection then needs more than four draws per pair, without
     bound as the graph nears complete, so the ordered non-edges are
     enumerated instead (O(n^2), which is O(E) at that density).
+
+    Rejection returns the first ``count`` pairs of the stream u, v, u, v,
+    ... of ``rng.integers(n)`` draws that are neither a self-pair nor an
+    edge.  The stream is drawn in blocks sized from the non-edge share, so
+    one block usually suffices; numpy's Generator fills a block with the
+    same integers as one scalar call per draw, so the pairs are those of
+    a draw-by-draw loop.  ``rng`` is left past the block's surplus draws,
+    so callers pass a generator of their own.
     """
     n = graph.num_nodes
     pairs = n * (n - 1) // 2
@@ -270,34 +295,32 @@ def _sample_negative_pairs(
         us, vs = np.nonzero(free)
         pick = rng.integers(len(us), size=count)
         return us[pick], vs[pick]
-    starts = graph.indptr.tolist()
-    indices = graph.indices.tolist()
-    us = np.empty(count, dtype=np.int64)
-    vs = np.empty(count, dtype=np.int64)
-    got = 0
-    while got < count:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        # binary search for v in u's neighbor row
-        i = bisect_left(indices, v, starts[u], starts[u + 1])
-        if i < starts[u + 1] and indices[i] == v:
-            continue
-        us[got] = u
-        vs[got] = v
-        got += 1
+    # n * n is above every edge key: searchsorted never runs off the end
+    keys = np.append(graph.edge_keys, n * n)
+    kept = [np.empty((0, 2), dtype=np.int64)]
+    need = count
+    while need > 0:
+        draws = rng.integers(n, size=(_block_size(need, 2 * (pairs - graph.num_edges) / n**2), 2))
+        key = draws.min(axis=1) * n + draws.max(axis=1)
+        ok = (draws[:, 0] != draws[:, 1]) & (keys[np.searchsorted(keys, key)] != key)
+        kept.append(draws[ok][:need])
+        need -= len(kept[-1])
+    us, vs = np.concatenate(kept).T
     return us, vs
 
 
 def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
-    """BCE on sigmoid(h_u . h_v) over the pairs (us, vs); gradient w.r.t. h."""
+    """BCE on sigmoid(h_u . h_v) over the pairs (us, vs); gradient w.r.t. h.
+
+    The gradient is one pair-operator product with the bits of
+    ``np.add.at(dh, us, dscores * h[vs])`` followed by
+    ``np.add.at(dh, vs, dscores * h[us])`` (see :func:`scatter_matrix`).
+    """
     scores = np.einsum("ij,ij->i", h[us], h[vs])
     loss, dscores = bce_with_logits(scores, labels)
-    dh = np.zeros_like(h)
-    np.add.at(dh, us, dscores[:, None] * h[vs])
-    np.add.at(dh, vs, dscores[:, None] * h[us])
-    return loss, dh
+    pair_op = scatter_matrix(np.concatenate([us, vs]), np.concatenate([vs, us]),
+                             np.concatenate([dscores, dscores]), (len(h), len(h)))
+    return loss, pair_op @ h
 
 
 def _view_info_nce(h: np.ndarray, hv: np.ndarray, anchors, negatives, temperature: float):

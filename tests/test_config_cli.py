@@ -103,10 +103,23 @@ class TestParsing:
         (SAMPLE + "attack_domain = 5\n", "attack_domain"),
         (SAMPLE + "attack_domain = -1\n", "attack_domain"),
         ("dataset.1.edges = e.tsv\ndataset.1.features = f.txt\n", "attack_domain"),
+        # shadow graph of 6 nodes, parts (1, 3, 2): a one-node contrastive unlearn graph
+        (SAMPLE + "objective = contrastive\nsynthetic.nodes_per_domain = 12\n"
+         "unlearn_fraction = 0.1\n", r"\(1, 3, 2\)"),
+        (SAMPLE + "synthetic.nodes_per_domain = 12\nunlearn_fraction = 0.1\n", r"\(1, 3, 2\)"),
+        # 5 nodes, (2, 2, 1): a one-node shadow-test graph
+        (SAMPLE + "objective = contrastive\nsynthetic.nodes_per_domain = 10\n"
+         "unlearn_fraction = 0.4\n", r"\(2, 2, 1\)"),
+        # 4 nodes, (2, 1, 1): a one-node shadow-train graph
+        (SAMPLE + "objective = contrastive\nsynthetic.nodes_per_domain = 8\n"
+         "unlearn_fraction = 0.5\n", r"\(2, 1, 1\)"),
+        # 2 nodes, (0, 1, 1): an empty unlearn set
+        (SAMPLE + "synthetic.nodes_per_domain = 4\n", r"\(0, 1, 1\)"),
     ], ids=[
         "temperature-0", "negatives-0", "domains-0", "nodes-1", "nodes-3", "feature_dim-0",
         "avg_degree-neg", "feature_shift-neg", "attack_domain-5", "attack_domain-neg",
-        "attack_domain-not-a-dataset-key",
+        "attack_domain-not-a-dataset-key", "contrastive-unlearn-1", "linkpred-unlearn-1",
+        "shadow-test-1", "shadow-train-1", "unlearn-0",
     ])
     def test_rejects_configs_no_seed_can_run(self, tmp_path, text, match):
         (tmp_path / "e.tsv").write_text("0\t1\n")
@@ -115,6 +128,13 @@ class TestParsing:
         cfg_path.write_text(text)
         with pytest.raises(ConfigError, match=match):
             load_config(cfg_path)
+
+    @pytest.mark.parametrize("objective", ["contrastive", "link_prediction"])
+    def test_accepts_two_node_shadow_parts(self, objective):
+        # 12 nodes per domain: a 6-node shadow graph split (2, 2, 2)
+        cfg = parse_config(SAMPLE + f"objective = {objective}\nsynthetic.nodes_per_domain = 12\n"
+                           "unlearn_fraction = 0.34\n")
+        assert cfg.unlearn_fraction == 0.34
 
     def test_alpha_defaults_by_objective(self):
         assert ExperimentConfig(objective="link_prediction").resolved_alpha() == 1.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,22 @@ from graphmia.nn import (
     ShapeError,
     adam_step,
     bce_with_logits,
+    cosine_rows_backward,
     cross_entropy,
     info_nce,
     mlp_forward,
     ref_cosines,
     ref_cosines_backward,
+    scatter_matrix,
 )
-from graphmia.victim import LINK_PREDICTION, SSLObjective, TrainConfig, VictimModel, embed
+from graphmia.victim import (
+    LINK_PREDICTION,
+    SSLObjective,
+    TrainConfig,
+    VictimModel,
+    _pair_bce,
+    embed,
+)
 
 from conftest import cosine_sim, finite_diff_grads, gcn_forward, max_rel_error, path_graph
 
@@ -273,6 +283,105 @@ class TestRefCosines:
                 down = loss()
                 x[idx] = orig
                 assert grad[idx] == pytest.approx((up - down) / (2.0 * step), abs=1e-8)
+
+
+def add_at_ref_cosines_backward(h, views_h, anchors, refs, upstream):
+    """Reference: ``ref_cosines_backward`` as np.add.at calls, each view
+    column in turn, then the columns read in ``h``."""
+    anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
+    dh = np.zeros_like(h)
+    dviews = [np.zeros_like(hv) for hv in views_h]
+    for p, hv in enumerate(views_h):
+        da, db = cosine_rows_backward(h[anchors], hv[refs[:, p]], upstream[:, p])
+        np.add.at(dh, anchors, da)
+        np.add.at(dviews[p], refs[:, p], db)
+    rep, others = np.repeat(anchors, refs.shape[1] - k), refs[:, k:].ravel()
+    da, db = cosine_rows_backward(h[rep], h[others], upstream[:, k:].ravel())
+    np.add.at(dh, rep, da)
+    np.add.at(dh, others, db)
+    return dh, dviews
+
+
+class TestScatterMatrix:
+    """``scatter_matrix(...) @ x`` against the np.add.at loop it replaces,
+    byte for byte."""
+
+    @staticmethod
+    def add_at(targets, sources, weights, n, x):
+        out = np.zeros((n, x.shape[1]))
+        np.add.at(out, targets, weights[:, None] * x[sources])
+        return out
+
+    @staticmethod
+    def wide_values(rng, shape):
+        """Signed values whose magnitudes span 1e-5 to 1e5."""
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+
+    @pytest.mark.parametrize("n, pairs", [(1, 7), (5, 200), (50, 30), (300, 5000)])
+    def test_matches_add_at(self, n, pairs):
+        rng = np.random.default_rng(n + pairs)
+        x = self.wide_values(rng, (n, 6))
+        # few targets among many pairs: long runs of duplicates in random
+        # order; many targets among few pairs: rows nothing references
+        targets, sources = rng.integers(n, size=pairs), rng.integers(n, size=pairs)
+        weights = self.wide_values(rng, pairs)
+        got = scatter_matrix(targets, sources, weights, (n, n)) @ x
+        assert got.tobytes() == self.add_at(targets, sources, weights, n, x).tobytes()
+
+    def test_unreferenced_rows_and_empty_index(self):
+        x = np.random.default_rng(0).normal(size=(4, 3))
+        got = scatter_matrix(np.array([3, 3]), np.array([0, 1]), np.array([1.0, -2.0]), (6, 4)) @ x
+        assert np.all(got[:3] == 0.0) and np.all(got[4:] == 0.0)
+        assert got[3].tobytes() == (x[0] - 2.0 * x[1]).tobytes()
+        empty = np.array([], dtype=np.int64)
+        got = scatter_matrix(empty, empty, np.array([]), (6, 4)) @ x
+        assert got.shape == (6, 3) and got.tobytes() == np.zeros((6, 3)).tobytes()
+
+    @pytest.mark.parametrize("one_anchor", [False, True])
+    def test_pair_bce_is_two_add_at_passes(self, one_anchor):
+        rng = np.random.default_rng(4)
+        n, pairs = 40, 300
+        h = self.wide_values(rng, (n, 8)) * 1e-4
+        us = np.full(pairs, 7) if one_anchor else rng.integers(n, size=pairs)
+        vs = rng.integers(n, size=pairs)
+        labels = (rng.random(pairs) < 0.5).astype(float)
+        loss, dh = _pair_bce(h, us, vs, labels)
+        ref_loss, dscores = bce_with_logits(np.einsum("ij,ij->i", h[us], h[vs]), labels)
+        ref = np.zeros_like(h)
+        np.add.at(ref, us, dscores[:, None] * h[vs])
+        np.add.at(ref, vs, dscores[:, None] * h[us])
+        assert loss == ref_loss and dh.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("num_views", [0, 1, 2])
+    def test_ref_cosines_backward_is_add_at_order(self, num_views):
+        rng = np.random.default_rng(num_views)
+        n, rows, cols = 30, 200, 6
+        h = self.wide_values(rng, (n, 5))
+        h[3] = 0.0
+        views_h = [self.wide_values(rng, (n, 5)) for _ in range(num_views)]
+        anchors = rng.integers(n, size=rows)
+        refs = rng.integers(n, size=(rows, cols))
+        upstream = rng.normal(size=(rows, cols))
+        dh, dviews = ref_cosines_backward(h, views_h, anchors, refs, upstream)
+        ref_dh, ref_dviews = add_at_ref_cosines_backward(h, views_h, anchors, refs, upstream)
+        assert dh.tobytes() == ref_dh.tobytes()
+        assert [d.tobytes() for d in dviews] == [d.tobytes() for d in ref_dviews]
+
+    def test_memory_linear_in_pairs_plus_rows(self):
+        """Building and applying the operator holds O(pairs + n * dim)
+        bytes, never a (pairs x dim) array (10 MB here)."""
+        rng = np.random.default_rng(5)
+        n, pairs, dim = 64, 20_000, 64
+        x = rng.normal(size=(n, dim))
+        targets, sources = rng.integers(n, size=pairs), rng.integers(n, size=pairs)
+        weights = rng.normal(size=pairs)
+        tracemalloc.start()
+        try:
+            scatter_matrix(targets, sources, weights, (n, n)) @ x
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * pairs + 2 * 8 * n * dim < 8 * pairs * dim / 3
 
 
 class TestMLP:
