@@ -48,8 +48,7 @@ class UnlearnConfig:
     distill_epochs: int = 50
     lr_augment: float = 1e-3
     lr_distill: float = 1e-3
-    num_positive: int = 5
-    num_negative: int = 5
+    num_samples: int = 5  # positives per node, and as many negatives
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -209,8 +208,8 @@ def unlearn(
         unlearn_graph,
         range(unlearn_graph.num_nodes),
         target.objective,
-        config.num_positive,
-        config.num_negative,
+        config.num_samples,
+        config.num_samples,
         derive_seed(seed, "unlearn-plan"),
     )
     if not plan.nodes:

@@ -6,61 +6,34 @@ takes a list of query graphs and a matching list of query node sets (the
 query sides) and returns one prediction dict per side, all in the same
 schema: node -> (label, membership score).  The five shadow-trained
 attacks fit their decision rule once per call and answer every side from it.
+Protocol settings are the module constants below, read at call time.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attack import AttackTrainConfig, classify, fit_mlp_classifier
 from .graph import Graph, perturb_edges
 from .nn import AdamState, adam_step, cosine_rows, NumericError
-from .rng import derive_seed
+from .rng import derive_seed, substream
 from .victim import NodeLoss, VictimModel, embed
 
 KINDS = ("embed-mia", "grad-mia", "nlo-mia", "glo-mia", "ge-mia", "gpia")
 
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    kind: str
-    k_perturb: int = 10
-    edge_fraction: float = 0.0015
-    reference_members: int = 20
-    reference_nonmembers: int = 20
-    finetune_epochs: int = 10
-    finetune_lr: float = 1e-3
-    attack: AttackTrainConfig = field(default_factory=AttackTrainConfig)
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.k_perturb < 2:
-            raise ValueError("need at least two perturbed views")
-        if not 0.0 <= self.edge_fraction <= 1.0:
-            raise ValueError("edge_fraction must lie in [0, 1]")
-        if self.reference_members < 1 or self.reference_nonmembers < 1:
-            raise ValueError("reference counts must be positive")
-        if self.finetune_epochs < 0:
-            raise ValueError("finetune_epochs must be >= 0")
-
-
-@dataclass
-class ShadowSplit:
-    """Materialized shadow train/test subgraphs; all their nodes are used."""
-
-    train_graph: Graph
-    test_graph: Graph
-
+K_PERTURB = 10  # perturbed views of each graph (NLO-MIA, GLO-MIA)
+EDGE_FRACTION = 0.0015  # edge edits per view, as a fraction of the edge count
+GE_REFERENCES = 20  # GE-MIA reference nodes per side
+GPIA_EPOCHS = 10  # GPIA per-node fine-tune epochs
+GPIA_LR = 1e-3  # GPIA per-node fine-tune learning rate
 
 Predictions = dict[int, tuple[int, float]]
 
 
-def _shadow_attack(extract, fit, shadow_model: VictimModel, split: ShadowSplit,
+def _shadow_attack(extract, fit, shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
                    target_model: VictimModel, query_graphs, query_nodes) -> list[Predictions]:
     """Fit a decision rule once on shadow features, then answer every query side.
 
@@ -68,11 +41,12 @@ def _shadow_attack(extract, fit, shadow_model: VictimModel, split: ShadowSplit,
     their feature rows; ``role`` is ``"shadow"`` or ``"target"``.  Shadow
     train rows are labelled member (1) and shadow test rows non-member (0).
     ``fit(x, y)`` returns the rule, a map from a feature matrix to (labels,
-    membership scores).  One prediction dict per (query graph, query
-    nodes) pair, in order.
+    membership scores).  ``shadow_graphs`` is the (shadow-train,
+    shadow-test) pair, all of whose nodes are used.  One prediction dict per
+    (query graph, query nodes) pair, in order.
     """
     x_tr, x_te = (extract(shadow_model, g, list(range(g.num_nodes)), "shadow")[1]
-                  for g in (split.train_graph, split.test_graph))
+                  for g in shadow_graphs)
     rule = fit(
         np.concatenate([x_tr, x_te]),
         np.concatenate([np.ones(len(x_tr), dtype=np.int64), np.zeros(len(x_te), dtype=np.int64)]),
@@ -98,14 +72,15 @@ def _fit_mlp(config: AttackTrainConfig, seed: int):
 # Embed-MIA: raw output embeddings as features
 
 
-def embed_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
-              query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+def embed_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
+              target_model: VictimModel, query_graphs, query_nodes,
+              attack: AttackTrainConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         return nodes, embed(model, graph)[np.array(nodes, dtype=np.int64)]
 
     return _shadow_attack(
-        extract, _fit_mlp(spec.attack, derive_seed(seed, "embed-mia")),
-        shadow_model, split, target_model, query_graphs, query_nodes,
+        extract, _fit_mlp(attack, derive_seed(seed, "embed-mia")),
+        shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
 
@@ -128,14 +103,15 @@ def input_gradient_features(
     return np.stack(rows)
 
 
-def grad_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
-             query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+def grad_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
+             target_model: VictimModel, query_graphs, query_nodes,
+             attack: AttackTrainConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         return nodes, input_gradient_features(model, graph, nodes, derive_seed(seed, "grad-mia"))
 
     return _shadow_attack(
-        extract, _fit_mlp(spec.attack, derive_seed(seed, "grad-mia")),
-        shadow_model, split, target_model, query_graphs, query_nodes,
+        extract, _fit_mlp(attack, derive_seed(seed, "grad-mia")),
+        shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
 
@@ -162,23 +138,24 @@ def pairwise_similarity_features(
     return np.stack(cols, axis=1)
 
 
-def _view_similarities(spec: BaselineSpec, seed: int):
-    """Extractor of the pairwise view similarities under ``seed``."""
+def _view_similarities(seed: int):
+    """Extractor of the pairwise similarities over ``K_PERTURB`` views, each
+    making ``EDGE_FRACTION`` of the edge count in edge edits, under ``seed``."""
 
     def extract(model, graph, nodes, role):
         return nodes, pairwise_similarity_features(
-            model, graph, nodes, spec.k_perturb, spec.edge_fraction,
-            derive_seed(seed, "nlo-views"),
+            model, graph, nodes, K_PERTURB, EDGE_FRACTION, derive_seed(seed, "nlo-views"),
         )
 
     return extract
 
 
-def nlo_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
-            query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+def nlo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
+            target_model: VictimModel, query_graphs, query_nodes,
+            attack: AttackTrainConfig, seed: int) -> list[Predictions]:
     return _shadow_attack(
-        _view_similarities(spec, seed), _fit_mlp(spec.attack, derive_seed(seed, "nlo-mia")),
-        shadow_model, split, target_model, query_graphs, query_nodes,
+        _view_similarities(seed), _fit_mlp(attack, derive_seed(seed, "nlo-mia")),
+        shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
 
@@ -202,23 +179,37 @@ def _fit_threshold(x: np.ndarray, y: np.ndarray):
     return lambda q: ((q[:, 0] >= threshold).astype(np.int64), q[:, 0])
 
 
-def glo_mia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
-            query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+def glo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
+            target_model: VictimModel, query_graphs, query_nodes,
+            attack: AttackTrainConfig, seed: int) -> list[Predictions]:
     """The perturbation procedure of NLO-MIA under this call's own seed,
     but thresholding the mean similarity."""
-    views = _view_similarities(spec, seed)
+    views = _view_similarities(seed)
 
     def extract(model, graph, nodes, role):
         kept, feats = views(model, graph, nodes, role)
         return kept, feats.mean(axis=1, keepdims=True)
 
     return _shadow_attack(
-        extract, _fit_threshold, shadow_model, split, target_model, query_graphs, query_nodes,
+        extract, _fit_threshold,
+        shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
 
 # ---------------------------------------------------------------------------
 # GE-MIA: nearest reference centroid under cosine distance
+
+
+def ge_references(member_graph: Graph, nonmember_graph: Graph,
+                  seed: int) -> tuple[list[int], list[int]]:
+    """GE-MIA's member and non-member reference nodes: up to
+    ``GE_REFERENCES`` of each graph's nodes, drawn without replacement from
+    one stream, member side first, each list sorted."""
+    rng = substream(seed, "ge-refs")
+    return tuple(
+        sorted(int(v) for v in rng.choice(g.num_nodes, min(GE_REFERENCES, g.num_nodes), replace=False))
+        for g in (member_graph, nonmember_graph)
+    )
 
 
 def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
@@ -291,16 +282,16 @@ def parameter_change_features(
     return kept, np.stack(rows) if rows else np.zeros((0, len(base.names))), diverged
 
 
-def gpia(shadow_model: VictimModel, split: ShadowSplit, target_model: VictimModel,
-         query_graphs, query_nodes, spec: BaselineSpec, seed: int) -> list[Predictions]:
+def gpia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
+         target_model: VictimModel, query_graphs, query_nodes,
+         attack: AttackTrainConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         kept, feats, _ = parameter_change_features(
-            model, graph, nodes, spec.finetune_epochs, spec.finetune_lr,
-            derive_seed(seed, f"gpia-{role}"),
+            model, graph, nodes, GPIA_EPOCHS, GPIA_LR, derive_seed(seed, f"gpia-{role}"),
         )
         return kept, feats
 
     return _shadow_attack(
-        extract, _fit_mlp(spec.attack, derive_seed(seed, "gpia")),
-        shadow_model, split, target_model, query_graphs, query_nodes,
+        extract, _fit_mlp(attack, derive_seed(seed, "gpia")),
+        shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )

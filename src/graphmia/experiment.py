@@ -28,7 +28,7 @@ from .attack import (
     train_attack_model,
 )
 from .baselines import KINDS as BASELINE_KINDS
-from .baselines import BaselineSpec, ShadowSplit, embed_mia, ge_mia, glo_mia, gpia, grad_mia, nlo_mia
+from .baselines import embed_mia, ge_mia, ge_references, glo_mia, gpia, grad_mia, nlo_mia
 from .checkpoint import load_pretrained, victim_path
 from .config import ExperimentConfig, config_hash
 from .graph import Graph, GraphPartition, induced_subgraph, load_graph, partition_shadow, split_half
@@ -364,8 +364,7 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
                 distill_epochs=cfg.epochs_unlearn,
                 lr_augment=cfg.lr_augment,
                 lr_distill=cfg.lr_unlearn,
-                num_positive=cfg.m_samples,
-                num_negative=cfg.m_samples,
+                num_samples=cfg.m_samples,
             ),
             seed=derive_seed(seed, "unlearn"),
         )
@@ -391,14 +390,18 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
     )
 
 
+def _attack_config(cfg: ExperimentConfig) -> AttackTrainConfig:
+    """The attack MLP's training settings, shared by the similarity attack
+    and the MLP-based baselines."""
+    return AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack, hidden_dim=cfg.hidden_dim)
+
+
 def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
     cfg, seed = ctx.cfg, ctx.seed
     build = build_shadow_model(ctx, variant)
     dataset = build_attack_dataset(build.model, *ctx.attack_plans)
     attack_model = train_attack_model(
-        dataset,
-        AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack, hidden_dim=cfg.hidden_dim),
-        seed=derive_seed(seed, "attack-train"),
+        dataset, _attack_config(cfg), seed=derive_seed(seed, "attack-train"),
     )
     members, nonmembers = ctx.query_nodes
     member_preds = infer_membership(
@@ -428,23 +431,16 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
 
 def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
     """Baselines attack the same splits; the shadow-trained ones use the
-    scratch shadow.  One call answers both query sides."""
+    scratch shadow.  One call answers both query sides.  Each baseline is
+    looked up by name on every call, so a rebinding of the module's
+    baseline functions takes effect."""
     cfg, seed = ctx.cfg, ctx.seed
-    spec = BaselineSpec(
-        kind=kind,
-        attack=AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack,
-                                 hidden_dim=cfg.hidden_dim),
-    )
     mg = ctx.attack_domain.member_graph
     ng = ctx.attack_domain.nonmember_graph
     graphs, nodes = [mg, ng], list(ctx.query_nodes)
 
     if kind == "ge-mia":
-        mrng = substream(seed, "ge-refs")
-        ref_m = sorted(int(v) for v in mrng.choice(
-            mg.num_nodes, min(spec.reference_members, mg.num_nodes), replace=False))
-        ref_n = sorted(int(v) for v in mrng.choice(
-            ng.num_nodes, min(spec.reference_nonmembers, ng.num_nodes), replace=False))
+        ref_m, ref_n = ge_references(mg, ng, seed)
         member_preds, nonmember_preds = ge_mia(ctx.target, mg, ref_m, ng, ref_n, graphs, nodes)
     else:
         fn = {
@@ -454,10 +450,9 @@ def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
             "glo-mia": glo_mia,
             "gpia": gpia,
         }[kind]
-        split = ShadowSplit(train_graph=ctx.shadow_train_graph, test_graph=ctx.shadow_test_graph)
         member_preds, nonmember_preds = fn(
-            ctx.scratch_shadow, split, ctx.target, graphs, nodes, spec,
-            derive_seed(seed, "baseline", kind),
+            ctx.scratch_shadow, (ctx.shadow_train_graph, ctx.shadow_test_graph), ctx.target,
+            graphs, nodes, _attack_config(cfg), derive_seed(seed, "baseline", kind),
         )
     report = _score(ctx, member_preds, nonmember_preds, kind)
     return RunRecord(

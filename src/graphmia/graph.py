@@ -235,6 +235,8 @@ def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int =
             num_nodes, dim = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"{feature_path}:1: non-integer header: {header!r}") from exc
+        if num_nodes < 0 or dim < 1:
+            raise GraphFormatError(f"{feature_path}:1: header needs n >= 0 and d >= 1: {header!r}")
         features = np.empty((num_nodes, dim), dtype=np.float64)
         for i in range(num_nodes):
             line = fh.readline()

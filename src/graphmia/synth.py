@@ -11,6 +11,8 @@ import numpy as np
 from .graph import Graph
 from .rng import substream
 
+INTRA_WEIGHT = 0.8  # fraction of a node's expected degree spent inside its block
+
 
 def triu_pair(size: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of the strictly-upper-triangle pairs at the given
@@ -37,15 +39,15 @@ def sbm_graph(
     avg_degree: float,
     seed: int,
     domain_id: int = 0,
-    intra_weight: float = 0.8,
     feature_shift: float = 1.0,
     feature_noise: float = 1.0,
 ) -> Graph:
     """Two-block SBM with block-dependent Gaussian features.
 
-    ``intra_weight`` is the fraction of a node's expected degree spent on
-    same-block neighbors.  Block means are drawn per (seed, domain, block)
-    and scaled by ``feature_shift``; node features add isotropic noise.
+    ``INTRA_WEIGHT`` of a node's expected degree goes to same-block
+    neighbors, the rest across blocks.  Block means are drawn per (seed,
+    domain, block) and scaled by ``feature_shift``; node features add
+    isotropic noise.
     """
     if num_nodes < 4:
         raise ValueError("SBM fixture needs at least 4 nodes")
@@ -54,8 +56,8 @@ def sbm_graph(
     b0 = num_nodes // 2
     b1 = num_nodes - b0
     blocks = (np.arange(num_nodes) >= b0).astype(np.int64)
-    p_in = min(1.0, intra_weight * avg_degree / max(b0 - 1, 1))
-    p_out = min(1.0, (1.0 - intra_weight) * avg_degree / max(b1, 1))
+    p_in = min(1.0, INTRA_WEIGHT * avg_degree / max(b0 - 1, 1))
+    p_out = min(1.0, (1.0 - INTRA_WEIGHT) * avg_degree / max(b1, 1))
 
     rng = substream(seed, "sbm-edges", domain_id)
     edges = [np.zeros((0, 2), dtype=np.int64)]

@@ -25,7 +25,15 @@ from graphmia.amplify import (
     distill_loss_and_grads,
 )
 from graphmia.attack import AttackTrainConfig
-from graphmia.baselines import BaselineSpec, pairwise_similarity_features, parameter_change_features
+from graphmia.baselines import (
+    EDGE_FRACTION,
+    GE_REFERENCES,
+    GPIA_EPOCHS,
+    GPIA_LR,
+    K_PERTURB,
+    pairwise_similarity_features,
+    parameter_change_features,
+)
 from graphmia.config import ExperimentConfig, SyntheticSpec
 from graphmia.experiment import run_experiment, runtime_scaling_check
 from graphmia.metrics import accuracy_f1
@@ -247,16 +255,14 @@ class TestCriterion7BaselineShapes:
         g = sbm_graph(60, 6, 8.0, seed=13)
         model = tiny_model(g, SSLObjective(LINK_PREDICTION), seed=1, emb_dim=8)
 
-        feats = pairwise_similarity_features(model, g, range(3), 10, 0.0015, seed=2)
+        feats = pairwise_similarity_features(model, g, range(3), K_PERTURB, EDGE_FRACTION, seed=2)
         assert feats.shape[1] == 45  # C(10, 2)
 
-        spec = BaselineSpec(kind="ge-mia")
-        assert spec.reference_members == 20 and spec.reference_nonmembers == 20
+        assert GE_REFERENCES == 20
 
-        spec = BaselineSpec(kind="gpia")
-        assert spec.finetune_epochs == 10
+        assert GPIA_EPOCHS == 10
         _, change, _ = parameter_change_features(
-            model, g, [0], epochs=spec.finetune_epochs, lr=1e-3, seed=3
+            model, g, [0], epochs=GPIA_EPOCHS, lr=GPIA_LR, seed=3
         )
         assert change.shape == (1, len(model.params.names))
 

@@ -3,12 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import graphmia.baselines as bl
+from graphmia.attack import AttackTrainConfig
 from graphmia.baselines import (
-    BaselineSpec,
-    ShadowSplit,
     best_threshold,
     embed_mia,
     ge_mia,
+    ge_references,
     glo_mia,
     gpia,
     grad_mia,
@@ -31,28 +32,27 @@ def setting():
     obj = SSLObjective(LINK_PREDICTION)
     model = tiny_model(graph, obj, seed=3, emb_dim=10)
     part = partition_shadow(graph, 0.2, seed=5)
-    split = ShadowSplit(
-        train_graph=induced_subgraph(graph, part.shadow_train_nodes),
-        test_graph=induced_subgraph(graph, part.shadow_test_nodes),
+    split = (
+        induced_subgraph(graph, part.shadow_train_nodes),
+        induced_subgraph(graph, part.shadow_test_nodes),
     )
     return graph, obj, model, split
 
 
-class TestSpecValidation:
-    def test_defaults_follow_protocol(self):
-        spec = BaselineSpec(kind="nlo-mia")
-        assert spec.k_perturb == 10
-        assert spec.edge_fraction == pytest.approx(0.0015)
-        assert spec.reference_members == 20 and spec.reference_nonmembers == 20
-        assert spec.finetune_epochs == 10
+@pytest.fixture
+def fast(monkeypatch):
+    """Three perturbed views, two GPIA epochs and a 20-epoch attack MLP."""
+    monkeypatch.setattr(bl, "K_PERTURB", 3)
+    monkeypatch.setattr(bl, "GPIA_EPOCHS", 2)
+    return AttackTrainConfig(epochs=20)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            BaselineSpec(kind="nope")
-        with pytest.raises(ValueError):
-            BaselineSpec(kind="nlo-mia", k_perturb=1)
-        with pytest.raises(ValueError):
-            BaselineSpec(kind="glo-mia", edge_fraction=1.5)
+
+class TestProtocolConstants:
+    def test_constants_follow_protocol(self):
+        assert bl.K_PERTURB == 10
+        assert bl.EDGE_FRACTION == pytest.approx(0.0015)
+        assert bl.GE_REFERENCES == 20
+        assert bl.GPIA_EPOCHS == 10 and bl.GPIA_LR == pytest.approx(1e-3)
 
 
 class TestPerturbationFeatures:
@@ -91,12 +91,12 @@ class TestThreshold:
                 best, best_acc = t, acc
         assert got == best
 
-    def test_all_above_threshold_all_members(self, setting):
+    def test_all_above_threshold_all_members(self, setting, fast, monkeypatch):
         graph, _, model, split = setting
-        spec = BaselineSpec(kind="glo-mia", k_perturb=3, edge_fraction=0.0)
+        monkeypatch.setattr(bl, "EDGE_FRACTION", 0.0)
         # budget 0: every similarity is exactly 1, threshold grid = {1.0},
         # rule is >= so everything is predicted member
-        preds = glo_mia(model, split, model, [graph], [range(6)], spec, seed=3)[0]
+        preds = glo_mia(model, split, model, [graph], [range(6)], fast, seed=3)[0]
         assert all(label == 1 for label, _ in preds.values())
 
 
@@ -111,6 +111,15 @@ class TestGeMia:
         refs = [3, 4, 5]
         preds = ge_mia(model, graph, refs, graph, refs, [graph], [[10]])[0]
         assert preds[10][0] == 0
+
+    def test_references_capped_sorted_and_deterministic(self, setting):
+        graph, _, _, _ = setting
+        small = induced_subgraph(graph, range(5))
+        member, nonmember = ge_references(graph, small, seed=4)
+        assert len(member) == bl.GE_REFERENCES == len(set(member))
+        assert member == sorted(member) and member[-1] < graph.num_nodes
+        assert nonmember == list(range(5))
+        assert ge_references(graph, small, seed=4) == (member, nonmember)
 
 
 class TestGradMia:
@@ -164,17 +173,11 @@ class TestGpia:
 
 class TestEndToEndDeterminism:
     @pytest.mark.parametrize("fn", [embed_mia, grad_mia, nlo_mia, glo_mia, gpia])
-    def test_predictions_deterministic(self, fn, setting):
+    def test_predictions_deterministic(self, fn, setting, fast):
         graph, _, model, split = setting
-        from graphmia.attack import AttackTrainConfig
-
-        spec = BaselineSpec(
-            kind="nlo-mia", k_perturb=3, finetune_epochs=2,
-            attack=AttackTrainConfig(epochs=20),
-        )
         nodes = range(5)
-        a = fn(model, split, model, [graph], [nodes], spec, seed=8)[0]
-        b = fn(model, split, model, [graph], [nodes], spec, seed=8)[0]
+        a = fn(model, split, model, [graph], [nodes], fast, seed=8)[0]
+        b = fn(model, split, model, [graph], [nodes], fast, seed=8)[0]
         assert a == b
 
     def test_embed_feature_dim_is_embedding_dim(self, setting):
@@ -199,24 +202,13 @@ class TestQuerySides:
     }
 
     @staticmethod
-    def _spec():
-        from graphmia.attack import AttackTrainConfig
-
-        return BaselineSpec(
-            kind="nlo-mia", k_perturb=3, finetune_epochs=2,
-            attack=AttackTrainConfig(epochs=20),
-        )
-
-    @staticmethod
     def _sides(setting):
         graph, _, _, _ = setting
         other = induced_subgraph(graph, range(40, 100))
         return [graph, other], [range(5), [3, 0, 7]]
 
     @pytest.mark.parametrize("fn", list(SHADOW_TRAINED), ids=lambda f: f.__name__)
-    def test_shadow_features_extracted_from_two_graphs(self, fn, setting, monkeypatch):
-        import graphmia.baselines as bl
-
+    def test_shadow_features_extracted_from_two_graphs(self, fn, setting, fast, monkeypatch):
         _, _, model, split = setting
         name = self.SHADOW_TRAINED[fn]
         real = getattr(bl, name)
@@ -228,21 +220,20 @@ class TestQuerySides:
 
         monkeypatch.setattr(bl, name, recording)
         graphs, nodes = self._sides(setting)
-        fn(model, split, model, graphs, nodes, self._spec(), seed=8)
-        shadow = [g for g in seen if g is split.train_graph or g is split.test_graph]
+        fn(model, split, model, graphs, nodes, fast, seed=8)
+        shadow = [g for g in seen if any(g is s for s in split)]
         assert len(shadow) == 2
-        assert {id(g) for g in shadow} == {id(split.train_graph), id(split.test_graph)}
+        assert {id(g) for g in shadow} == {id(g) for g in split}
 
     @pytest.mark.parametrize("fn", list(SHADOW_TRAINED), ids=lambda f: f.__name__)
-    def test_two_sides_equal_two_single_sides(self, fn, setting):
+    def test_two_sides_equal_two_single_sides(self, fn, setting, fast):
         _, _, model, split = setting
         target = model.copy()
         for t in target.params.tensors.values():
             t *= 1.1
         graphs, nodes = self._sides(setting)
-        spec = self._spec()
-        both = fn(model, split, target, graphs, nodes, spec, seed=8)
-        one = [fn(model, split, target, [g], [n], spec, seed=8)[0] for g, n in zip(graphs, nodes)]
+        both = fn(model, split, target, graphs, nodes, fast, seed=8)
+        one = [fn(model, split, target, [g], [n], fast, seed=8)[0] for g, n in zip(graphs, nodes)]
         assert both == one
         assert [sorted(side) for side in both] == [sorted(n) for n in nodes]
 
@@ -258,8 +249,6 @@ class TestQuerySides:
     def test_ge_mia_embeds_each_graph_once(self, setting, monkeypatch):
         # the member and non-member graphs serve as references and as
         # query sides, as in run_baseline: two embeddings, not four
-        import graphmia.baselines as bl
-
         graph, _, model, _ = setting
         other = induced_subgraph(graph, range(40, 100))
         seen = []
@@ -274,7 +263,7 @@ class TestQuerySides:
         assert len(seen) == 2
         assert {id(g) for g in seen} == {id(graph), id(other)}
 
-    def test_side_lists_must_match(self, setting):
+    def test_side_lists_must_match(self, setting, fast):
         graph, _, model, split = setting
         with pytest.raises(ValueError):
-            embed_mia(model, split, model, [graph, graph], [range(3)], self._spec(), seed=8)
+            embed_mia(model, split, model, [graph, graph], [range(3)], fast, seed=8)

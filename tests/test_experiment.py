@@ -78,9 +78,15 @@ class TestRunExperiment:
         fps = {r.split_fingerprint for r in res.records}
         assert len(fps) == 1
 
-    def test_unknown_attack_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiment(tiny_cfg(), attacks=("voodoo",))
+    def test_unknown_attack_rejected(self, monkeypatch):
+        # the one check on attack names, made before any seed runs
+        def no_context(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(exp_mod, "build_context", no_context)
+        for attacks in (("voodoo",), ("similarity", "glo-mia", "ge_mia")):
+            with pytest.raises(ValueError, match="unknown attack"):
+                run_experiment(tiny_cfg(), attacks=attacks)
 
     def test_failure_containment(self, monkeypatch):
         cfg = tiny_cfg(repetitions=3)
@@ -155,6 +161,32 @@ class TestRunExperiment:
         res = run_experiment(cfg, attacks=("similarity",), variants=("full",))
         rep = res.records[0].report
         assert rep.n_members <= 15 and rep.n_nonmembers <= 15
+
+
+@pytest.fixture(scope="module")
+def baseline_ctx():
+    return build_context(tiny_cfg(m_queries=6), seed=11)
+
+
+class TestRunBaseline:
+    @pytest.mark.parametrize("kind", exp_mod.BASELINE_KINDS)
+    def test_baseline_looked_up_at_call_time(self, kind, baseline_ctx, monkeypatch):
+        # run_baseline looks each baseline up by name in graphmia.experiment
+        # on every call, so a rebound function (a tracer's wrapper) is the
+        # one that runs, and it gets the query node list as its fifth
+        # argument (seventh for GE-MIA)
+        members, nonmembers = baseline_ctx.query_nodes
+        calls = []
+
+        def perfect(*args):
+            calls.append(args)
+            return [{v: (1, 1.0) for v in members}, {v: (0, 0.0) for v in nonmembers}]
+
+        monkeypatch.setattr(exp_mod, kind.replace("-", "_"), perfect)
+        record = exp_mod.run_baseline(baseline_ctx, kind)
+        assert len(calls) == 1
+        assert calls[0][6 if kind == "ge-mia" else 4] == [members, nonmembers]
+        assert (record.report.attack, record.report.acc) == (kind, 1.0)
 
 
 class TestScaling:

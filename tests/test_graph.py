@@ -85,6 +85,13 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=r"features\.txt:5: "):
             load_graph(edge_path, feat_path)
 
+    @pytest.mark.parametrize("features_text", ["-1 3\n", "2 -1\n\n\n", "3 0\n\n\n\n"],
+                             ids=["negative-n", "negative-d", "zero-d"])
+    def test_header_needs_nonnegative_n_and_positive_d(self, tmp_path, features_text):
+        edge_path, feat_path = write_graph_files(tmp_path, "", features_text)
+        with pytest.raises(GraphFormatError, match=r"features\.txt:1: "):
+            load_graph(edge_path, feat_path)
+
     def test_trailing_blank_feature_lines(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "", "2 1\n1\n2\n\n  \n")
         assert load_graph(edge_path, feat_path).num_nodes == 2
