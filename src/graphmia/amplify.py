@@ -115,7 +115,7 @@ def draw_sample_plan(
         skipped=tuple(skipped),
         refs=refs,
         view_seeds=view_seeds,
-        views=tuple(augment_graph(graph, objective, s) for s in view_seeds),
+        views=tuple(augment_graph(graph, s) for s in view_seeds),
     )
 
 
@@ -185,7 +185,6 @@ def distill_loss_and_grads(
 @dataclass
 class UnlearnResult:
     model: VictimModel
-    augment_model: VictimModel
     plan: SamplePlan
     initial_loss: float
     final_loss: float
@@ -232,7 +231,6 @@ def unlearn(
     initial = history[0] if history else final_loss
     return UnlearnResult(
         model=student,
-        augment_model=augment_model,
         plan=plan,
         initial_loss=initial,
         final_loss=final_loss,

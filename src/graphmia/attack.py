@@ -30,21 +30,18 @@ class AttackDataset:
 
     x: np.ndarray
     y: np.ndarray
-    num_samples: int  # m: positives per node (= negatives per node)
     skipped_train: int = 0
     skipped_test: int = 0
 
     @property
     def feature_dim(self) -> int:
-        return 2 * self.num_samples
+        return self.x.shape[1]
 
 
 @dataclass
 class AttackModel:
     mlp: MLP
-    num_samples: int
     train_accuracy: float = 0.0
-    epochs: int = 0
 
     @property
     def feature_dim(self) -> int:
@@ -75,7 +72,6 @@ def build_attack_dataset(
     return AttackDataset(
         x=x,
         y=np.repeat(np.array([1, 0], dtype=np.int64), [len(x_tr), len(x_te)]),
-        num_samples=num_samples,
         skipped_train=len(plan_tr.skipped),
         skipped_test=len(plan_te.skipped),
     )
@@ -128,8 +124,7 @@ def train_attack_model(
     mlp = fit_mlp_classifier(x, y, config, seed)
     logits, _ = mlp.forward(x)
     acc = float((logits.argmax(axis=1) == y).mean())
-    return AttackModel(mlp=mlp, num_samples=dataset.num_samples,
-                       train_accuracy=acc, epochs=config.epochs)
+    return AttackModel(mlp=mlp, train_accuracy=acc)
 
 
 def predict_from_features(
@@ -149,18 +144,17 @@ def infer_membership(
     target_model: VictimModel,
     graph: Graph,
     nodes,
-    num_samples: int,
     seed: int,
 ) -> dict[int, tuple[int, float]]:
-    """Query the target model and classify each node's similarity row.
+    """Query the target model and classify each node's similarity row of
+    m positives and m negatives, where 2m is the attack model's input width.
 
     Returns node -> (predicted label, membership score).  Nodes whose
     features cannot be built (isolated under link prediction) are absent
     from the result.
     """
-    if 2 * num_samples != attack_model.feature_dim:
-        raise ShapeError("num_samples does not match the attack model input width")
-    plan = draw_sample_plan(graph, nodes, target_model.objective, num_samples, num_samples, seed)
+    m = attack_model.feature_dim // 2
+    plan = draw_sample_plan(graph, nodes, target_model.objective, m, m, seed)
     if not plan.nodes:
         return {}
     labels, scores = predict_from_features(attack_model, similarity_profile(target_model, plan))

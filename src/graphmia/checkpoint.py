@@ -22,8 +22,9 @@ from .victim import SSLObjective, TrainConfig, VictimModel
 MAGIC = b"MGPM"
 VERSION = 1
 # Part of every pretrain key: bump it whenever a change moves the numbers
-# pretrain_multidomain produces, so that older checkpoints miss the cache.
-PRETRAIN_KEY_VERSION = 1
+# pretrain_multidomain produces, or the text the key hashes, so that older
+# checkpoints miss the cache.
+PRETRAIN_KEY_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -115,8 +116,6 @@ def save_victim(path: str | Path, model: VictimModel, seed: int = 0,
         "objective": obj.kind,
         "temperature": repr(obj.temperature),
         "negatives_per_positive": obj.negatives_per_positive,
-        "edge_drop_rate": repr(obj.edge_drop_rate),
-        "feature_mask_rate": repr(obj.feature_mask_rate),
         "domains": ",".join(str(d) for d in model.projectors),
         "domain_dims": ",".join(str(w.shape[0]) for w in model.projectors.values()),
         "emb_dim": model.encoder.output_dim,
@@ -152,7 +151,8 @@ def _int_list(text: str) -> list[int]:
 def load_victim(path: str | Path) -> VictimModel:
     """Rebuild a victim around the ParamSet read from ``path``; its tensors,
     their shapes and their order must agree with the sidecar, or
-    ``CheckpointError`` names what does not."""
+    ``CheckpointError`` names what does not.  Lines it does not read, such
+    as the augmentation rates older sidecars record, are ignored."""
     path = Path(path)
     params = load_params(path)
     meta = read_meta(path)
@@ -162,8 +162,6 @@ def load_victim(path: str | Path) -> VictimModel:
             kind=meta["objective"],
             temperature=float(meta["temperature"]),
             negatives_per_positive=int(meta["negatives_per_positive"]),
-            edge_drop_rate=float(meta["edge_drop_rate"]),
-            feature_mask_rate=float(meta["feature_mask_rate"]),
         )
         domains = _int_list(meta["domains"])
         dims = _int_list(meta["domain_dims"])

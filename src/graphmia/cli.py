@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .baselines import KINDS
 from .checkpoint import pretrain_key, save_victim, victim_path
-from .config import ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import (
     robustness_probe,
     separability_projection,
@@ -152,8 +152,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    report = runtime_scaling_check(sizes, cfg)
+    report = runtime_scaling_check(args.sizes, cfg)
     out = _out_dir(args)
     path = out / "scaling.json"
     path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -161,6 +160,26 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         print(f"n={n}: {sec:.3f}s")
     print(f"log-log slope: {report.slope:.3f} (wrote {path})")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _sizes(text: str) -> list[int]:
+    parts = text.split(",")
+    try:
+        if len(parts) >= 2:
+            return [_positive_int(s) for s in parts]
+    except argparse.ArgumentTypeError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected at least two comma-separated positive node counts, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="pre-attack diagnostics")
     p.add_argument("probe", choices=["pca", "robustness"])
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     common(p)
     p.set_defaults(fn=cmd_diagnose)
 
@@ -204,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("scaling", help="check how attack wall time scales with n")
-    p.add_argument("--sizes", type=str, default="500,1000,2000,4000",
+    p.add_argument("--sizes", type=_sizes, default="500,1000,2000,4000",
                    help="comma-separated node counts")
     common(p)
     p.set_defaults(fn=cmd_scaling)
@@ -212,8 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,24 +13,27 @@ from .pca import PCAResult, pca_project
 from .rng import derive_seed
 from .victim import VictimModel, embed
 
+# Share of a graph's edges each robustness trial edits.  Read at call time.
+ROBUSTNESS_BUDGET = 0.15
+
 
 def robustness_probe(
     model: VictimModel,
     graph: Graph,
     nodes,
-    budget: float = 0.15,
     trials: int = 5,
     seed: int = 0,
 ) -> dict[int, float]:
     """Mean cosine similarity of each node's embedding before and after
-    random edge perturbation, averaged over ``trials`` perturbed copies."""
+    random edits of ``ROBUSTNESS_BUDGET`` of its edges, averaged over
+    ``trials`` perturbed copies."""
     if trials < 1:
         raise ValueError("need at least one trial")
     idx = np.fromiter((int(v) for v in nodes), dtype=np.int64)
     h0 = embed(model, graph)[idx]
     sims = np.zeros(len(idx))
     for t in range(trials):
-        perturbed = perturb_edges(graph, budget, derive_seed(seed, "robustness", t))
+        perturbed = perturb_edges(graph, ROBUSTNESS_BUDGET, derive_seed(seed, "robustness", t))
         ht = embed(model, perturbed)[idx]
         sims += cosine_rows(h0, ht)
     sims /= trials
@@ -66,9 +69,10 @@ def summarize_by_membership(values: dict[int, float], members) -> GroupSummary:
 
 
 def separability_projection(
-    model: VictimModel, member_graph: Graph, nonmember_graph: Graph, k: int = 2
+    model: VictimModel, member_graph: Graph, nonmember_graph: Graph
 ) -> tuple[PCAResult, np.ndarray]:
-    """PCA projection of member and non-member embeddings stacked together.
+    """Two-component PCA projection of member and non-member embeddings
+    stacked together.
 
     Returns the projection result and the 0/1 membership labels row by row.
     """
@@ -77,7 +81,7 @@ def separability_projection(
     stacked = np.concatenate([h_mem, h_non])
     labels = np.concatenate([np.ones(len(h_mem), dtype=np.int64),
                              np.zeros(len(h_non), dtype=np.int64)])
-    return pca_project(stacked, k=k), labels
+    return pca_project(stacked, k=2), labels
 
 
 def write_projection_csv(path: str | Path, result: PCAResult, labels: np.ndarray) -> None:

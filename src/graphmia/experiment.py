@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .attack import (
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import embed_mia, ge_mia, ge_references, glo_mia, gpia, grad_mia, nlo_mia
 from .checkpoint import load_pretrained, victim_path
-from .config import ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash
 from .graph import Graph, GraphPartition, induced_subgraph, load_graph, partition_shadow, split_half
 from .metrics import MetricsReport, accuracy_f1
 from .rng import derive_seed, substream
@@ -342,7 +342,6 @@ def similarity_margin_gap(model: VictimModel, plans: tuple[SamplePlan, SamplePla
 @dataclass
 class ShadowBuild:
     model: VictimModel
-    variant: str
     distill_initial: float | None = None
     distill_final: float | None = None
 
@@ -351,7 +350,7 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
     """The three shadow constructions: full, no-unlearning, no-incremental."""
     cfg, seed = ctx.cfg, ctx.seed
     if variant == VARIANT_WO_IL:
-        return ShadowBuild(model=ctx.scratch_shadow, variant=variant)
+        return ShadowBuild(model=ctx.scratch_shadow)
 
     distill_initial = distill_final = None
     if variant == VARIANT_FULL:
@@ -384,10 +383,7 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
         ShadowConfig(alpha=cfg.resolved_alpha(), epochs=cfg.epochs_shadow, lr=cfg.lr_shadow),
         seed=derive_seed(seed, "shadow-ft"),
     )
-    return ShadowBuild(
-        model=model, variant=variant,
-        distill_initial=distill_initial, distill_final=distill_final,
-    )
+    return ShadowBuild(model=model, distill_initial=distill_initial, distill_final=distill_final)
 
 
 def _attack_config(cfg: ExperimentConfig) -> AttackTrainConfig:
@@ -406,11 +402,11 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
     members, nonmembers = ctx.query_nodes
     member_preds = infer_membership(
         attack_model, ctx.target, ctx.attack_domain.member_graph, members,
-        cfg.m_samples, seed=derive_seed(seed, "infer-members"),
+        seed=derive_seed(seed, "infer-members"),
     )
     nonmember_preds = infer_membership(
         attack_model, ctx.target, ctx.attack_domain.nonmember_graph, nonmembers,
-        cfg.m_samples, seed=derive_seed(seed, "infer-nonmembers"),
+        seed=derive_seed(seed, "infer-nonmembers"),
     )
     report = _score(ctx, member_preds, nonmember_preds, PRIMARY_ATTACK)
     extras = {
@@ -568,7 +564,8 @@ def runtime_scaling_check(sizes: list[int], cfg: ExperimentConfig) -> ScalingRep
 
     Every size reuses the same config with only ``nodes_per_domain``
     replaced; degree, dims and epochs stay fixed so the slope isolates the
-    dependence on n.
+    dependence on n.  Every sized config is validated before the first
+    run; a ``ConfigError`` names the size it rejects.
     """
     if not sizes or any(int(n) <= 0 for n in sizes):
         raise ValueError("sizes must be positive node counts")
@@ -576,20 +573,18 @@ def runtime_scaling_check(sizes: list[int], cfg: ExperimentConfig) -> ScalingRep
         raise ValueError("need at least two sizes to fit a slope")
     if cfg.synthetic is None:
         raise ValueError("scaling check requires a synthetic config")
-    seconds: list[float] = []
+    configs = [_with_nodes(cfg, int(n)) for n in sizes]
+    for n, sized in zip(sizes, configs):
+        try:
+            sized.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"nodes_per_domain {n}: {exc}") from exc
     # warm-up run so allocator/cache effects do not bias the smallest size
-    warm = _with_nodes(cfg, int(sizes[0]))
-    time_attack_pipeline(warm, warm.seed)
-    for n in sizes:
-        sized = _with_nodes(cfg, int(n))
-        seconds.append(time_attack_pipeline(sized, sized.seed))
+    time_attack_pipeline(configs[0], configs[0].seed)
+    seconds = [time_attack_pipeline(sized, sized.seed) for sized in configs]
     slope = float(np.polyfit(np.log(np.array(sizes, float)), np.log(np.array(seconds)), 1)[0])
     return ScalingReport(sizes=[int(n) for n in sizes], seconds=seconds, slope=slope)
 
 
 def _with_nodes(cfg: ExperimentConfig, nodes: int) -> ExperimentConfig:
-    import copy
-
-    out = copy.deepcopy(cfg)
-    out.synthetic.nodes_per_domain = nodes
-    return out
+    return replace(cfg, synthetic=replace(cfg.synthetic, nodes_per_domain=nodes))

@@ -307,7 +307,6 @@ class GraphPartition:
     unlearn_nodes: frozenset[int]
     shadow_train_nodes: frozenset[int]
     shadow_test_nodes: frozenset[int]
-    seed: int
 
     def __post_init__(self) -> None:
         parts = (self.unlearn_nodes, self.shadow_train_nodes, self.shadow_test_nodes)
@@ -344,7 +343,6 @@ def partition_shadow(graph: Graph, unlearn_fraction: float, seed: int) -> GraphP
         unlearn_nodes=frozenset(int(i) for i in perm[:n_unlearn]),
         shadow_train_nodes=frozenset(int(i) for i in perm[n_unlearn:n_unlearn + n_train]),
         shadow_test_nodes=frozenset(int(i) for i in perm[n_unlearn + n_train:]),
-        seed=int(seed),
     )
 
 

@@ -33,6 +33,11 @@ from .rng import derive_seed, substream
 CONTRASTIVE = "contrastive"
 LINK_PREDICTION = "link_prediction"
 
+# Augmented views drop each edge and mask each feature column with these
+# probabilities.  Read at call time.
+EDGE_DROP_RATE = 0.2
+FEATURE_MASK_RATE = 0.2
+
 
 class MissingProjectorError(KeyError):
     pass
@@ -53,8 +58,6 @@ class SSLObjective:
     kind: str
     temperature: float = 0.5
     negatives_per_positive: int = 5
-    edge_drop_rate: float = 0.2
-    feature_mask_rate: float = 0.2
 
     def __post_init__(self) -> None:
         if self.kind not in (CONTRASTIVE, LINK_PREDICTION):
@@ -81,7 +84,6 @@ class TrainConfig:
 class ForwardCache:
     a_hat: object
     x: np.ndarray
-    h0: np.ndarray
     layers: list
     domain_id: int
 
@@ -140,9 +142,8 @@ class VictimModel:
             raise ShapeError(
                 f"domain {domain_id} features have dim {x.shape[1]}, projector expects {w.shape[0]}"
             )
-        h0 = x @ w
-        h, layers = self.encoder.forward(a_hat, h0)
-        return h, ForwardCache(a_hat=a_hat, x=x, h0=h0, layers=layers, domain_id=domain_id)
+        h, layers = self.encoder.forward(a_hat, x @ w)
+        return h, ForwardCache(a_hat=a_hat, x=x, layers=layers, domain_id=domain_id)
 
     def backward(
         self, cache: ForwardCache, d_out: np.ndarray, want_feature_grad: bool = False
@@ -167,16 +168,17 @@ def embed(model: VictimModel, graph: Graph) -> np.ndarray:
 # augmentation and positive/negative sampling
 
 
-def _augment_draws(graph: Graph, objective: SSLObjective, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _augment_draws(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = substream(seed, "augment")
-    keep_edges = rng.random(graph.num_edges) >= objective.edge_drop_rate
-    drop_cols = rng.random(graph.feature_dim) < objective.feature_mask_rate
+    keep_edges = rng.random(graph.num_edges) >= EDGE_DROP_RATE
+    drop_cols = rng.random(graph.feature_dim) < FEATURE_MASK_RATE
     return keep_edges, drop_cols
 
 
-def augment_graph(graph: Graph, objective: SSLObjective, seed: int) -> Graph:
-    """Stochastic view: edge dropout plus feature-column masking."""
-    keep_edges, drop_cols = _augment_draws(graph, objective, seed)
+def augment_graph(graph: Graph, seed: int) -> Graph:
+    """Stochastic view: edge dropout plus feature-column masking at
+    ``EDGE_DROP_RATE`` and ``FEATURE_MASK_RATE``."""
+    keep_edges, drop_cols = _augment_draws(graph, seed)
     masked = graph.features.copy()
     masked[:, drop_cols] = 0.0
     return _csr_slice(graph, keep_edges[graph.entry_edges], masked)
@@ -358,7 +360,7 @@ def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float
     if n < 2:
         raise NoNegativeError(f"contrastive graph on {n} node(s) has no negative")
     obj = model.objective
-    view = augment_graph(graph, obj, derive_seed(seed, "loss-view"))
+    view = augment_graph(graph, derive_seed(seed, "loss-view"))
     h, cache = model.forward(graph)
     hv, cache_v = model.forward(view)
 
@@ -407,7 +409,7 @@ def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, seed: int)
         labels = np.concatenate([np.ones(len(nbrs)), np.zeros(len(negs))])
         return np.concatenate([nbrs, negs]), labels
     negs = np.array(_sample_distinct(rng, graph.num_nodes, {node}, objective.negatives_per_positive))
-    return negs, _augment_draws(graph, objective, derive_seed(seed, "node-view", node))
+    return negs, _augment_draws(graph, derive_seed(seed, "node-view", node))
 
 
 class NodeLoss:

@@ -102,7 +102,7 @@ class TestSimilarityProfile:
         plan = draw_sample_plan(g, range(8), obj, 2, 3, seed=6)
         prof = similarity_profile(model, plan)
         h = embed(model, g)
-        views_h = [embed(model, augment_graph(g, obj, s)) for s in plan.view_seeds]
+        views_h = [embed(model, augment_graph(g, s)) for s in plan.view_seeds]
         assert len(views_h) == 2 and plan.nodes == tuple(range(8))
         for i, v in enumerate(plan.nodes):
             for p, hv in enumerate(views_h):

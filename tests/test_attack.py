@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphmia.amplify import draw_sample_plan
+from graphmia.amplify import draw_sample_plan, similarity_profile
 from graphmia.attack import (
     AttackDataset,
     AttackModel,
@@ -39,7 +39,7 @@ def toy_dataset(n_per_class: int = 20, m: int = 5, member_level=0.9, nonmember_l
         for label, level in ((1, member_level), (0, nonmember_level)):
             rows.append(np.clip(level + jitter * rng.normal(size=2 * m), -1, 1))
             labels.append(label)
-    return AttackDataset(x=np.array(rows), y=np.array(labels, dtype=np.int64), num_samples=m)
+    return AttackDataset(x=np.array(rows), y=np.array(labels, dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestTrainAttackModel:
             y = np.tile([0, 1], 80)
             train_x, test_x = x[:120], x[120:]
             train_y, test_y = y[:120], y[120:]
-            ds = AttackDataset(x=train_x, y=train_y, num_samples=5)
+            ds = AttackDataset(x=train_x, y=train_y)
             model = train_attack_model(ds, AttackTrainConfig(epochs=150), seed=seed)
             labels, _ = predict_from_features(model, test_x)
             accs.append(float((labels == test_y).mean()))
@@ -139,7 +139,6 @@ class TestPredict:
         model = AttackModel(
             mlp=MLP(w1=np.zeros((4, 8)), b1=np.zeros((1, 8)),
                     w2=np.zeros((8, 2)), b2=np.zeros((1, 2))),
-            num_samples=2,
         )
         labels, scores = predict_from_features(model, np.random.default_rng(0).normal(size=(7, 4)))
         np.testing.assert_array_equal(scores, np.full(7, 0.5))
@@ -154,7 +153,6 @@ class TestPredict:
         shifted = AttackModel(
             mlp=MLP(w1=model.mlp.w1, b1=model.mlp.b1,
                     w2=model.mlp.w2, b2=model.mlp.b2 + 11.0),
-            num_samples=model.num_samples,
         )
         labels2, _ = predict_from_features(shifted, x)
         np.testing.assert_array_equal(labels, labels2)
@@ -177,14 +175,18 @@ class TestInferMembership:
         model, train_g, test_g = pipeline_bits
         ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
         attack = train_attack_model(ds, AttackTrainConfig(epochs=30), seed=2)
-        a = infer_membership(attack, model, test_g, range(10), 3, seed=5)
-        b = infer_membership(attack, model, test_g, range(10), 3, seed=5)
+        a = infer_membership(attack, model, test_g, range(10), seed=5)
+        b = infer_membership(attack, model, test_g, range(10), seed=5)
         assert a == b
 
-    def test_sample_width_must_match(self, pipeline_bits):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_sample_width_from_attack_model(self, pipeline_bits, m):
         model, train_g, test_g = pipeline_bits
-        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
-        attack = train_attack_model(ds, AttackTrainConfig(epochs=1), seed=2)
-        with pytest.raises(ShapeError):
-            infer_membership(attack, model, test_g, range(5), 4, seed=5)
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, m, seed=2))
+        assert ds.feature_dim == 2 * m
+        attack = train_attack_model(ds, AttackTrainConfig(epochs=5), seed=2)
+        got = infer_membership(attack, model, test_g, range(10), seed=5)
+        plan = draw_sample_plan(test_g, range(10), model.objective, m, m, 5)
+        labels, scores = predict_from_features(attack, similarity_profile(model, plan))
+        assert got == {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}
 

@@ -95,6 +95,23 @@ class TestVictimRoundtrip:
         for k in model.params.names:
             np.testing.assert_array_equal(loaded.params.tensors[k], model.params.tensors[k])
 
+    def test_older_sidecar_with_rate_lines_loads(self, tmp_path, small_sbm, contrastive_objective):
+        # the sidecar format before key version 2: both augmentation-rate
+        # lines, and a pretrain key (load_victim never reads the key)
+        model = tiny_model(small_sbm, contrastive_objective)
+        path = tmp_path / "victim.ckpt"
+        save_victim(path, model, seed=4)
+        meta = tmp_path / "victim.ckpt.meta"
+        assert "rate" not in meta.read_text()
+        meta.write_text(meta.read_text().replace(
+            "negatives_per_positive = 3\n",
+            "negatives_per_positive = 3\nedge_drop_rate = 0.2\nfeature_mask_rate = 0.2\n",
+        ) + "pretrain_key = " + "1" * 64 + "\n")
+        loaded = load_victim(path)
+        assert loaded.objective == contrastive_objective
+        for k in model.params.names:
+            np.testing.assert_array_equal(loaded.params.tensors[k], model.params.tensors[k])
+
 
 class TestTruncated:
     def test_every_cut_raises_checkpoint_error(self, tmp_path, small_sbm, linkpred_objective):
@@ -139,9 +156,8 @@ class TestVictimMetaChecked:
             load_victim(path)
 
     @pytest.mark.parametrize("key", [
-        "objective", "temperature", "negatives_per_positive", "edge_drop_rate",
-        "feature_mask_rate", "domains", "domain_dims", "emb_dim", "layers",
-        "trained_epochs",
+        "objective", "temperature", "negatives_per_positive", "domains", "domain_dims",
+        "emb_dim", "layers", "trained_epochs",
     ])
     def test_missing_key(self, tmp_path, small_sbm, linkpred_objective, key):
         _, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import graphmia.experiment as exp_mod
 from graphmia.cli import main
 from graphmia.config import (
     ConfigError,
@@ -214,3 +215,49 @@ class TestCli:
 
     def test_evaluate_empty_dir_fails(self, tmp_path):
         assert main(["evaluate", "--out", str(tmp_path / "nothing")]) == 1
+
+
+class TestCliArgumentsCheckedFirst:
+    """A bad argument or config ends the command with a usage error (exit
+    code 2) before any victim is pre-trained."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(exp_mod, "pretrain_multidomain", refuse)
+
+    def usage_error(self, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("argv, match", [
+        (["diagnose", "robustness", "--trials", "0"], "--trials"),
+        (["diagnose", "robustness", "--trials", "-3"], "--trials"),
+        (["scaling", "--sizes", "40"], "--sizes"),
+        (["scaling", "--sizes", "40,x"], "--sizes"),
+        (["scaling", "--sizes", "0,40"], "--sizes"),
+        (["scaling", "--sizes", "40,"], "--sizes"),
+    ], ids=["trials-0", "trials-neg", "one-size", "size-not-int", "size-0", "size-empty"])
+    def test_bad_argument(self, cli_config, tmp_path, capsys, no_work, argv, match):
+        err = self.usage_error([*argv, "--config", str(cli_config), "--out", str(tmp_path)], capsys)
+        assert match in err
+
+    @pytest.mark.parametrize("argv", [["attack"], ["pretrain"], ["diagnose", "pca"],
+                                      ["scaling", "--sizes", "40,80"]])
+    def test_rejected_config(self, tmp_path, capsys, no_work, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SAMPLE + "repetitions = 0\n")
+        err = self.usage_error([*argv, "--config", str(path), "--out", str(tmp_path)], capsys)
+        assert "graphmia: error: repetitions must be >= 1" in err
+
+    def test_scaling_size_the_config_cannot_run(self, cli_config, tmp_path, capsys, no_work):
+        # 8 nodes per domain: a 4-node shadow graph split (1, 2, 1)
+        err = self.usage_error(["scaling", "--sizes", "8,16", "--config", str(cli_config),
+                                "--out", str(tmp_path)], capsys)
+        assert "graphmia: error: nodes_per_domain 8:" in err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import graphmia.diagnostics as diag_mod
 from graphmia.diagnostics import (
     robustness_probe,
     separability_projection,
@@ -17,12 +18,13 @@ from conftest import tiny_model
 
 
 class TestRobustnessProbe:
-    def test_zero_budget_all_ones(self, small_sbm, linkpred_objective):
+    def test_zero_budget_all_ones(self, small_sbm, linkpred_objective, monkeypatch):
+        monkeypatch.setattr(diag_mod, "ROBUSTNESS_BUDGET", 0.0)
         model = tiny_model(small_sbm, linkpred_objective)
-        probe = robustness_probe(model, small_sbm, range(10), budget=0.0, trials=3, seed=1)
+        probe = robustness_probe(model, small_sbm, range(10), trials=3, seed=1)
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in probe.values())
 
-    def test_isolated_component_untouched(self, linkpred_objective):
+    def test_isolated_component_untouched(self, linkpred_objective, monkeypatch):
         # node 4 sits in its own component; the pinned seed's perturbations
         # never touch it (asserted below), so its embedding cannot move
         g = Graph.from_edges(
@@ -33,19 +35,20 @@ class TestRobustnessProbe:
         perturbed = perturb_edges(g, 0.5, seed=derive_seed(seed, "robustness", 0))
         assert list(perturbed.neighbors(4)) == []
         model = tiny_model(g, linkpred_objective)
-        probe = robustness_probe(model, g, [4], budget=0.5, trials=1, seed=seed)
+        monkeypatch.setattr(diag_mod, "ROBUSTNESS_BUDGET", 0.5)
+        probe = robustness_probe(model, g, [4], trials=1, seed=seed)
         assert probe[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
-        a = robustness_probe(model, small_sbm, range(8), budget=0.15, trials=2, seed=3)
-        b = robustness_probe(model, small_sbm, range(8), budget=0.15, trials=2, seed=3)
+        a = robustness_probe(model, small_sbm, range(8), trials=2, seed=3)
+        b = robustness_probe(model, small_sbm, range(8), trials=2, seed=3)
         assert a == b
 
     def test_input_graph_unchanged(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
         fp = graph_fingerprint(small_sbm)
-        robustness_probe(model, small_sbm, range(5), budget=0.15, trials=1, seed=2)
+        robustness_probe(model, small_sbm, range(5), trials=1, seed=2)
         assert graph_fingerprint(small_sbm) == fp
 
 
@@ -75,6 +78,7 @@ class TestCsvExports:
         model = tiny_model(small_sbm, linkpred_objective)
         other = sbm_graph(30, 6, 5.0, seed=77)
         result, labels = separability_projection(model, small_sbm, other)
+        assert result.projection.shape == (small_sbm.num_nodes + other.num_nodes, 2)
         path = tmp_path / "pca.csv"
         write_projection_csv(path, result, labels)
         lines = path.read_text().splitlines()

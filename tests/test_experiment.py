@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphmia.experiment as exp_mod
-from graphmia.config import ExperimentConfig, SyntheticSpec
+from graphmia.config import ConfigError, ExperimentConfig, SyntheticSpec
 from graphmia.experiment import (
     build_context,
     prepare_domains,
@@ -195,6 +195,17 @@ class TestScaling:
             runtime_scaling_check([0, 100], tiny_cfg())
         with pytest.raises(ValueError):
             runtime_scaling_check([100], tiny_cfg())
+
+    @pytest.mark.parametrize("sizes, bad", [([8, 16], 8), ([16, 8], 8), ([2, 16], 2)])
+    def test_every_size_validated_before_warm_up(self, monkeypatch, sizes, bad):
+        # the default config cannot run 8 nodes per domain: its 4-node shadow
+        # graph splits (1, 2, 1); 2 nodes are below the SBM fixture's minimum
+        def refuse(*args, **kwargs):
+            raise AssertionError("an attack was timed before every size was checked")
+
+        monkeypatch.setattr(exp_mod, "time_attack_pipeline", refuse)
+        with pytest.raises(ConfigError, match=rf"^nodes_per_domain {bad}: "):
+            runtime_scaling_check(sizes, ExperimentConfig())
 
     def test_runs_and_reports_slope(self):
         cfg = tiny_cfg(epochs_pretrain=10, epochs_shadow=4, epochs_attack=10)

@@ -103,7 +103,7 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
     negs = np.array(_sample_distinct(rng, n, {node}, obj.negatives_per_positive))
     aug_seed = derive_seed(seed, "node-view", node)
     h, fcache = forward(graph)
-    hv, vcache = forward(augment_graph(graph, obj, aug_seed))
+    hv, vcache = forward(augment_graph(graph, aug_seed))
     anchor = np.repeat(h[[node]], len(negs), axis=0)
     loss, dpos, dneg = info_nce(cosine_rows(h[[node]], hv[[node]]),
                                 cosine_rows(anchor, h[negs])[None, :], obj.temperature)
@@ -117,7 +117,7 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
     for v, d in zip(negs, db):
         dh[v] += d
     dx = backward(fcache, dh, grads)
-    _, drop_cols = _augment_draws(graph, obj, aug_seed)
+    _, drop_cols = _augment_draws(graph, aug_seed)
     return loss, grads, dx + backward(vcache, dhv, grads) * (~drop_cols)[None, :]
 
 

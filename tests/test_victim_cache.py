@@ -4,6 +4,7 @@ same ``--out`` load it when the key matches and pre-train otherwise."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields, replace
 
 import pytest
@@ -14,6 +15,7 @@ from graphmia.checkpoint import pretrain_key, read_meta, victim_path
 from graphmia.cli import main
 from graphmia.config import ExperimentConfig, SyntheticSpec, load_config
 from graphmia.experiment import prepare_domains, pretrain_args, run_experiment
+from graphmia.graph import graph_fingerprint
 
 CONFIG = """
 objective = link_prediction
@@ -88,6 +90,17 @@ COMMANDS = [
 def key_of(cfg: ExperimentConfig, seed: int | None = None) -> str:
     seed = cfg.seed if seed is None else seed
     return pretrain_key(*pretrain_args(cfg, seed, prepare_domains(cfg, seed)))
+
+
+def version_1_key(cfg: ExperimentConfig, seed: int) -> str:
+    """The key the previous sidecar format recorded for the same inputs:
+    key version 1, with both augmentation rates inside the objective."""
+    graphs, objective, config, pseed = pretrain_args(cfg, seed, prepare_domains(cfg, seed))
+    rates = repr(objective)[:-1] + ", edge_drop_rate=0.2, feature_mask_rate=0.2)"
+    h = hashlib.sha256(f"v1;seed={pseed};{rates};{config!r}".encode())
+    for graph in sorted(graphs, key=lambda g: g.domain_id):
+        h.update(graph_fingerprint(graph).encode())
+    return h.hexdigest()
 
 
 def small_cfg() -> ExperimentConfig:
@@ -227,6 +240,22 @@ class TestCache:
         lines = [line for line in meta.read_text().splitlines() if not line.startswith("pretrain_key")]
         if edit == "stale":
             lines.append("pretrain_key = " + "0" * 64)
+        meta.write_text("\n".join(lines) + "\n")
+        before = snapshot(out)
+        assert run(["attack"], config, out) == 0
+        assert len(pretrain_calls) == 1
+        assert snapshot(out) == before
+
+    def test_version_1_sidecar_is_a_miss(self, tmp_path, pretrain_calls):
+        config = write_config(tmp_path)
+        out = tmp_path / "runs"
+        assert run(["pretrain"], config, out) == 0
+        pretrain_calls.clear()
+        meta = out / "victim_seed11.ckpt.meta"
+        lines = [line for line in meta.read_text().splitlines() if not line.startswith("pretrain_key")]
+        at = lines.index("negatives_per_positive = 5") + 1
+        lines[at:at] = ["edge_drop_rate = 0.2", "feature_mask_rate = 0.2"]
+        lines.append("pretrain_key = " + version_1_key(load_config(config), 11))
         meta.write_text("\n".join(lines) + "\n")
         before = snapshot(out)
         assert run(["attack"], config, out) == 0
