@@ -20,7 +20,6 @@ from .attack import (
 from .config import ExperimentConfig, SyntheticSpec, load_config, parse_config
 from .graph import (
     Graph,
-    GraphPartition,
     graph_fingerprint,
     induced_subgraph,
     load_graph,

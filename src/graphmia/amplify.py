@@ -64,8 +64,9 @@ class SamplePlan:
     Row i of ``refs`` holds the node ids that ``nodes[i]`` is compared with:
     ``num_positive`` positives, then ``num_negative`` negatives.  Under the
     contrastive objective positive column p is the anchor itself, read in
-    ``views[p]``, the shared augmented view drawn with ``view_seeds[p]``;
-    every other column compares two nodes of the graph itself.
+    ``views[p]``, the shared augmented view drawn with ``view_seed(seed, p)``
+    from the plan's seed; every other column compares two nodes of the
+    graph itself.
     """
 
     graph: Graph
@@ -74,7 +75,6 @@ class SamplePlan:
     nodes: tuple[int, ...]
     skipped: tuple[int, ...]
     refs: np.ndarray
-    view_seeds: tuple[int, ...]
     views: tuple[Graph, ...]
 
 
@@ -104,9 +104,9 @@ def draw_sample_plan(
         rows.append(np.concatenate([pos, neg]))
     refs = np.array(rows, dtype=np.int64).reshape(len(kept), num_positive + num_negative)
     refs.flags.writeable = False
-    view_seeds = ()
+    views = ()
     if objective.kind == CONTRASTIVE and kept:
-        view_seeds = tuple(view_seed(seed, p) for p in range(num_positive))
+        views = tuple(augment_graph(graph, view_seed(seed, p)) for p in range(num_positive))
     return SamplePlan(
         graph=graph,
         num_positive=num_positive,
@@ -114,8 +114,7 @@ def draw_sample_plan(
         nodes=tuple(kept),
         skipped=tuple(skipped),
         refs=refs,
-        view_seeds=view_seeds,
-        views=tuple(augment_graph(graph, s) for s in view_seeds),
+        views=views,
     )
 
 

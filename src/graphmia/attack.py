@@ -14,7 +14,7 @@ import numpy as np
 
 from .amplify import SamplePlan, draw_sample_plan, similarity_profile
 from .graph import Graph
-from .nn import MLP, AdamState, ShapeError, adam_step, cross_entropy, mlp_forward
+from .nn import MLP, AdamState, ShapeError, adam_step, cross_entropy
 from .rng import derive_seed
 from .victim import VictimModel
 
@@ -102,13 +102,13 @@ def fit_mlp_classifier(
 
 
 def classify(mlp: MLP, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, membership scores) for a feature matrix.
+    """(labels, membership scores) for a feature matrix (a 1-D row is one
+    sample); ``MLP.forward`` raises ``ShapeError`` on a width mismatch.
 
     Exact logit ties break toward non-member; the score is the softmax
     probability of the member class, always strictly inside (0, 1).
     """
-    features = np.atleast_2d(features)
-    logits = mlp_forward(mlp, features)
+    logits, _ = mlp.forward(features)
     labels = (logits[:, 1] > logits[:, 0]).astype(np.int64)
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
@@ -125,18 +125,6 @@ def train_attack_model(
     logits, _ = mlp.forward(x)
     acc = float((logits.argmax(axis=1) == y).mean())
     return AttackModel(mlp=mlp, train_accuracy=acc)
-
-
-def predict_from_features(
-    attack_model: AttackModel, features: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    features = np.atleast_2d(features)
-    if features.shape[1] != attack_model.feature_dim:
-        raise ShapeError(
-            f"attack model expects features of length {attack_model.feature_dim}, "
-            f"got {features.shape[1]}"
-        )
-    return classify(attack_model.mlp, features)
 
 
 def infer_membership(
@@ -157,5 +145,5 @@ def infer_membership(
     plan = draw_sample_plan(graph, nodes, target_model.objective, m, m, seed)
     if not plan.nodes:
         return {}
-    labels, scores = predict_from_features(attack_model, similarity_profile(target_model, plan))
+    labels, scores = classify(attack_model.mlp, similarity_profile(target_model, plan))
     return {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}

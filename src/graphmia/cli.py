@@ -77,28 +77,25 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
+def _audit(args: argparse.Namespace, attacks: tuple[str, ...], variants: tuple[str, ...]) -> int:
+    """Run the audit into ``--out`` and print its summary; exit code 1 when
+    a seed failed."""
     cfg = _load(args)
-    result = run_experiment(cfg, attacks=(PRIMARY_ATTACK,), variants=(VARIANT_FULL,),
-                            out_dir=_out_dir(args))
+    result = run_experiment(cfg, attacks=attacks, variants=variants, out_dir=_out_dir(args))
     _print_summary(result.summary())
     return 1 if result.failures else 0
+
+
+def cmd_attack(args: argparse.Namespace) -> int:
+    return _audit(args, (PRIMARY_ATTACK,), (VARIANT_FULL,))
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    result = run_experiment(cfg, attacks=(args.name,), out_dir=_out_dir(args))
-    _print_summary(result.summary())
-    return 1 if result.failures else 0
+    return _audit(args, (args.name,), (VARIANT_FULL,))
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    variant = {"wo-ul": VARIANT_WO_UL, "wo-il": VARIANT_WO_IL}[args.variant]
-    result = run_experiment(cfg, attacks=(PRIMARY_ATTACK,), variants=(variant,),
-                            out_dir=_out_dir(args))
-    _print_summary(result.summary())
-    return 1 if result.failures else 0
+    return _audit(args, (PRIMARY_ATTACK,), (args.variant,))
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
@@ -143,8 +140,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     runs = []
     for path in reports:
-        rec = json.loads(path.read_text(encoding="utf-8"))
-        runs.append((rec["variant"], MetricsReport.from_dict(rec)))
+        try:
+            rec = json.loads(path.read_text(encoding="utf-8"))
+            runs.append((rec["variant"], MetricsReport.from_dict(rec)))
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            reason = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            print(f"graphmia: error: {path}: {reason}", file=sys.stderr)
+            return 2
     runs.sort(key=lambda run: run[1].seed)
     _print_summary({"attacks": summarize_runs(runs), "failures": []})
     return 0
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("ablate", help="run an ablated variant of the attack")
-    p.add_argument("--variant", required=True, choices=["wo-ul", "wo-il"])
+    p.add_argument("--variant", required=True, choices=[VARIANT_WO_UL, VARIANT_WO_IL])
     common(p)
     p.set_defaults(fn=cmd_ablate)
 

@@ -195,8 +195,17 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse the config file at ``path``; a file that cannot be read as
+    UTF-8 text raises ``ConfigError`` naming it."""
     path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_config(text, base_dir=path.parent)
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:

@@ -31,7 +31,7 @@ from .baselines import KINDS as BASELINE_KINDS
 from .baselines import embed_mia, ge_mia, ge_references, glo_mia, gpia, grad_mia, nlo_mia
 from .checkpoint import load_pretrained, victim_path
 from .config import ConfigError, ExperimentConfig, config_hash
-from .graph import Graph, GraphPartition, induced_subgraph, load_graph, partition_shadow, split_half
+from .graph import Graph, induced_subgraph, load_graph, partition_shadow, split_half
 from .metrics import MetricsReport, accuracy_f1
 from .rng import derive_seed, substream
 from .shadow import ShadowConfig, estimate_fisher, incremental_finetune
@@ -47,34 +47,26 @@ VARIANTS = (VARIANT_FULL, VARIANT_WO_UL, VARIANT_WO_IL)
 
 @dataclass
 class DomainData:
+    """A domain graph's member / non-member halves: sorted node id arrays,
+    and the subgraphs they induce, whose local id i is the i-th id."""
+
     graph: Graph
-    member_nodes: frozenset[int]
-    nonmember_nodes: frozenset[int]
+    member_nodes: np.ndarray
+    nonmember_nodes: np.ndarray
     member_graph: Graph
     nonmember_graph: Graph
-
-    @property
-    def member_ids(self) -> list[int]:
-        return sorted(self.member_nodes)
-
-    @property
-    def nonmember_ids(self) -> list[int]:
-        return sorted(self.nonmember_nodes)
 
 
 @dataclass
 class AttackContext:
-    """Everything one seed's attacks share: config, model, splits, subgraphs,
-    and the per-seed results that several attacks read, each computed once
-    on first use."""
+    """Everything one seed's attacks read: config, target model, the attack
+    domain, the shadow subgraphs, and the per-seed results that several
+    attacks read, each computed once on first use."""
 
     cfg: ExperimentConfig
     seed: int
-    objective: SSLObjective
     target: VictimModel
-    domains: list[DomainData]
     attack_domain: DomainData
-    partition: GraphPartition
     unlearn_graph: Graph
     shadow_train_graph: Graph
     shadow_test_graph: Graph
@@ -103,7 +95,7 @@ class AttackContext:
         cfg = self.cfg
         fresh = VictimModel.init(
             {d: w.shape[0] for d, w in self.target.projectors.items()},
-            self.objective,
+            self.target.objective,
             TrainConfig(epochs=0, lr=cfg.lr_shadow, layers=cfg.layers, emb_dim=cfg.emb_dim),
             seed=derive_seed(self.seed, "scratch-shadow"),
         )
@@ -117,7 +109,7 @@ class AttackContext:
         """m-sample plans over every shadow-train and every shadow-test node."""
         m = self.cfg.m_samples
         return tuple(
-            draw_sample_plan(g, range(g.num_nodes), self.objective, m, m, s)
+            draw_sample_plan(g, range(g.num_nodes), self.target.objective, m, m, s)
             for g, s in ((self.shadow_train_graph, seed_train), (self.shadow_test_graph, seed_test))
         )
 
@@ -188,9 +180,6 @@ class ExperimentResult:
     config_hash: str
     wall_time_s: float
 
-    def reports(self) -> list[MetricsReport]:
-        return [r.report for r in self.records]
-
     def summary(self) -> dict:
         return {
             "config_hash": self.config_hash,
@@ -243,13 +232,12 @@ def prepare_domains(cfg: ExperimentConfig, seed: int) -> list[DomainData]:
     return domains
 
 
-def _split_fingerprint(domains: list[DomainData], partition: GraphPartition) -> str:
+def _split_fingerprint(domains: list[DomainData], partition: tuple[np.ndarray, ...]) -> str:
     h = hashlib.sha256()
     for d in domains:
-        h.update(repr((d.graph.domain_id, d.member_ids)).encode())
-    h.update(repr(sorted(partition.unlearn_nodes)).encode())
-    h.update(repr(sorted(partition.shadow_train_nodes)).encode())
-    h.update(repr(sorted(partition.shadow_test_nodes)).encode())
+        h.update(repr((d.graph.domain_id, d.member_nodes.tolist())).encode())
+    for part in partition:
+        h.update(repr(part.tolist()).encode())
     return h.hexdigest()[:16]
 
 
@@ -272,7 +260,6 @@ def build_context(cfg: ExperimentConfig, seed: int,
     """One seed's shared state.  The victim is loaded from ``victim_dir``
     when ``pretrain`` checkpointed it there from the same inputs, and
     pre-trained otherwise; a miss writes nothing."""
-    objective = _objective_from(cfg)
     domains = prepare_domains(cfg, seed)
     by_id = {d.graph.domain_id: d for d in domains}
     if cfg.attack_domain not in by_id:
@@ -286,17 +273,16 @@ def build_context(cfg: ExperimentConfig, seed: int,
     attack_domain = by_id[cfg.attack_domain]
     shadow_graph = attack_domain.nonmember_graph
     partition = partition_shadow(shadow_graph, cfg.unlearn_fraction, derive_seed(seed, "partition"))
+    unlearn_graph, shadow_train_graph, shadow_test_graph = (
+        induced_subgraph(shadow_graph, part) for part in partition)
     return AttackContext(
         cfg=cfg,
         seed=seed,
-        objective=objective,
         target=target,
-        domains=domains,
         attack_domain=attack_domain,
-        partition=partition,
-        unlearn_graph=induced_subgraph(shadow_graph, partition.unlearn_nodes),
-        shadow_train_graph=induced_subgraph(shadow_graph, partition.shadow_train_nodes),
-        shadow_test_graph=induced_subgraph(shadow_graph, partition.shadow_test_nodes),
+        unlearn_graph=unlearn_graph,
+        shadow_train_graph=shadow_train_graph,
+        shadow_test_graph=shadow_test_graph,
         split_fingerprint=_split_fingerprint(domains, partition),
     )
 
@@ -308,16 +294,14 @@ def _score(
     attack: str,
 ) -> MetricsReport:
     """Map local predictions back to original node ids and score them."""
-    member_ids = ctx.attack_domain.member_ids
-    nonmember_ids = ctx.attack_domain.nonmember_ids
     predictions: dict[int, int] = {}
     truth: dict[int, int] = {}
-    for local, (label, _) in member_preds.items():
-        predictions[member_ids[local]] = label
-        truth[member_ids[local]] = 1
-    for local, (label, _) in nonmember_preds.items():
-        predictions[nonmember_ids[local]] = label
-        truth[nonmember_ids[local]] = 0
+    for preds, ids, member in ((member_preds, ctx.attack_domain.member_nodes, 1),
+                               (nonmember_preds, ctx.attack_domain.nonmember_nodes, 0)):
+        for local, (label, _) in preds.items():
+            node = int(ids[local])
+            predictions[node] = label
+            truth[node] = member
     return accuracy_f1(predictions, truth, attack=attack, seed=ctx.seed)
 
 

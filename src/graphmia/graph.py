@@ -290,31 +290,15 @@ def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int =
     return Graph.from_edges(num_nodes, unique, features, domain_id=domain_id)
 
 
-def split_half(graph: Graph, seed: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Random half/half node split; first part gets the extra node for odd n."""
+def split_half(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random half/half node split as two sorted int64 id arrays; the first
+    part gets the extra node for odd n."""
     n = graph.num_nodes
     if n < 2:
         raise DegenerateSplitError(f"cannot halve a graph with {n} node(s)")
     perm = substream(seed, "split-half").permutation(n)
     k = math.ceil(n / 2)
-    return frozenset(int(i) for i in perm[:k]), frozenset(int(i) for i in perm[k:])
-
-
-@dataclass(frozen=True)
-class GraphPartition:
-    """Disjoint unlearn / shadow-train / shadow-test node sets covering a graph."""
-
-    unlearn_nodes: frozenset[int]
-    shadow_train_nodes: frozenset[int]
-    shadow_test_nodes: frozenset[int]
-
-    def __post_init__(self) -> None:
-        parts = (self.unlearn_nodes, self.shadow_train_nodes, self.shadow_test_nodes)
-        if any(len(p) == 0 for p in parts):
-            raise DegenerateSplitError("every partition part must be non-empty")
-        total = len(self.unlearn_nodes) + len(self.shadow_train_nodes) + len(self.shadow_test_nodes)
-        if len(self.unlearn_nodes | self.shadow_train_nodes | self.shadow_test_nodes) != total:
-            raise DegenerateSplitError("partition parts overlap")
+    return np.sort(perm[:k]), np.sort(perm[k:])
 
 
 def partition_sizes(n: int, unlearn_fraction: float) -> tuple[int, int, int]:
@@ -326,9 +310,11 @@ def partition_sizes(n: int, unlearn_fraction: float) -> tuple[int, int, int]:
     return n_unlearn, n_train, n - n_unlearn - n_train
 
 
-def partition_shadow(graph: Graph, unlearn_fraction: float, seed: int) -> GraphPartition:
-    """Split a shadow graph into unlearn / train / test node sets of
-    :func:`partition_sizes`."""
+def partition_shadow(
+    graph: Graph, unlearn_fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a shadow graph into disjoint, non-empty unlearn / train / test
+    node sets of :func:`partition_sizes`, each a sorted int64 id array."""
     if not 0.0 < unlearn_fraction < 1.0:
         raise ValueError("unlearn_fraction must lie in (0, 1)")
     n = graph.num_nodes
@@ -339,11 +325,8 @@ def partition_shadow(graph: Graph, unlearn_fraction: float, seed: int) -> GraphP
             f"({n_unlearn}, {n_train}, {n_test})"
         )
     perm = substream(seed, "partition-shadow").permutation(n)
-    return GraphPartition(
-        unlearn_nodes=frozenset(int(i) for i in perm[:n_unlearn]),
-        shadow_train_nodes=frozenset(int(i) for i in perm[n_unlearn:n_unlearn + n_train]),
-        shadow_test_nodes=frozenset(int(i) for i in perm[n_unlearn + n_train:]),
-    )
+    cut = n_unlearn + n_train
+    return np.sort(perm[:n_unlearn]), np.sort(perm[n_unlearn:cut]), np.sort(perm[cut:])
 
 
 def induced_subgraph(graph: Graph, nodes) -> Graph:

@@ -69,10 +69,6 @@ class ParamSet:
     def names(self) -> list[str]:
         return [name for name, _ in self.layout]
 
-    @property
-    def total_len(self) -> int:
-        return self.vector.size
-
     def items(self):
         return self.tensors.items()
 
@@ -81,9 +77,6 @@ class ParamSet:
 
     def zeros_like(self) -> "ParamSet":
         return ParamSet.over(np.zeros_like(self.vector), self.layout)
-
-    def flat(self) -> np.ndarray:
-        return self.vector.copy()
 
     def check_layout(self, other: "ParamSet") -> None:
         if other.layout != self.layout:
@@ -209,11 +202,6 @@ class MLP:
         dw1[:] = x.T @ dz1
         db1[:] = dz1.sum(axis=0)
         return grads
-
-
-def mlp_forward(mlp: MLP, x: np.ndarray) -> np.ndarray:
-    logits, _ = mlp.forward(x)
-    return logits[0] if np.asarray(x).ndim == 1 else logits
 
 
 # ---------------------------------------------------------------------------

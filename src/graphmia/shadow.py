@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .nn import ParamSet, ShapeError
+from .nn import ParamSet
 from .rng import derive_seed
 from .victim import VictimModel, fine_tune, per_node_ssl_loss
 
@@ -31,9 +31,6 @@ class FisherDiag(ParamSet):
     @classmethod
     def uniform(cls, params: ParamSet, value: float = 1.0) -> "FisherDiag":
         return cls({k: np.full_like(t, value) for k, t in params.items()}, sample_count=0)
-
-    def aligned_with(self, params: ParamSet) -> bool:
-        return self.layout == params.layout
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> Fishe
         raise ValueError("shadow training graph is empty")
     acc = model.params.zeros_like()
     for node in range(shadow_train.num_nodes):
-        _, grads, _ = per_node_ssl_loss(model, shadow_train, node, derive_seed(seed, "fisher", node))
+        _, grads = per_node_ssl_loss(model, shadow_train, node, derive_seed(seed, "fisher", node))
         acc.vector += grads.vector * grads.vector
     acc.vector /= shadow_train.num_nodes
     return FisherDiag(acc.tensors, sample_count=shadow_train.num_nodes)
@@ -71,8 +68,7 @@ def ewc_penalty(
     params: ParamSet, anchor: ParamSet, fisher: FisherDiag, alpha: float
 ) -> tuple[float, ParamSet]:
     """alpha * sum_i I_i (theta_i - anchor_i)^2 and its exact gradient."""
-    if not fisher.aligned_with(params):
-        raise ShapeError("Fisher diagonal is not aligned with the parameter set")
+    params.check_layout(fisher)
     diff = params.vector - anchor.vector
     value = float(alpha * np.sum(fisher.vector * diff * diff))
     return value, ParamSet.over(2.0 * alpha * fisher.vector * diff, params.layout)
@@ -92,8 +88,7 @@ def incremental_finetune(
     bit-identical to plain fine-tuning with the same seed.  Returns the
     shadow model and the per-epoch total objective.
     """
-    if not fisher.aligned_with(unlearned.params):
-        raise ShapeError("Fisher diagonal is not aligned with the model parameters")
+    unlearned.params.check_layout(fisher)
     anchor = unlearned.params.copy()
     penalty = None
     if config.alpha != 0.0:

@@ -469,27 +469,19 @@ class NodeLoss:
 
 
 def per_node_ssl_loss(
-    model: VictimModel,
-    graph: Graph,
-    node: int,
-    seed: int,
-    want_feature_grad: bool = False,
-) -> tuple[float, ParamSet, np.ndarray | None]:
+    model: VictimModel, graph: Graph, node: int, seed: int
+) -> tuple[float, ParamSet]:
     """One node's contribution to the SSL loss, with parameter gradients.
 
     Link prediction: the node's incident edges plus the same number of
     random non-edges from it.  Contrastive: the node's anchor term against
     one augmented view and K negatives.  Computed exactly on the node's
     L-hop ball (see :class:`NodeLoss`), so the cost is O(ball), not
-    O(graph); the feature gradient is zero outside the ball.
+    O(graph).
     """
     terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, [seed])
-    loss, grads, dx = terms(model, 0, want_feature_grad)
-    if want_feature_grad:
-        full = np.zeros_like(graph.features)
-        full[terms.ball] = dx
-        dx = full
-    return loss, grads, dx
+    loss, grads, _ = terms(model)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

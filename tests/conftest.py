@@ -39,6 +39,7 @@ from graphmia.synth import sbm_graph
 from graphmia.victim import (
     LINK_PREDICTION,
     CONTRASTIVE,
+    NodeLoss,
     SSLObjective,
     TrainConfig,
     VictimModel,
@@ -139,3 +140,27 @@ def max_rel_error(analytic: ParamSet, numeric: ParamSet, floor: float = 1e-3) ->
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
         worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def whole_graph_feature_grad(model: VictimModel, graph: Graph, node: int, seed: int):
+    """The gradient of ``per_node_ssl_loss(model, graph, node, seed)`` with
+    respect to every feature row: ``NodeLoss``'s ball rows placed into a
+    zero (num_nodes x feature_dim) array."""
+    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, [seed])
+    _, _, ball_dx = terms(model, 0, want_feature_grad=True)
+    dx = np.zeros_like(graph.features)
+    dx[terms.ball] = ball_dx
+    return dx
+
+
+def nan_on_call(monkeypatch, module, name: str, bad_call: int) -> None:
+    """Rebind ``module.name``, a (loss, grads) function, so that its
+    ``bad_call``-th call (0-based) returns a NaN loss."""
+    real, calls = getattr(module, name), []
+
+    def diverging(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        calls.append(None)
+        return (np.nan if len(calls) == bad_call + 1 else loss), grads
+
+    monkeypatch.setattr(module, name, diverging)

@@ -17,6 +17,7 @@ from graphmia.amplify import (
     unlearn,
 )
 from graphmia.graph import Graph
+from graphmia.nn import NumericError
 from graphmia.rng import derive_seed
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
@@ -29,7 +30,7 @@ from graphmia.victim import (
     view_seed,
 )
 
-from conftest import finite_diff_grads, max_rel_error, tiny_model
+from conftest import finite_diff_grads, max_rel_error, nan_on_call, tiny_model
 
 
 def cycle_graph(n: int = 6, feature_dim: int = 3) -> Graph:
@@ -63,8 +64,11 @@ class TestSamplePlan:
     def test_contrastive_shared_views(self, contrastive_objective):
         g = sbm_graph(12, 4, 4.0, seed=3)
         plan = draw_sample_plan(g, range(12), contrastive_objective, 2, 2, seed=9)
-        assert plan.view_seeds == (view_seed(9, 0), view_seed(9, 1))
         assert len(plan.views) == 2
+        for p, view in enumerate(plan.views):
+            want = augment_graph(g, view_seed(9, p))
+            for field in ("indptr", "indices", "features"):
+                np.testing.assert_array_equal(getattr(view, field), getattr(want, field))
         # every node reads itself in each shared view
         for p in range(2):
             np.testing.assert_array_equal(plan.refs[:, p], plan.nodes)
@@ -102,7 +106,7 @@ class TestSimilarityProfile:
         plan = draw_sample_plan(g, range(8), obj, 2, 3, seed=6)
         prof = similarity_profile(model, plan)
         h = embed(model, g)
-        views_h = [embed(model, augment_graph(g, s)) for s in plan.view_seeds]
+        views_h = [embed(model, augment_graph(g, view_seed(6, p))) for p in range(2)]
         assert len(views_h) == 2 and plan.nodes == tuple(range(8))
         for i, v in enumerate(plan.nodes):
             for p, hv in enumerate(views_h):
@@ -239,6 +243,13 @@ class TestUnlearn:
             model, g, UnlearnConfig(lam=1.0, augment_epochs=3, distill_epochs=30), seed=5
         )
         assert result.final_loss <= result.history[0]
+
+    def test_diverged_distillation_names_the_epoch(self, monkeypatch, linkpred_objective):
+        g = sbm_graph(20, 4, 5.0, seed=11)
+        model = tiny_model(g, linkpred_objective, emb_dim=6)
+        nan_on_call(monkeypatch, amplify, "distill_loss_and_grads", 1)
+        with pytest.raises(NumericError, match="distillation diverged at epoch 1$"):
+            unlearn(model, g, UnlearnConfig(distill_epochs=5), seed=6)
 
     def test_never_mutates_target(self, linkpred_objective):
         g = sbm_graph(20, 4, 5.0, seed=11)

@@ -10,8 +10,8 @@ from graphmia.attack import (
     AttackTrainConfig,
     DataQualityError,
     build_attack_dataset,
+    classify,
     infer_membership,
-    predict_from_features,
     train_attack_model,
 )
 from graphmia.graph import Graph, induced_subgraph, partition_shadow
@@ -47,9 +47,9 @@ def pipeline_bits():
     graph = sbm_graph(120, 8, 10.0, seed=31)
     obj = SSLObjective(LINK_PREDICTION)
     model = VictimModel.init({0: 8}, obj, TrainConfig(epochs=0, emb_dim=12), seed=2)
-    part = partition_shadow(graph, 0.2, seed=4)
-    train_g = induced_subgraph(graph, part.shadow_train_nodes)
-    test_g = induced_subgraph(graph, part.shadow_test_nodes)
+    _, train_nodes, test_nodes = partition_shadow(graph, 0.2, seed=4)
+    train_g = induced_subgraph(graph, train_nodes)
+    test_g = induced_subgraph(graph, test_nodes)
     return model, train_g, test_g
 
 
@@ -118,7 +118,7 @@ class TestTrainAttackModel:
             train_y, test_y = y[:120], y[120:]
             ds = AttackDataset(x=train_x, y=train_y)
             model = train_attack_model(ds, AttackTrainConfig(epochs=150), seed=seed)
-            labels, _ = predict_from_features(model, test_x)
+            labels, _ = classify(model.mlp, test_x)
             accs.append(float((labels == test_y).mean()))
         assert abs(np.mean(accs) - 0.5) < 0.1
 
@@ -140,7 +140,7 @@ class TestPredict:
             mlp=MLP(w1=np.zeros((4, 8)), b1=np.zeros((1, 8)),
                     w2=np.zeros((8, 2)), b2=np.zeros((1, 2))),
         )
-        labels, scores = predict_from_features(model, np.random.default_rng(0).normal(size=(7, 4)))
+        labels, scores = classify(model.mlp, np.random.default_rng(0).normal(size=(7, 4)))
         np.testing.assert_array_equal(scores, np.full(7, 0.5))
         # exact ties break toward non-member
         np.testing.assert_array_equal(labels, np.zeros(7, dtype=np.int64))
@@ -149,25 +149,25 @@ class TestPredict:
         ds = toy_dataset(jitter=0.3)
         model = train_attack_model(ds, AttackTrainConfig(epochs=80), seed=3)
         x = ds.x
-        labels, _ = predict_from_features(model, x)
+        labels, _ = classify(model.mlp, x)
         shifted = AttackModel(
             mlp=MLP(w1=model.mlp.w1, b1=model.mlp.b1,
                     w2=model.mlp.w2, b2=model.mlp.b2 + 11.0),
         )
-        labels2, _ = predict_from_features(shifted, x)
+        labels2, _ = classify(shifted.mlp, x)
         np.testing.assert_array_equal(labels, labels2)
 
     def test_scores_strictly_inside_unit_interval(self):
         ds = toy_dataset()
         model = train_attack_model(ds, AttackTrainConfig(epochs=300), seed=1)
-        _, scores = predict_from_features(model, ds.x)
+        _, scores = classify(model.mlp, ds.x)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_feature_width_mismatch(self):
         ds = toy_dataset()
         model = train_attack_model(ds, AttackTrainConfig(epochs=1), seed=0)
         with pytest.raises(ShapeError):
-            predict_from_features(model, np.zeros((1, 99)))
+            classify(model.mlp, np.zeros((1, 99)))
 
 
 class TestInferMembership:
@@ -187,6 +187,6 @@ class TestInferMembership:
         attack = train_attack_model(ds, AttackTrainConfig(epochs=5), seed=2)
         got = infer_membership(attack, model, test_g, range(10), seed=5)
         plan = draw_sample_plan(test_g, range(10), model.objective, m, m, 5)
-        labels, scores = predict_from_features(attack, similarity_profile(model, plan))
+        labels, scores = classify(attack.mlp, similarity_profile(model, plan))
         assert got == {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}
 

@@ -21,7 +21,7 @@ from graphmia.baselines import (
 )
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, partition_shadow
 from graphmia.synth import sbm_graph
-from graphmia.victim import LINK_PREDICTION, SSLObjective, per_node_ssl_loss
+from graphmia.victim import LINK_PREDICTION, NodeLoss, SSLObjective, per_node_ssl_loss
 
 from conftest import tiny_model
 
@@ -31,11 +31,8 @@ def setting():
     graph = sbm_graph(100, 6, 10.0, seed=41)
     obj = SSLObjective(LINK_PREDICTION)
     model = tiny_model(graph, obj, seed=3, emb_dim=10)
-    part = partition_shadow(graph, 0.2, seed=5)
-    split = (
-        induced_subgraph(graph, part.shadow_train_nodes),
-        induced_subgraph(graph, part.shadow_test_nodes),
-    )
+    _, train_nodes, test_nodes = partition_shadow(graph, 0.2, seed=5)
+    split = (induced_subgraph(graph, train_nodes), induced_subgraph(graph, test_nodes))
     return graph, obj, model, split
 
 
@@ -150,7 +147,7 @@ class TestGradMia:
                     g.num_nodes, [tuple(e) for e in g.edge_array.tolist()], bumped,
                     domain_id=g.domain_id,
                 )
-                loss, _, _ = per_node_ssl_loss(
+                loss, _ = per_node_ssl_loss(
                     model, g2, node,
                     seed=derive_seed(5, "grad-feature", node),
                 )
@@ -169,6 +166,24 @@ class TestGpia:
         graph, _, model, _ = setting
         _, feats, _ = parameter_change_features(model, graph, [0], epochs=1, lr=1e-3, seed=1)
         assert feats.shape == (1, len(model.params.names))
+
+    def test_diverged_node_counted_and_left_out(self, monkeypatch, setting):
+        graph, _, model, _ = setting
+        nodes = [0, 1, 2, 3]
+        kept, want, diverged = parameter_change_features(model, graph, nodes, 3, 1e-3, seed=1)
+        assert kept == nodes and diverged == 0
+
+        class Diverging(NodeLoss):
+            """Node 2's loss turns NaN at its second epoch."""
+
+            def __call__(self, model, draw=0, want_feature_grad=False):
+                loss, grads, dx = super().__call__(model, draw, want_feature_grad)
+                return (np.nan if (self.node, draw) == (2, 1) else loss), grads, dx
+
+        monkeypatch.setattr(bl, "NodeLoss", Diverging)
+        kept, feats, diverged = parameter_change_features(model, graph, nodes, 3, 1e-3, seed=1)
+        assert kept == [0, 1, 3] and diverged == 1
+        np.testing.assert_array_equal(feats, want[[0, 1, 3]])
 
 
 class TestEndToEndDeterminism:

@@ -261,3 +261,48 @@ class TestCliArgumentsCheckedFirst:
         err = self.usage_error(["scaling", "--sizes", "8,16", "--config", str(cli_config),
                                 "--out", str(tmp_path)], capsys)
         assert "graphmia: error: nodes_per_domain 8:" in err
+
+    @pytest.mark.parametrize("case, reason", [
+        ("missing", "cannot read config {path}: No such file or directory"),
+        ("directory", "cannot read config {path}: Is a directory"),
+        ("not-utf8", "config {path} is not UTF-8 text: invalid continuation byte"),
+    ])
+    def test_unreadable_config(self, tmp_path, capsys, no_work, case, reason):
+        path = tmp_path / "audit.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(SAMPLE.encode() + b"# caf\xe9\n")
+        err = self.usage_error(["attack", "--config", str(path), "--out", str(tmp_path / "runs")],
+                               capsys)
+        assert "graphmia: error: " + reason.format(path=path) in err
+
+
+GOOD_REPORT = {
+    "attack": "glo-mia", "seed": 3, "acc": 0.5, "f1": 0.5, "tp": 1, "fp": 1, "tn": 1, "fn": 1,
+    "n_members": 2, "n_nonmembers": 2, "variant": "full", "config_hash": "0123456789abcdef",
+}
+
+
+class TestEvaluateUnreadableReports:
+    """``evaluate`` names a report it cannot read and exits with code 2."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{not json", "Expecting property name"),
+        (json.dumps({k: v for k, v in GOOD_REPORT.items() if k != "seed"}), "no field 'seed'"),
+        (json.dumps({**GOOD_REPORT, "n_members": 3}), "confusion counts do not sum"),
+        ("[]", "list indices"),
+        (None, "Is a directory"),
+    ], ids=["not-json", "no-seed", "counts-do-not-sum", "not-an-object", "directory"])
+    def test_bad_report(self, tmp_path, capsys, text, reason):
+        (tmp_path / "report_glo-mia_full_seed2.json").write_text(json.dumps(GOOD_REPORT))
+        bad = tmp_path / "report_glo-mia_full_seed3.json"
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        assert main(["evaluate", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"graphmia: error: {bad}: ")
+        assert reason in captured.err

@@ -33,7 +33,8 @@ class TestDomainPreparation:
         domains = prepare_domains(cfg, seed=4)
         assert len(domains) == 2
         for d in domains:
-            assert d.member_nodes | d.nonmember_nodes == set(range(d.graph.num_nodes))
+            both = np.concatenate([d.member_nodes, d.nonmember_nodes])
+            np.testing.assert_array_equal(np.sort(both), np.arange(d.graph.num_nodes))
             assert d.member_graph.num_nodes == len(d.member_nodes)
             assert d.nonmember_graph.num_nodes == len(d.nonmember_nodes)
 

@@ -8,7 +8,6 @@ from graphmia.graph import (
     DegenerateSplitError,
     Graph,
     GraphFormatError,
-    GraphPartition,
     NodeRangeError,
     graph_fingerprint,
     induced_subgraph,
@@ -174,7 +173,7 @@ class TestSplitHalf:
         g = Graph.from_edges(2708, [], np.zeros((2708, 1)))
         members, nonmembers = split_half(g, seed=7)
         assert (len(members), len(nonmembers)) == (1354, 1354)
-        assert members.isdisjoint(nonmembers)
+        assert not np.intersect1d(members, nonmembers).size
 
     def test_odd_split(self):
         g = Graph.from_edges(5, [], np.zeros((5, 1)))
@@ -183,8 +182,9 @@ class TestSplitHalf:
 
     def test_deterministic(self):
         g = path_graph(9)
-        assert split_half(g, 42) == split_half(g, 42)
-        assert split_half(g, 42) != split_half(g, 43)
+        for a, b in zip(split_half(g, 42), split_half(g, 42)):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(split_half(g, 42)[0], split_half(g, 43)[0])
 
     def test_degenerate(self):
         g = Graph.from_edges(1, [], np.zeros((1, 1)))
@@ -196,16 +196,15 @@ class TestSplitHalf:
     def test_partition_property(self, n, seed):
         g = Graph.from_edges(n, [], np.zeros((n, 1)))
         members, nonmembers = split_half(g, seed)
-        assert members | nonmembers == set(range(n))
-        assert len(members) + len(nonmembers) == n
+        for part in (members, nonmembers):
+            assert part.dtype == np.int64 and (np.diff(part) > 0).all()
+        np.testing.assert_array_equal(np.sort(np.concatenate([members, nonmembers])), np.arange(n))
 
 
 class TestPartitionShadow:
     def test_sizes(self):
         g = Graph.from_edges(100, [], np.zeros((100, 1)))
-        p = partition_shadow(g, 0.2, seed=1)
-        sizes = (len(p.unlearn_nodes), len(p.shadow_train_nodes), len(p.shadow_test_nodes))
-        assert sizes == (20, 40, 40)
+        assert tuple(len(part) for part in partition_shadow(g, 0.2, seed=1)) == (20, 40, 40)
 
     def test_degenerate_rounding(self):
         g = Graph.from_edges(10, [], np.zeros((10, 1)))
@@ -216,24 +215,18 @@ class TestPartitionShadow:
         g = Graph.from_edges(1000, [], np.zeros((1000, 1)))
         p1 = partition_shadow(g, 0.2, seed=1)
         p2 = partition_shadow(g, 0.2, seed=2)
-        assert p1.unlearn_nodes != p2.unlearn_nodes
-        assert len(p1.unlearn_nodes) == len(p2.unlearn_nodes) == 200
-        assert len(p1.shadow_train_nodes) == len(p2.shadow_train_nodes) == 400
+        assert not np.array_equal(p1[0], p2[0])
+        assert len(p1[0]) == len(p2[0]) == 200
+        assert len(p1[1]) == len(p2[1]) == 400
 
     @given(n=st.integers(20, 200), seed=st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
     def test_exact_cover(self, n, seed):
         g = Graph.from_edges(n, [], np.zeros((n, 1)))
-        p = partition_shadow(g, 0.2, seed)
-        union = p.unlearn_nodes | p.shadow_train_nodes | p.shadow_test_nodes
-        total = len(p.unlearn_nodes) + len(p.shadow_train_nodes) + len(p.shadow_test_nodes)
-        assert union == set(range(n)) and total == n
-
-    def test_partition_type_rejects_overlap(self):
-        with pytest.raises(DegenerateSplitError):
-            GraphPartition(frozenset({0}), frozenset({0}), frozenset({1}))
-        with pytest.raises(DegenerateSplitError):
-            GraphPartition(frozenset(), frozenset({0}), frozenset({1}))
+        parts = partition_shadow(g, 0.2, seed)
+        for part in parts:
+            assert part.dtype == np.int64 and len(part) and (np.diff(part) > 0).all()
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(n))
 
 
 class TestInducedSubgraph:

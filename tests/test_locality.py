@@ -48,6 +48,7 @@ from graphmia.victim import (
     per_node_ssl_loss,
 )
 
+from conftest import whole_graph_feature_grad
 from test_nn import dense_normalized_adjacency
 
 TOL = 1e-12
@@ -166,8 +167,8 @@ class TestBallExactness:
     def test_per_node_loss_gradients_and_dx(self, graph, kind, layers, seed):
         model = model_for(graph, kind, layers, seed)
         for node in range(graph.num_nodes):
-            loss, grads, dx = per_node_ssl_loss(model, graph, node,
-                                                seed=seed, want_feature_grad=True)
+            loss, grads = per_node_ssl_loss(model, graph, node, seed=seed)
+            dx = whole_graph_feature_grad(model, graph, node, seed)
             ref_loss, ref_grads, ref_dx = whole_graph_loss(model, graph, node, seed)
             assert close(loss, ref_loss)
             for name in ref_grads.names:
@@ -230,8 +231,8 @@ class TestPartialBalls:
         for node in range(n):
             seed = derive_seed(6, "grad-feature", node)
             assert len(NodeLoss(g, model.objective, 2, node, [seed]).ball) < n
-            loss, grads, dx = per_node_ssl_loss(model, g, node, seed=seed,
-                                                want_feature_grad=True)
+            loss, grads = per_node_ssl_loss(model, g, node, seed=seed)
+            dx = whole_graph_feature_grad(model, g, node, seed)
             ref_loss, ref_grads, ref_dx = whole_graph_loss(model, g, node, seed)
             assert close(loss, ref_loss)
             for name in ref_grads.names:

@@ -19,7 +19,6 @@ from graphmia.nn import (
     cosine_rows_backward,
     cross_entropy,
     info_nce,
-    mlp_forward,
     ref_cosines,
     ref_cosines_backward,
     scatter_matrix,
@@ -55,8 +54,7 @@ def dense_normalized_adjacency(graph: Graph) -> np.ndarray:
 class TestParamSet:
     def test_flatten_order_stable(self):
         ps = ParamSet({"b": np.ones((1, 2)), "a": np.full((2, 1), 3.0)})
-        np.testing.assert_array_equal(ps.flat(), [1.0, 1.0, 3.0, 3.0])
-        assert ps.total_len == 4
+        np.testing.assert_array_equal(ps.vector, [1.0, 1.0, 3.0, 3.0])
         assert ps.names == ["b", "a"]
 
     def test_copy_is_deep(self):
@@ -388,7 +386,8 @@ class TestMLP:
     def test_zero_weights_zero_logits(self):
         mlp = MLP(w1=np.zeros((3, 4)), b1=np.zeros((1, 4)),
                   w2=np.zeros((4, 2)), b2=np.zeros((1, 2)))
-        np.testing.assert_array_equal(mlp_forward(mlp, np.ones(3)), [0.0, 0.0])
+        logits, _ = mlp.forward(np.ones(3))
+        np.testing.assert_array_equal(logits, [[0.0, 0.0]])
 
     def test_hand_computed(self):
         # hidden = relu([x1+x2, x1-x2]); logits = [h1, h1+2*h2] + (1, -1)
@@ -398,9 +397,9 @@ class TestMLP:
             w2=np.array([[1.0, 1.0], [0.0, 2.0]]),
             b2=np.array([[1.0, -1.0]]),
         )
-        out = mlp_forward(mlp, np.array([2.0, 1.0]))
+        out, _ = mlp.forward(np.array([2.0, 1.0]))
         # hidden = [3, 1], logits = [3+1, 3+2-1] = [4, 4]
-        np.testing.assert_allclose(out, [4.0, 4.0])
+        np.testing.assert_allclose(out, [[4.0, 4.0]])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graphmia.shadow as shadow_mod
-from graphmia.nn import ParamSet
+from graphmia.nn import ParamSet, ShapeError
 from graphmia.shadow import (
     FisherDiag,
     ShadowConfig,
@@ -23,12 +23,19 @@ class TestFisherDiag:
         with pytest.raises(ValueError):
             FisherDiag({"w": np.array([[-1.0]])}, sample_count=1)
 
-    def test_alignment(self):
+    def test_alignment(self, small_sbm, linkpred_objective):
         params = ParamSet({"a": np.zeros((2, 2)), "b": np.zeros((1, 3))})
         fisher = FisherDiag.uniform(params, 0.5)
-        assert fisher.aligned_with(params)
-        assert fisher.total_len == 7
-        assert not fisher.aligned_with(ParamSet({"a": np.zeros((2, 2))}))
+        params.check_layout(fisher)
+        assert fisher.vector.size == 7
+        with pytest.raises(ShapeError):
+            ParamSet({"a": np.zeros((2, 2))}).check_layout(fisher)
+        # the penalty and the fine-tune refuse a Fisher of another layout
+        model = tiny_model(small_sbm, linkpred_objective)
+        with pytest.raises(ShapeError):
+            ewc_penalty(model.params, model.params.copy(), fisher, 1.0)
+        with pytest.raises(ShapeError):
+            incremental_finetune(model, small_sbm, fisher, ShadowConfig(epochs=1), seed=0)
 
 
 class TestEstimateFisher:
@@ -43,8 +50,8 @@ class TestEstimateFisher:
             1: ParamSet({k: np.full_like(t, -3.0) for k, t in model.params.items()}),
         }
 
-        def fake_loss(model_, graph_, node, seed, want_feature_grad=False):
-            return 0.0, grads_by_node[node], None
+        def fake_loss(model_, graph_, node, seed):
+            return 0.0, grads_by_node[node]
 
         monkeypatch.setattr(shadow_mod, "per_node_ssl_loss", fake_loss)
         fisher = estimate_fisher(model, g, seed=0)
@@ -57,21 +64,21 @@ class TestEstimateFisher:
         for t in model.params.tensors.values():
             t[:] = 0.0
         fisher = estimate_fisher(model, small_sbm, seed=1)
-        assert float(fisher.flat().max()) == 0.0
+        assert float(fisher.vector.max()) == 0.0
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
     def test_nonnegative(self, kind, small_sbm):
         obj = SSLObjective(kind, negatives_per_positive=2)
         model = tiny_model(small_sbm, obj)
         fisher = estimate_fisher(model, small_sbm, seed=2)
-        assert float(fisher.flat().min()) >= 0.0
-        assert np.all(np.isfinite(fisher.flat()))
+        assert float(fisher.vector.min()) >= 0.0
+        assert np.all(np.isfinite(fisher.vector))
 
     def test_deterministic(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
         a = estimate_fisher(model, small_sbm, seed=3)
         b = estimate_fisher(model, small_sbm, seed=3)
-        np.testing.assert_array_equal(a.flat(), b.flat())
+        np.testing.assert_array_equal(a.vector, b.vector)
 
 
 class TestEwcPenalty:
@@ -112,7 +119,7 @@ class TestEwcPenalty:
         params = model.params
         value, grads = ewc_penalty(params, params.copy(), FisherDiag.uniform(params), 5.0)
         assert value == 0.0
-        assert float(np.abs(grads.flat()).max()) == 0.0
+        assert float(np.abs(grads.vector).max()) == 0.0
 
 
 class TestIncrementalFinetune:
@@ -137,22 +144,22 @@ class TestIncrementalFinetune:
         pinned, _ = incremental_finetune(
             model, g, fisher, ShadowConfig(alpha=1e6, epochs=30, lr=1e-3), seed=8
         )
-        base = model.params.flat()
-        disp_free = float(np.linalg.norm(free.params.flat() - base))
-        disp_pinned = float(np.linalg.norm(pinned.params.flat() - base))
+        base = model.params.vector
+        disp_free = float(np.linalg.norm(free.params.vector - base))
+        disp_pinned = float(np.linalg.norm(pinned.params.vector - base))
         assert disp_pinned < 1e-3 * disp_free
 
     def test_monotone_pinning_in_alpha(self, linkpred_objective):
         g = sbm_graph(30, 5, 6.0, seed=9)
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         fisher = FisherDiag.uniform(model.params, 1.0)
-        base = model.params.flat()
+        base = model.params.vector
         disps = []
         for alpha in (0.0, 0.01, 1.0, 100.0):
             tuned, _ = incremental_finetune(
                 model, g, fisher, ShadowConfig(alpha=alpha, epochs=20, lr=1e-3), seed=10
             )
-            disps.append(float(np.linalg.norm(tuned.params.flat() - base)))
+            disps.append(float(np.linalg.norm(tuned.params.vector - base)))
         assert all(a >= b - 1e-12 for a, b in zip(disps, disps[1:]))
 
     def test_objective_final_not_above_initial(self, linkpred_objective):

@@ -43,7 +43,7 @@ def test_counters_read_the_traced_arguments():
     # functions it wraps; a read that no longer fits fails the seed
     tracing = load_tracing()
     cfg = tiny_cfg(m_queries=6, epochs_attack=5)
-    shadow_train = len(build_context(cfg, cfg.seed).partition.shadow_train_nodes)
+    shadow_train = build_context(cfg, cfg.seed).shadow_train_graph.num_nodes
     tracer = tracing.Tracer()
     restore = tracer.install()
     try:

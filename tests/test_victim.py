@@ -5,7 +5,9 @@ import signal
 import numpy as np
 import pytest
 
+import graphmia.victim as victim_mod
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, split_half
+from graphmia.nn import NumericError
 from graphmia.rng import derive_seed
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
@@ -30,7 +32,10 @@ from graphmia.victim import (
     view_seed,
 )
 
-from conftest import finite_diff_grads, gcn_forward, max_rel_error, tiny_model
+from conftest import (
+    finite_diff_grads, gcn_forward, max_rel_error, nan_on_call, tiny_model,
+    whole_graph_feature_grad,
+)
 
 
 def star_graph(leaves: int = 5, feature_dim: int = 2, spare: int = 4) -> Graph:
@@ -194,10 +199,9 @@ class TestDegenerateNodes:
     def test_hub_contributes_zero(self, linkpred_objective):
         g = self._star12()
         model = tiny_model(g, linkpred_objective)
-        loss, grads, dx = per_node_ssl_loss(model, g, 0, seed=0,
-                                            want_feature_grad=True)
+        loss, grads = per_node_ssl_loss(model, g, 0, seed=0)
         assert loss == 0.0
-        assert not grads.flat().any() and not dx.any()
+        assert not grads.vector.any() and not whole_graph_feature_grad(model, g, 0, 0).any()
 
     def test_complete_graph_raises(self, linkpred_objective):
         k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)],
@@ -310,7 +314,7 @@ class TestGradients:
         g = sbm_graph(8, 3, 3.0, seed=4)
         model = tiny_model(g, SSLObjective(kind, negatives_per_positive=3), emb_dim=4)
         params = model.params
-        _, grads, _ = per_node_ssl_loss(model, g, 2, seed=17)
+        _, grads = per_node_ssl_loss(model, g, 2, seed=17)
         numeric = finite_diff_grads(
             lambda: per_node_ssl_loss(model, g, 2, seed=17)[0], params
         )
@@ -321,7 +325,7 @@ class TestGradients:
         g = sbm_graph(7, 3, 3.0, seed=5)
         model = tiny_model(g, SSLObjective(kind, negatives_per_positive=2), emb_dim=4)
         node = 1
-        _, _, dx = per_node_ssl_loss(model, g, node, seed=19, want_feature_grad=True)
+        dx = whole_graph_feature_grad(model, g, node, 19)
         # finite differences on the node's own feature row
         feats = g.features.copy()
         step = 1e-5
@@ -334,7 +338,7 @@ class TestGradients:
                     g.num_nodes, [tuple(e) for e in g.edge_array.tolist()], bumped,
                     domain_id=g.domain_id,
                 )
-                val, _, _ = per_node_ssl_loss(model, g2, node, seed=19)
+                val, _ = per_node_ssl_loss(model, g2, node, seed=19)
                 numeric[j] += sign * val / (2 * step)
         np.testing.assert_allclose(dx[node], numeric, rtol=1e-4, atol=1e-7)
 
@@ -353,6 +357,22 @@ class TestFineTune:
         assert history == []
         for k in model.params.names:
             np.testing.assert_array_equal(tuned.params.tensors[k], model.params.tensors[k])
+
+
+class TestDivergence:
+    def test_fine_tune_names_the_epoch(self, monkeypatch, small_sbm, linkpred_objective):
+        model = tiny_model(small_sbm, linkpred_objective)
+        nan_on_call(monkeypatch, victim_mod, "ssl_loss_and_grads", 2)
+        with pytest.raises(NumericError, match="fine-tune diverged at epoch 2$"):
+            fine_tune(model, small_sbm, epochs=5, lr=1e-3, seed=1)
+
+    def test_pretrain_names_the_epoch_and_domain(self, monkeypatch, linkpred_objective):
+        graphs = [sbm_graph(20, 4, 4.0, seed=d, domain_id=d) for d in (0, 1)]
+        # each epoch takes one step per domain: call 3 is epoch 1, domain 1
+        nan_on_call(monkeypatch, victim_mod, "ssl_loss_and_grads", 3)
+        with pytest.raises(NumericError, match="diverged at epoch 1, domain 1$"):
+            pretrain_multidomain(graphs, linkpred_objective,
+                                 TrainConfig(epochs=4, emb_dim=4), seed=0)
 
 
 class TestOverfittingWedge:

@@ -199,9 +199,9 @@ class TestKey:
                 path.write_bytes(original)
 
         domain = prepare_domains(cfg, cfg.seed)[1]
-        assert with_row_byte_changed(domain.member_ids[0]) != ref
+        assert with_row_byte_changed(domain.member_nodes[0]) != ref
         # a non-member's features never reach pre-training
-        assert with_row_byte_changed(domain.nonmember_ids[0]) == ref
+        assert with_row_byte_changed(domain.nonmember_nodes[0]) == ref
 
 
 class TestCache:
