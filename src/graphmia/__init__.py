@@ -2,7 +2,6 @@
 
 from .amplify import (
     SamplePlan,
-    UnlearnConfig,
     draw_sample_plan,
     fine_tune_augment,
     similarity_profile,
@@ -12,7 +11,6 @@ from .amplify import (
 from .attack import (
     AttackDataset,
     AttackModel,
-    AttackTrainConfig,
     build_attack_dataset,
     infer_membership,
     train_attack_model,
@@ -30,7 +28,7 @@ from .graph import (
 from .metrics import MetricsReport, accuracy_f1
 from .nn import GCNEncoder, MLP, ParamSet, adam_step
 from .pca import pca_project
-from .shadow import FisherDiag, ShadowConfig, estimate_fisher, incremental_finetune
+from .shadow import FisherDiag, estimate_fisher, incremental_finetune
 from .synth import sbm_graph
 from .victim import (
     SSLObjective,

@@ -5,7 +5,9 @@ augment model, teacher similarity scores interpolate between the two, and a
 student copy of the target is distilled toward the teachers.  Similarity
 profiles are (nodes x samples) matrices computed against a frozen
 :class:`SamplePlan`, so scores from different models are directly
-comparable entry by entry.
+comparable entry by entry.  Both stages read their settings (lambda, the
+augment and distill epochs and learning rates, m samples) from the
+:class:`ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .graph import Graph
 from .nn import (
     AdamState,
@@ -39,22 +42,6 @@ from .victim import (
 )
 
 _BOUND_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class UnlearnConfig:
-    lam: float = 1.0
-    augment_epochs: int = 5
-    distill_epochs: int = 50
-    lr_augment: float = 1e-3
-    lr_distill: float = 1e-3
-    num_samples: int = 5  # positives per node, and as many negatives
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.augment_epochs < 0 or self.distill_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +134,14 @@ def teacher_scores(s_target: np.ndarray, s_augment: np.ndarray, lam: float) -> n
 
 
 def fine_tune_augment(
-    target: VictimModel, unlearn_graph: Graph, config: UnlearnConfig, seed: int = 0
+    target: VictimModel, unlearn_graph: Graph, cfg: ExperimentConfig, seed: int = 0
 ) -> VictimModel:
     """Brief SSL fine-tuning of a copy of the target on the unlearn graph."""
     tuned, _ = fine_tune(
         target,
         unlearn_graph,
-        epochs=config.augment_epochs,
-        lr=config.lr_augment,
+        epochs=cfg.epochs_augment,
+        lr=cfg.lr_augment,
         seed=derive_seed(seed, "augment-ft"),
     )
     return tuned
@@ -191,36 +178,37 @@ class UnlearnResult:
 
 
 def unlearn(
-    target: VictimModel, unlearn_graph: Graph, config: UnlearnConfig, seed: int
+    target: VictimModel, unlearn_graph: Graph, cfg: ExperimentConfig, seed: int
 ) -> UnlearnResult:
     """Distill a copy of the target toward teacher similarity scores.
 
     Builds the augment model, profiles target and augment on a shared
-    sample plan over the unlearn graph's nodes, forms teachers, and trains
-    the student for ``distill_epochs``.  The target itself is never mutated.
+    sample plan of ``m_samples`` positives and as many negatives per
+    unlearn-graph node, forms teachers, and trains the student for
+    ``epochs_unlearn``.  The target itself is never mutated.
     """
     if unlearn_graph.num_nodes == 0:
         raise ValueError("unlearn graph is empty")
-    augment_model = fine_tune_augment(target, unlearn_graph, config, seed)
+    augment_model = fine_tune_augment(target, unlearn_graph, cfg, seed)
     plan = draw_sample_plan(
         unlearn_graph,
         range(unlearn_graph.num_nodes),
         target.objective,
-        config.num_samples,
-        config.num_samples,
+        cfg.m_samples,
+        cfg.m_samples,
         derive_seed(seed, "unlearn-plan"),
     )
     if not plan.nodes:
         raise ValueError("no unlearn node admits a positive sample")
     teachers = teacher_scores(
-        similarity_profile(target, plan), similarity_profile(augment_model, plan), config.lam
+        similarity_profile(target, plan), similarity_profile(augment_model, plan), cfg.lam
     )
 
     student = target.copy()
     params = student.params
-    state = AdamState.init(params, lr=config.lr_distill)
+    state = AdamState.init(params, lr=cfg.lr_unlearn)
     history: list[float] = []
-    for epoch in range(config.distill_epochs):
+    for epoch in range(cfg.epochs_unlearn):
         loss, grads = distill_loss_and_grads(student, plan, teachers)
         if not np.isfinite(loss):
             raise NumericError(f"distillation diverged at epoch {epoch}")

@@ -4,6 +4,8 @@ Attack features are a node's cosine similarities to m positive and m
 negative samples.  The labeled dataset comes from the shadow model (shadow
 train nodes are members, shadow test nodes are not); a two-layer MLP is
 trained on it and applied to features queried from the real target model.
+The MLP's width, epochs and learning rate are ``hidden_dim``,
+``epochs_attack`` and ``lr_attack`` of the :class:`ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplify import SamplePlan, draw_sample_plan, similarity_profile
+from .config import ExperimentConfig
 from .graph import Graph
 from .nn import MLP, AdamState, ShapeError, adam_step, cross_entropy
 from .rng import derive_seed
@@ -77,23 +80,14 @@ def build_attack_dataset(
     )
 
 
-@dataclass(frozen=True)
-class AttackTrainConfig:
-    epochs: int = 300
-    lr: float = 1e-3
-    hidden_dim: int = 256
-
-
-def fit_mlp_classifier(
-    x: np.ndarray, y: np.ndarray, config: AttackTrainConfig, seed: int
-) -> MLP:
+def fit_mlp_classifier(x: np.ndarray, y: np.ndarray, cfg: ExperimentConfig, seed: int) -> MLP:
     """Full-batch Adam + cross-entropy fit of a two-layer binary classifier."""
     if len(set(np.asarray(y).tolist())) < 2:
         raise ValueError("training data must contain both labels")
-    mlp = MLP.init(x.shape[1], config.hidden_dim, 2, seed=derive_seed(seed, "attack-mlp"))
+    mlp = MLP.init(x.shape[1], cfg.hidden_dim, 2, seed=derive_seed(seed, "attack-mlp"))
     params = mlp.params
-    state = AdamState.init(params, lr=config.lr)
-    for _ in range(config.epochs):
+    state = AdamState.init(params, lr=cfg.lr_attack)
+    for _ in range(cfg.epochs_attack):
         logits, cache = mlp.forward(x)
         _, dlogits = cross_entropy(logits, y)
         grads = mlp.backward(cache, dlogits)
@@ -116,12 +110,10 @@ def classify(mlp: MLP, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, scores
 
 
-def train_attack_model(
-    dataset: AttackDataset, config: AttackTrainConfig, seed: int
-) -> AttackModel:
+def train_attack_model(dataset: AttackDataset, cfg: ExperimentConfig, seed: int) -> AttackModel:
     """Train the two-layer attack MLP on a labeled similarity dataset."""
     x, y = dataset.x, dataset.y
-    mlp = fit_mlp_classifier(x, y, config, seed)
+    mlp = fit_mlp_classifier(x, y, cfg, seed)
     logits, _ = mlp.forward(x)
     acc = float((logits.argmax(axis=1) == y).mean())
     return AttackModel(mlp=mlp, train_accuracy=acc)

@@ -5,8 +5,9 @@ similarity attack within one experiment, so comparisons are paired.  Each
 takes a list of query graphs and a matching list of query node sets (the
 query sides) and returns one prediction dict per side, all in the same
 schema: node -> (label, membership score).  The five shadow-trained
-attacks fit their decision rule once per call and answer every side from it.
-Protocol settings are the module constants below, read at call time.
+attacks fit their decision rule once per call and answer every side from it;
+the MLP-based ones fit the attack MLP with the ``ExperimentConfig`` they are
+given.  Protocol settings are the module constants below, read at call time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import itertools
 
 import numpy as np
 
-from .attack import AttackTrainConfig, classify, fit_mlp_classifier
+from .attack import classify, fit_mlp_classifier
+from .config import ExperimentConfig
 from .graph import Graph, perturb_edges
 from .nn import AdamState, adam_step, cosine_rows, NumericError
 from .rng import derive_seed, substream
@@ -59,11 +61,11 @@ def _shadow_attack(extract, fit, shadow_model: VictimModel, shadow_graphs: tuple
     return sides
 
 
-def _fit_mlp(config: AttackTrainConfig, seed: int):
+def _fit_mlp(cfg: ExperimentConfig, seed: int):
     """Decision rule: the attack MLP trained on the shadow features."""
 
     def fit(x: np.ndarray, y: np.ndarray):
-        return functools.partial(classify, fit_mlp_classifier(x, y, config, seed))
+        return functools.partial(classify, fit_mlp_classifier(x, y, cfg, seed))
 
     return fit
 
@@ -74,12 +76,12 @@ def _fit_mlp(config: AttackTrainConfig, seed: int):
 
 def embed_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
               target_model: VictimModel, query_graphs, query_nodes,
-              attack: AttackTrainConfig, seed: int) -> list[Predictions]:
+              cfg: ExperimentConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         return nodes, embed(model, graph)[np.array(nodes, dtype=np.int64)]
 
     return _shadow_attack(
-        extract, _fit_mlp(attack, derive_seed(seed, "embed-mia")),
+        extract, _fit_mlp(cfg, derive_seed(seed, "embed-mia")),
         shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
@@ -105,12 +107,12 @@ def input_gradient_features(
 
 def grad_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
              target_model: VictimModel, query_graphs, query_nodes,
-             attack: AttackTrainConfig, seed: int) -> list[Predictions]:
+             cfg: ExperimentConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         return nodes, input_gradient_features(model, graph, nodes, derive_seed(seed, "grad-mia"))
 
     return _shadow_attack(
-        extract, _fit_mlp(attack, derive_seed(seed, "grad-mia")),
+        extract, _fit_mlp(cfg, derive_seed(seed, "grad-mia")),
         shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
@@ -152,9 +154,9 @@ def _view_similarities(seed: int):
 
 def nlo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
             target_model: VictimModel, query_graphs, query_nodes,
-            attack: AttackTrainConfig, seed: int) -> list[Predictions]:
+            cfg: ExperimentConfig, seed: int) -> list[Predictions]:
     return _shadow_attack(
-        _view_similarities(seed), _fit_mlp(attack, derive_seed(seed, "nlo-mia")),
+        _view_similarities(seed), _fit_mlp(cfg, derive_seed(seed, "nlo-mia")),
         shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )
 
@@ -181,7 +183,7 @@ def _fit_threshold(x: np.ndarray, y: np.ndarray):
 
 def glo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
             target_model: VictimModel, query_graphs, query_nodes,
-            attack: AttackTrainConfig, seed: int) -> list[Predictions]:
+            cfg: ExperimentConfig, seed: int) -> list[Predictions]:
     """The perturbation procedure of NLO-MIA under this call's own seed,
     but thresholding the mean similarity."""
     views = _view_similarities(seed)
@@ -284,7 +286,7 @@ def parameter_change_features(
 
 def gpia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
          target_model: VictimModel, query_graphs, query_nodes,
-         attack: AttackTrainConfig, seed: int) -> list[Predictions]:
+         cfg: ExperimentConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         kept, feats, _ = parameter_change_features(
             model, graph, nodes, GPIA_EPOCHS, GPIA_LR, derive_seed(seed, f"gpia-{role}"),
@@ -292,6 +294,6 @@ def gpia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
         return kept, feats
 
     return _shadow_attack(
-        extract, _fit_mlp(attack, derive_seed(seed, "gpia")),
+        extract, _fit_mlp(cfg, derive_seed(seed, "gpia")),
         shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
     )

@@ -8,9 +8,11 @@ identifier recorded in every report.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .graph import partition_sizes
 from .victim import LINK_PREDICTION, SSLObjective
@@ -32,6 +34,9 @@ class SyntheticSpec:
 
 @dataclass
 class ExperimentConfig:
+    """Every setting of an audit, named and defaulted here and checked by
+    ``validate``; each stage reads the fields it needs from this object."""
+
     objective: str = LINK_PREDICTION
     lam: float = 1.0
     alpha: float | None = None          # None: resolved by objective kind
@@ -122,25 +127,29 @@ class ExperimentConfig:
                         raise ConfigError(f"dataset.{dom}.{key}: no such file {spec[key]!r}")
 
 
-_INT_KEYS = {
-    "epochs_pretrain", "epochs_augment", "epochs_unlearn", "epochs_shadow",
-    "epochs_attack", "m_samples", "m_queries", "hidden_dim", "emb_dim",
-    "layers", "repetitions", "seed", "attack_domain", "negatives_per_positive",
-}
-_FLOAT_KEYS = {
-    "lambda", "alpha", "lr_pretrain", "lr_augment", "lr_unlearn", "lr_shadow",
-    "lr_attack", "unlearn_fraction", "temperature",
-}
-_SYNTH_INT = {"domains", "nodes_per_domain", "feature_dim"}
-_SYNTH_FLOAT = {"avg_degree", "feature_shift", "feature_noise"}
+@functools.cache
+def _value_types(cls: type) -> dict[str, type]:
+    """The int, float or str fields of a config dataclass and the type each
+    annotation names (``X | None`` names X): the settings a file can set."""
+    types = {}
+    for name, hint in get_type_hints(cls).items():
+        for t in get_args(hint) or (hint,):
+            if t in (int, float, str):
+                types[name] = t
+    return types
+
+
+# ``lambda`` is a Python keyword, so its setting is the field ``lam``,
+# which is not a key itself
+_RENAMED = {"lambda": "lam", "lam": None}
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
+    """Parse config text.  A key outside ``dataset.*`` sets the field of its
+    name, on ``cfg.synthetic`` for ``synthetic.*``, converted to the type
+    the field's annotation names."""
     cfg = ExperimentConfig()
-    synth_kv: dict[str, str] = {}
     dataset_kv: dict[int, dict[str, str]] = {}
-    saw_synth = False
-    saw_dataset = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,31 +157,27 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        unknown = ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "objective":
-                cfg.objective = value
-            elif key == "lambda":
-                cfg.lam = float(value)
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key.startswith("synthetic."):
-                saw_synth = True
-                synth_kv[key.removeprefix("synthetic.")] = value
-            elif key.startswith("dataset."):
-                saw_dataset = True
+            if key.startswith("dataset."):
                 _, dom, attr = key.split(".", 2)
                 if attr not in ("edges", "features"):
-                    raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                    raise unknown
                 dataset_kv.setdefault(int(dom), {})[attr] = value
+                continue
+            if key.startswith("synthetic."):
+                owner, name = cfg.synthetic, key.removeprefix("synthetic.")
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                owner, name = cfg, _RENAMED.get(key, key)
+            kind = _value_types(type(owner)).get(name)
+            if kind is None:
+                raise unknown
+            setattr(owner, name, kind(value))
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-    if saw_dataset:
+    if dataset_kv:
         cfg.synthetic = None
         if base_dir is not None:
             dataset_kv = {
@@ -180,16 +185,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
                 for dom, spec in dataset_kv.items()
             }
         cfg.dataset = dataset_kv
-    elif saw_synth:
-        spec = SyntheticSpec()
-        for k, v in synth_kv.items():
-            if k in _SYNTH_INT:
-                setattr(spec, k, int(v))
-            elif k in _SYNTH_FLOAT:
-                setattr(spec, k, float(v))
-            else:
-                raise ConfigError(f"unknown synthetic key {k!r}")
-        cfg.synthetic = spec
     cfg.validate()
     return cfg
 

@@ -20,13 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplify import SamplePlan, UnlearnConfig, draw_sample_plan, similarity_profile, unlearn
-from .attack import (
-    AttackTrainConfig,
-    build_attack_dataset,
-    infer_membership,
-    train_attack_model,
-)
+from .amplify import SamplePlan, draw_sample_plan, similarity_profile, unlearn
+from .attack import build_attack_dataset, infer_membership, train_attack_model
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import embed_mia, ge_mia, ge_references, glo_mia, gpia, grad_mia, nlo_mia
 from .checkpoint import load_pretrained, victim_path
@@ -34,7 +29,7 @@ from .config import ConfigError, ExperimentConfig, config_hash
 from .graph import Graph, induced_subgraph, load_graph, partition_shadow, split_half
 from .metrics import MetricsReport, accuracy_f1
 from .rng import derive_seed, substream
-from .shadow import ShadowConfig, estimate_fisher, incremental_finetune
+from .shadow import estimate_fisher, incremental_finetune
 from .synth import sbm_graph
 from .victim import SSLObjective, TrainConfig, VictimModel, fine_tune, pretrain_multidomain
 
@@ -95,8 +90,7 @@ class AttackContext:
         cfg = self.cfg
         fresh = VictimModel.init(
             {d: w.shape[0] for d, w in self.target.projectors.items()},
-            self.target.objective,
-            TrainConfig(epochs=0, lr=cfg.lr_shadow, layers=cfg.layers, emb_dim=cfg.emb_dim),
+            self.target.objective, cfg.layers, cfg.emb_dim,
             seed=derive_seed(self.seed, "scratch-shadow"),
         )
         model, _ = fine_tune(
@@ -338,19 +332,7 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
 
     distill_initial = distill_final = None
     if variant == VARIANT_FULL:
-        result = unlearn(
-            ctx.target,
-            ctx.unlearn_graph,
-            UnlearnConfig(
-                lam=cfg.lam,
-                augment_epochs=cfg.epochs_augment,
-                distill_epochs=cfg.epochs_unlearn,
-                lr_augment=cfg.lr_augment,
-                lr_distill=cfg.lr_unlearn,
-                num_samples=cfg.m_samples,
-            ),
-            seed=derive_seed(seed, "unlearn"),
-        )
+        result = unlearn(ctx.target, ctx.unlearn_graph, cfg, seed=derive_seed(seed, "unlearn"))
         base = result.model
         distill_initial = result.initial_loss
         distill_final = result.final_loss
@@ -361,28 +343,16 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
 
     fisher = estimate_fisher(base, ctx.shadow_train_graph, seed=derive_seed(seed, "fisher"))
     model, _ = incremental_finetune(
-        base,
-        ctx.shadow_train_graph,
-        fisher,
-        ShadowConfig(alpha=cfg.resolved_alpha(), epochs=cfg.epochs_shadow, lr=cfg.lr_shadow),
-        seed=derive_seed(seed, "shadow-ft"),
+        base, ctx.shadow_train_graph, fisher, cfg, seed=derive_seed(seed, "shadow-ft"),
     )
     return ShadowBuild(model=model, distill_initial=distill_initial, distill_final=distill_final)
-
-
-def _attack_config(cfg: ExperimentConfig) -> AttackTrainConfig:
-    """The attack MLP's training settings, shared by the similarity attack
-    and the MLP-based baselines."""
-    return AttackTrainConfig(epochs=cfg.epochs_attack, lr=cfg.lr_attack, hidden_dim=cfg.hidden_dim)
 
 
 def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
     cfg, seed = ctx.cfg, ctx.seed
     build = build_shadow_model(ctx, variant)
     dataset = build_attack_dataset(build.model, *ctx.attack_plans)
-    attack_model = train_attack_model(
-        dataset, _attack_config(cfg), seed=derive_seed(seed, "attack-train"),
-    )
+    attack_model = train_attack_model(dataset, cfg, seed=derive_seed(seed, "attack-train"))
     members, nonmembers = ctx.query_nodes
     member_preds = infer_membership(
         attack_model, ctx.target, ctx.attack_domain.member_graph, members,
@@ -432,7 +402,7 @@ def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
         }[kind]
         member_preds, nonmember_preds = fn(
             ctx.scratch_shadow, (ctx.shadow_train_graph, ctx.shadow_test_graph), ctx.target,
-            graphs, nodes, _attack_config(cfg), derive_seed(seed, "baseline", kind),
+            graphs, nodes, cfg, derive_seed(seed, "baseline", kind),
         )
     report = _score(ctx, member_preds, nonmember_preds, kind)
     return RunRecord(
@@ -556,7 +526,7 @@ def runtime_scaling_check(sizes: list[int], cfg: ExperimentConfig) -> ScalingRep
     if len(sizes) < 2:
         raise ValueError("need at least two sizes to fit a slope")
     if cfg.synthetic is None:
-        raise ValueError("scaling check requires a synthetic config")
+        raise ConfigError("scaling check requires a synthetic config")
     configs = [_with_nodes(cfg, int(n)) for n in sizes]
     for n, sized in zip(sizes, configs):
         try:

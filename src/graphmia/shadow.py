@@ -4,15 +4,16 @@ Per-parameter importances are estimated on the shadow training graph as an
 empirical diagonal Fisher (mean of squared per-node loss gradients), then
 the unlearned model is fine-tuned under a quadratic anchor penalty
 alpha * sum_i I_i (theta_i - theta_anchor_i)^2 so that the shadow model
-keeps mimicking the target while fitting the shadow data.
+keeps mimicking the target while fitting the shadow data.  The fine-tune
+reads alpha, ``epochs_shadow`` and ``lr_shadow`` from the
+:class:`ExperimentConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import ExperimentConfig
 from .graph import Graph
 from .nn import ParamSet
 from .rng import derive_seed
@@ -31,19 +32,6 @@ class FisherDiag(ParamSet):
     @classmethod
     def uniform(cls, params: ParamSet, value: float = 1.0) -> "FisherDiag":
         return cls({k: np.full_like(t, value) for k, t in params.items()}, sample_count=0)
-
-
-@dataclass(frozen=True)
-class ShadowConfig:
-    alpha: float = 1.0
-    epochs: int = 100
-    lr: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
 
 
 def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> FisherDiag:
@@ -78,11 +66,12 @@ def incremental_finetune(
     unlearned: VictimModel,
     shadow_train: Graph,
     fisher: FisherDiag,
-    config: ShadowConfig,
+    cfg: ExperimentConfig,
     seed: int,
 ) -> tuple[VictimModel, list[float]]:
     """Fine-tune a copy of the unlearned model on the shadow training graph
-    under the Fisher-weighted anchor penalty.
+    under the Fisher-weighted anchor penalty, with ``cfg.resolved_alpha()``
+    as alpha.
 
     With alpha = 0 the penalty branch is skipped entirely, so the run is
     bit-identical to plain fine-tuning with the same seed.  Returns the
@@ -90,15 +79,16 @@ def incremental_finetune(
     """
     unlearned.params.check_layout(fisher)
     anchor = unlearned.params.copy()
+    alpha = cfg.resolved_alpha()
     penalty = None
-    if config.alpha != 0.0:
+    if alpha != 0.0:
         def penalty(params: ParamSet):
-            return ewc_penalty(params, anchor, fisher, config.alpha)
+            return ewc_penalty(params, anchor, fisher, alpha)
     return fine_tune(
         unlearned,
         shadow_train,
-        epochs=config.epochs,
-        lr=config.lr,
+        epochs=cfg.epochs_shadow,
+        lr=cfg.lr_shadow,
         seed=seed,
         penalty_grads=penalty,
     )

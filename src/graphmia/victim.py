@@ -112,16 +112,17 @@ class VictimModel:
         cls,
         domain_dims: dict[int, int],
         objective: SSLObjective,
-        config: TrainConfig,
+        layers: int,
+        emb_dim: int,
         seed: int,
     ) -> "VictimModel":
         if not domain_dims:
             raise ValueError("need at least one domain")
         tensors = {
-            f"proj.{d}": glorot(dim, config.emb_dim, substream(seed, "proj-init", d))
+            f"proj.{d}": glorot(dim, emb_dim, substream(seed, "proj-init", d))
             for d, dim in sorted(domain_dims.items())
         }
-        dims = [config.emb_dim] * (config.layers + 1)
+        dims = [emb_dim] * (layers + 1)
         tensors.update(GCNEncoder.init(dims, seed=derive_seed(seed, "encoder-init")).param_items())
         return cls(ParamSet(tensors), objective)
 
@@ -544,7 +545,8 @@ def pretrain_multidomain(
             raise ValueError(f"domain {g.domain_id} has an empty member graph")
 
     domain_dims = {g.domain_id: g.feature_dim for g in member_graphs}
-    model = VictimModel.init(domain_dims, objective, config, seed=derive_seed(seed, "init"))
+    model = VictimModel.init(domain_dims, objective, config.layers, config.emb_dim,
+                             seed=derive_seed(seed, "init"))
     params = model.params
     state = AdamState.init(params, lr=config.lr)
 

@@ -41,7 +41,6 @@ from graphmia.victim import (
     CONTRASTIVE,
     NodeLoss,
     SSLObjective,
-    TrainConfig,
     VictimModel,
 )
 
@@ -76,7 +75,8 @@ def tiny_model(graph: Graph, objective: SSLObjective, seed: int = 5, emb_dim: in
     return VictimModel.init(
         {graph.domain_id: graph.feature_dim},
         objective,
-        TrainConfig(epochs=0, emb_dim=emb_dim, layers=2),
+        2,
+        emb_dim,
         seed=seed,
     )
 

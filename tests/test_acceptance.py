@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from graphmia.amplify import (
-    UnlearnConfig,
     draw_sample_plan,
     fine_tune_augment,
     similarity_profile,
@@ -24,7 +23,6 @@ from graphmia.amplify import (
     unlearn,
     distill_loss_and_grads,
 )
-from graphmia.attack import AttackTrainConfig
 from graphmia.baselines import (
     EDGE_FRACTION,
     GE_REFERENCES,
@@ -38,7 +36,7 @@ from graphmia.config import ExperimentConfig, SyntheticSpec
 from graphmia.experiment import run_experiment, runtime_scaling_check
 from graphmia.metrics import accuracy_f1
 from graphmia.nn import MLP, cross_entropy
-from graphmia.shadow import FisherDiag, ShadowConfig, estimate_fisher, ewc_penalty, incremental_finetune
+from graphmia.shadow import FisherDiag, estimate_fisher, ewc_penalty, incremental_finetune
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
     CONTRASTIVE,
@@ -153,7 +151,7 @@ class TestCriterion2AlgebraicFixedPoints:
         model = tiny_model(g, obj, seed=4, emb_dim=8)
 
         # lambda = 0: unlearning is a no-op on the parameters
-        result = unlearn(model, g, UnlearnConfig(lam=0.0, distill_epochs=8), seed=5)
+        result = unlearn(model, g, ExperimentConfig(lam=0.0, epochs_unlearn=8), seed=5)
         drift = max(
             float(np.max(np.abs(result.model.params.tensors[k] - model.params.tensors[k])))
             for k in model.params.names
@@ -161,7 +159,7 @@ class TestCriterion2AlgebraicFixedPoints:
         assert drift < 1e-9
 
         # lambda = 1: teacher equals the augment scores exactly
-        augment = fine_tune_augment(model, g, UnlearnConfig(augment_epochs=3), seed=6)
+        augment = fine_tune_augment(model, g, ExperimentConfig(epochs_augment=3), seed=6)
         plan = draw_sample_plan(g, range(g.num_nodes), obj, 3, 3, seed=8)
         s_t = similarity_profile(model, plan)
         s_a = similarity_profile(augment, plan)
@@ -170,14 +168,14 @@ class TestCriterion2AlgebraicFixedPoints:
         # alpha = 0: shadow fine-tuning is bit-identical to plain fine-tuning
         fisher = estimate_fisher(model, g, seed=9)
         anchored, _ = incremental_finetune(
-            model, g, fisher, ShadowConfig(alpha=0.0, epochs=10, lr=1e-3), seed=10
+            model, g, fisher, ExperimentConfig(alpha=0.0, epochs_shadow=10, lr_shadow=1e-3), seed=10
         )
         plain, _ = fine_tune(model, g, epochs=10, lr=1e-3, seed=10)
         for k in anchored.params.names:
             np.testing.assert_array_equal(anchored.params.tensors[k], plain.params.tensors[k])
 
         # zero augment epochs: augment model equals the target
-        frozen = fine_tune_augment(model, g, UnlearnConfig(augment_epochs=0), seed=11)
+        frozen = fine_tune_augment(model, g, ExperimentConfig(epochs_augment=0), seed=11)
         for k in model.params.names:
             np.testing.assert_array_equal(frozen.params.tensors[k], model.params.tensors[k])
 
@@ -266,7 +264,7 @@ class TestCriterion7BaselineShapes:
         )
         assert change.shape == (1, len(model.params.names))
 
-        assert AttackTrainConfig().hidden_dim == 256
+        assert ExperimentConfig().hidden_dim == 256
 
 
 class TestCriterion8ComplexityScaling:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphmia import amplify
 from graphmia.amplify import (
-    UnlearnConfig,
     distill_loss_and_grads,
     draw_sample_plan,
     fine_tune_augment,
@@ -16,6 +15,7 @@ from graphmia.amplify import (
     teacher_scores,
     unlearn,
 )
+from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph
 from graphmia.nn import NumericError
 from graphmia.rng import derive_seed
@@ -179,7 +179,7 @@ class TestTeacherScores:
 class TestFineTuneAugment:
     def test_zero_epochs_identity(self, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
-        cfg = UnlearnConfig(augment_epochs=0)
+        cfg = ExperimentConfig(epochs_augment=0)
         out = fine_tune_augment(model, small_sbm, cfg, seed=3)
         for k in model.params.names:
             np.testing.assert_array_equal(out.params.tensors[k], model.params.tensors[k])
@@ -188,7 +188,8 @@ class TestFineTuneAugment:
         g = sbm_graph(30, 5, 6.0, seed=4)
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         snapshot = model.params.copy()
-        out = fine_tune_augment(model, g, UnlearnConfig(augment_epochs=5, lr_augment=1e-2), seed=3)
+        cfg = ExperimentConfig(epochs_augment=5, lr_augment=1e-2)
+        out = fine_tune_augment(model, g, cfg, seed=3)
         before, _ = ssl_loss_and_grads(model, g, seed=77)
         after, _ = ssl_loss_and_grads(out, g, seed=77)
         assert after < before
@@ -218,7 +219,7 @@ class TestUnlearn:
     def test_lambda_zero_fixed_point(self, linkpred_objective):
         g = sbm_graph(25, 5, 5.0, seed=8)
         model = tiny_model(g, linkpred_objective, emb_dim=8)
-        result = unlearn(model, g, UnlearnConfig(lam=0.0, distill_epochs=10), seed=2)
+        result = unlearn(model, g, ExperimentConfig(lam=0.0, epochs_unlearn=10), seed=2)
         drift = max(
             float(np.max(np.abs(result.model.params.tensors[k] - model.params.tensors[k])))
             for k in model.params.names
@@ -231,7 +232,7 @@ class TestUnlearn:
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         result = unlearn(
             model, g,
-            UnlearnConfig(lam=1.0, augment_epochs=5, distill_epochs=40, lr_distill=3e-3),
+            ExperimentConfig(lam=1.0, epochs_augment=5, epochs_unlearn=40, lr_unlearn=3e-3),
             seed=4,
         )
         assert result.final_loss < result.initial_loss
@@ -240,7 +241,7 @@ class TestUnlearn:
         g = sbm_graph(20, 4, 5.0, seed=10)
         model = tiny_model(g, contrastive_objective, emb_dim=6)
         result = unlearn(
-            model, g, UnlearnConfig(lam=1.0, augment_epochs=3, distill_epochs=30), seed=5
+            model, g, ExperimentConfig(lam=1.0, epochs_augment=3, epochs_unlearn=30), seed=5
         )
         assert result.final_loss <= result.history[0]
 
@@ -249,20 +250,20 @@ class TestUnlearn:
         model = tiny_model(g, linkpred_objective, emb_dim=6)
         nan_on_call(monkeypatch, amplify, "distill_loss_and_grads", 1)
         with pytest.raises(NumericError, match="distillation diverged at epoch 1$"):
-            unlearn(model, g, UnlearnConfig(distill_epochs=5), seed=6)
+            unlearn(model, g, ExperimentConfig(epochs_unlearn=5), seed=6)
 
     def test_never_mutates_target(self, linkpred_objective):
         g = sbm_graph(20, 4, 5.0, seed=11)
         model = tiny_model(g, linkpred_objective, emb_dim=6)
         snapshot = model.params.copy()
-        unlearn(model, g, UnlearnConfig(distill_epochs=5), seed=6)
+        unlearn(model, g, ExperimentConfig(epochs_unlearn=5), seed=6)
         for k in snapshot.names:
             np.testing.assert_array_equal(model.params.tensors[k], snapshot.tensors[k])
 
     def test_profiles_share_sample_identities(self, linkpred_objective):
         g = sbm_graph(20, 4, 5.0, seed=12)
         model = tiny_model(g, linkpred_objective, emb_dim=6)
-        result = unlearn(model, g, UnlearnConfig(distill_epochs=1), seed=7)
+        result = unlearn(model, g, ExperimentConfig(epochs_unlearn=1), seed=7)
         replay = draw_sample_plan(
             g, range(g.num_nodes), linkpred_objective,
             result.plan.num_positive, result.plan.num_negative,

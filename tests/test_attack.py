@@ -7,18 +7,18 @@ from graphmia.amplify import draw_sample_plan, similarity_profile
 from graphmia.attack import (
     AttackDataset,
     AttackModel,
-    AttackTrainConfig,
     DataQualityError,
     build_attack_dataset,
     classify,
     infer_membership,
     train_attack_model,
 )
+from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph, induced_subgraph, partition_shadow
 from graphmia.nn import MLP, ShapeError
 from graphmia.rng import derive_seed
 from graphmia.synth import sbm_graph
-from graphmia.victim import LINK_PREDICTION, SSLObjective, TrainConfig, VictimModel
+from graphmia.victim import LINK_PREDICTION, SSLObjective, VictimModel
 
 
 def shadow_plans(model, train_g, test_g, m, seed, train_nodes=None):
@@ -46,7 +46,7 @@ def toy_dataset(n_per_class: int = 20, m: int = 5, member_level=0.9, nonmember_l
 def pipeline_bits():
     graph = sbm_graph(120, 8, 10.0, seed=31)
     obj = SSLObjective(LINK_PREDICTION)
-    model = VictimModel.init({0: 8}, obj, TrainConfig(epochs=0, emb_dim=12), seed=2)
+    model = VictimModel.init({0: 8}, obj, 2, 12, seed=2)
     _, train_nodes, test_nodes = partition_shadow(graph, 0.2, seed=4)
     train_g = induced_subgraph(graph, train_nodes)
     test_g = induced_subgraph(graph, test_nodes)
@@ -104,7 +104,7 @@ class TestBuildDataset:
 class TestTrainAttackModel:
     def test_separable_fixture_perfect_accuracy(self):
         ds = toy_dataset()
-        model = train_attack_model(ds, AttackTrainConfig(epochs=200), seed=5)
+        model = train_attack_model(ds, ExperimentConfig(epochs_attack=200), seed=5)
         assert model.train_accuracy == 1.0
 
     def test_null_fixture_near_chance(self):
@@ -117,21 +117,21 @@ class TestTrainAttackModel:
             train_x, test_x = x[:120], x[120:]
             train_y, test_y = y[:120], y[120:]
             ds = AttackDataset(x=train_x, y=train_y)
-            model = train_attack_model(ds, AttackTrainConfig(epochs=150), seed=seed)
+            model = train_attack_model(ds, ExperimentConfig(epochs_attack=150), seed=seed)
             labels, _ = classify(model.mlp, test_x)
             accs.append(float((labels == test_y).mean()))
         assert abs(np.mean(accs) - 0.5) < 0.1
 
     def test_hidden_width_default_256(self):
         ds = toy_dataset()
-        model = train_attack_model(ds, AttackTrainConfig(epochs=1), seed=0)
+        model = train_attack_model(ds, ExperimentConfig(epochs_attack=1), seed=0)
         assert model.mlp.w1.shape == (10, 256)
 
     def test_single_class_rejected(self):
         ds = toy_dataset()
         ds.x, ds.y = ds.x[ds.y == 1], ds.y[ds.y == 1]
         with pytest.raises(ValueError):
-            train_attack_model(ds, AttackTrainConfig(epochs=1), seed=0)
+            train_attack_model(ds, ExperimentConfig(epochs_attack=1), seed=0)
 
 
 class TestPredict:
@@ -147,7 +147,7 @@ class TestPredict:
 
     def test_logit_shift_invariance(self):
         ds = toy_dataset(jitter=0.3)
-        model = train_attack_model(ds, AttackTrainConfig(epochs=80), seed=3)
+        model = train_attack_model(ds, ExperimentConfig(epochs_attack=80), seed=3)
         x = ds.x
         labels, _ = classify(model.mlp, x)
         shifted = AttackModel(
@@ -159,13 +159,13 @@ class TestPredict:
 
     def test_scores_strictly_inside_unit_interval(self):
         ds = toy_dataset()
-        model = train_attack_model(ds, AttackTrainConfig(epochs=300), seed=1)
+        model = train_attack_model(ds, ExperimentConfig(epochs_attack=300), seed=1)
         _, scores = classify(model.mlp, ds.x)
         assert np.all(scores > 0.0) and np.all(scores < 1.0)
 
     def test_feature_width_mismatch(self):
         ds = toy_dataset()
-        model = train_attack_model(ds, AttackTrainConfig(epochs=1), seed=0)
+        model = train_attack_model(ds, ExperimentConfig(epochs_attack=1), seed=0)
         with pytest.raises(ShapeError):
             classify(model.mlp, np.zeros((1, 99)))
 
@@ -174,7 +174,7 @@ class TestInferMembership:
     def test_deterministic(self, pipeline_bits):
         model, train_g, test_g = pipeline_bits
         ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
-        attack = train_attack_model(ds, AttackTrainConfig(epochs=30), seed=2)
+        attack = train_attack_model(ds, ExperimentConfig(epochs_attack=30), seed=2)
         a = infer_membership(attack, model, test_g, range(10), seed=5)
         b = infer_membership(attack, model, test_g, range(10), seed=5)
         assert a == b
@@ -184,7 +184,7 @@ class TestInferMembership:
         model, train_g, test_g = pipeline_bits
         ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, m, seed=2))
         assert ds.feature_dim == 2 * m
-        attack = train_attack_model(ds, AttackTrainConfig(epochs=5), seed=2)
+        attack = train_attack_model(ds, ExperimentConfig(epochs_attack=5), seed=2)
         got = infer_membership(attack, model, test_g, range(10), seed=5)
         plan = draw_sample_plan(test_g, range(10), model.objective, m, m, 5)
         labels, scores = classify(attack.mlp, similarity_profile(model, plan))

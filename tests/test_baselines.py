@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import graphmia.baselines as bl
-from graphmia.attack import AttackTrainConfig
 from graphmia.baselines import (
     best_threshold,
     embed_mia,
@@ -19,6 +18,7 @@ from graphmia.baselines import (
     parameter_change_features,
     perturbed_views,
 )
+from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, partition_shadow
 from graphmia.synth import sbm_graph
 from graphmia.victim import LINK_PREDICTION, NodeLoss, SSLObjective, per_node_ssl_loss
@@ -41,7 +41,7 @@ def fast(monkeypatch):
     """Three perturbed views, two GPIA epochs and a 20-epoch attack MLP."""
     monkeypatch.setattr(bl, "K_PERTURB", 3)
     monkeypatch.setattr(bl, "GPIA_EPOCHS", 2)
-    return AttackTrainConfig(epochs=20)
+    return ExperimentConfig(epochs_attack=20)
 
 
 class TestProtocolConstants:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +10,7 @@ from graphmia.cli import main
 from graphmia.config import (
     ConfigError,
     ExperimentConfig,
+    SyntheticSpec,
     canonical_text,
     config_hash,
     load_config,
@@ -151,6 +153,77 @@ class TestParsing:
         assert "seed = 11" in canonical_text(a)
 
 
+# (file key, value text, field it sets, parsed value): one row per scalar
+# field of ExperimentConfig and SyntheticSpec, each value off its default
+EVERY_KEY = [
+    ("objective", "contrastive", "objective", "contrastive"),
+    ("lambda", "0.5", "lam", 0.5),
+    ("alpha", "0.25", "alpha", 0.25),
+    ("epochs_pretrain", "41", "epochs_pretrain", 41),
+    ("epochs_augment", "3", "epochs_augment", 3),
+    ("epochs_unlearn", "7", "epochs_unlearn", 7),
+    ("epochs_shadow", "9", "epochs_shadow", 9),
+    ("epochs_attack", "11", "epochs_attack", 11),
+    ("m_samples", "4", "m_samples", 4),
+    ("m_queries", "13", "m_queries", 13),
+    ("hidden_dim", "17", "hidden_dim", 17),
+    ("emb_dim", "19", "emb_dim", 19),
+    ("layers", "3", "layers", 3),
+    ("lr_pretrain", "0.002", "lr_pretrain", 0.002),
+    ("lr_augment", "0.003", "lr_augment", 0.003),
+    ("lr_unlearn", "0.004", "lr_unlearn", 0.004),
+    ("lr_shadow", "0.005", "lr_shadow", 0.005),
+    ("lr_attack", "0.006", "lr_attack", 0.006),
+    ("unlearn_fraction", "0.3", "unlearn_fraction", 0.3),
+    ("repetitions", "2", "repetitions", 2),
+    ("seed", "23", "seed", 23),
+    ("attack_domain", "1", "attack_domain", 1),
+    ("temperature", "0.7", "temperature", 0.7),
+    ("negatives_per_positive", "6", "negatives_per_positive", 6),
+    ("synthetic.domains", "3", "synthetic.domains", 3),
+    ("synthetic.nodes_per_domain", "50", "synthetic.nodes_per_domain", 50),
+    ("synthetic.feature_dim", "9", "synthetic.feature_dim", 9),
+    ("synthetic.avg_degree", "7.5", "synthetic.avg_degree", 7.5),
+    ("synthetic.feature_shift", "0.5", "synthetic.feature_shift", 0.5),
+    ("synthetic.feature_noise", "2", "synthetic.feature_noise", 2.0),
+]
+
+
+class TestEveryKey:
+    """Each setting is read from a file under its documented key, with its
+    field's type, and round-trips through the canonical text."""
+
+    @pytest.mark.parametrize("key, text, name, value", EVERY_KEY, ids=[r[0] for r in EVERY_KEY])
+    def test_key_sets_its_field(self, key, text, name, value):
+        cfg = parse_config(f"{key} = {text}\n")
+        owner = cfg.synthetic if name.startswith("synthetic.") else cfg
+        parsed = getattr(owner, name.removeprefix("synthetic."))
+        assert parsed == value and type(parsed) is type(value)
+        assert f"{name} = {value!r}" in canonical_text(cfg).splitlines()
+        default = ExperimentConfig()
+        assert f"{name} = {value!r}" not in canonical_text(default).splitlines()
+
+    def test_table_names_every_scalar_field(self):
+        scalar = {f.name for f in fields(ExperimentConfig)} - {"synthetic", "dataset"}
+        scalar |= {f"synthetic.{f.name}" for f in fields(SyntheticSpec)}
+        assert {r[2] for r in EVERY_KEY} == scalar
+
+    @pytest.mark.parametrize("key", ["lam", "synthetic.domians", "synthetic.", "synthetic"])
+    def test_unknown_key_names_its_line(self, key):
+        with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
+            parse_config(f"seed = 3\n{key} = 1\n")
+
+    @pytest.mark.parametrize("key, text", [
+        ("synthetic.domains", "two"),
+        ("synthetic.avg_degree", "dense"),
+        ("synthetic.nodes_per_domain", "1.5"),
+        ("lambda", "strong"),
+    ])
+    def test_bad_value_names_its_line(self, key, text):
+        with pytest.raises(ConfigError, match=rf"^line 2: bad value for '{key}': '{text}'$"):
+            parse_config(f"seed = 3\n{key} = {text}\n")
+
+
 @pytest.fixture(scope="module")
 def cli_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "audit.cfg"
@@ -255,6 +328,23 @@ class TestCliArgumentsCheckedFirst:
         path.write_text(SAMPLE + "repetitions = 0\n")
         err = self.usage_error([*argv, "--config", str(path), "--out", str(tmp_path)], capsys)
         assert "graphmia: error: repetitions must be >= 1" in err
+
+    @pytest.mark.parametrize("key, text", [("synthetic.domains", "two"),
+                                           ("synthetic.avg_degree", "dense")])
+    def test_bad_synthetic_value(self, tmp_path, capsys, no_work, key, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed = 3\n{key} = {text}\n")
+        err = self.usage_error(["attack", "--config", str(path), "--out", str(tmp_path)], capsys)
+        assert f"graphmia: error: line 2: bad value for '{key}': '{text}'" in err
+
+    def test_scaling_needs_a_synthetic_config(self, tmp_path, capsys, no_work):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "f.txt").write_text("2 1\n0\n0\n")
+        path = tmp_path / "d.cfg"
+        path.write_text("dataset.0.edges = e.tsv\ndataset.0.features = f.txt\n")
+        err = self.usage_error(["scaling", "--sizes", "40,80", "--config", str(path),
+                                "--out", str(tmp_path)], capsys)
+        assert "graphmia: error: scaling check requires a synthetic config" in err
 
     def test_scaling_size_the_config_cannot_run(self, cli_config, tmp_path, capsys, no_work):
         # 8 nodes per domain: a 4-node shadow graph split (1, 2, 1)

@@ -37,7 +37,6 @@ from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
     SSLObjective,
-    TrainConfig,
     VictimModel,
     _augment_draws,
     NodeLoss,
@@ -155,7 +154,8 @@ def model_for(graph: Graph, kind: str, layers: int, seed: int) -> VictimModel:
     return VictimModel.init(
         {graph.domain_id: graph.feature_dim},
         SSLObjective(kind, negatives_per_positive=3),
-        TrainConfig(epochs=0, emb_dim=8, layers=layers),
+        layers,
+        8,
         seed=seed,
     )
 

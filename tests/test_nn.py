@@ -26,7 +26,6 @@ from graphmia.nn import (
 from graphmia.victim import (
     LINK_PREDICTION,
     SSLObjective,
-    TrainConfig,
     VictimModel,
     _pair_bce,
     embed,
@@ -74,7 +73,7 @@ class TestOneParameterVector:
     @staticmethod
     def _model() -> VictimModel:
         return VictimModel.init({10: 3, 2: 4}, SSLObjective(LINK_PREDICTION),
-                                TrainConfig(epochs=0, emb_dim=5, layers=2), seed=1)
+                                2, 5, seed=1)
 
     def test_layout(self):
         params = self._model().params

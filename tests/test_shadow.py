@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import graphmia.shadow as shadow_mod
+from graphmia.config import ExperimentConfig
 from graphmia.nn import ParamSet, ShapeError
 from graphmia.shadow import (
     FisherDiag,
-    ShadowConfig,
     estimate_fisher,
     ewc_penalty,
     incremental_finetune,
@@ -35,7 +35,8 @@ class TestFisherDiag:
         with pytest.raises(ShapeError):
             ewc_penalty(model.params, model.params.copy(), fisher, 1.0)
         with pytest.raises(ShapeError):
-            incremental_finetune(model, small_sbm, fisher, ShadowConfig(epochs=1), seed=0)
+            incremental_finetune(model, small_sbm, fisher, ExperimentConfig(epochs_shadow=1),
+                                 seed=0)
 
 
 class TestEstimateFisher:
@@ -128,7 +129,7 @@ class TestIncrementalFinetune:
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         fisher = FisherDiag.uniform(model.params, 1.0)
         tuned, _ = incremental_finetune(
-            model, g, fisher, ShadowConfig(alpha=0.0, epochs=15, lr=1e-3), seed=6
+            model, g, fisher, ExperimentConfig(alpha=0.0, epochs_shadow=15, lr_shadow=1e-3), seed=6
         )
         plain, _ = fine_tune(model, g, epochs=15, lr=1e-3, seed=6)
         for k in tuned.params.names:
@@ -139,10 +140,10 @@ class TestIncrementalFinetune:
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         fisher = FisherDiag.uniform(model.params, 1.0)
         free, _ = incremental_finetune(
-            model, g, fisher, ShadowConfig(alpha=0.0, epochs=30, lr=1e-3), seed=8
+            model, g, fisher, ExperimentConfig(alpha=0.0, epochs_shadow=30, lr_shadow=1e-3), seed=8
         )
         pinned, _ = incremental_finetune(
-            model, g, fisher, ShadowConfig(alpha=1e6, epochs=30, lr=1e-3), seed=8
+            model, g, fisher, ExperimentConfig(alpha=1e6, epochs_shadow=30, lr_shadow=1e-3), seed=8
         )
         base = model.params.vector
         disp_free = float(np.linalg.norm(free.params.vector - base))
@@ -157,7 +158,8 @@ class TestIncrementalFinetune:
         disps = []
         for alpha in (0.0, 0.01, 1.0, 100.0):
             tuned, _ = incremental_finetune(
-                model, g, fisher, ShadowConfig(alpha=alpha, epochs=20, lr=1e-3), seed=10
+                model, g, fisher,
+                ExperimentConfig(alpha=alpha, epochs_shadow=20, lr_shadow=1e-3), seed=10
             )
             disps.append(float(np.linalg.norm(tuned.params.vector - base)))
         assert all(a >= b - 1e-12 for a, b in zip(disps, disps[1:]))
@@ -167,7 +169,7 @@ class TestIncrementalFinetune:
         model = tiny_model(g, linkpred_objective, emb_dim=8)
         fisher = estimate_fisher(model, g, seed=12)
         _, history = incremental_finetune(
-            model, g, fisher, ShadowConfig(alpha=1.0, epochs=40, lr=1e-3), seed=13
+            model, g, fisher, ExperimentConfig(alpha=1.0, epochs_shadow=40, lr_shadow=1e-3), seed=13
         )
         assert history[-1] <= history[0]
 
@@ -175,7 +177,7 @@ class TestIncrementalFinetune:
         model = tiny_model(small_sbm, linkpred_objective)
         snapshot = model.params.copy()
         fisher = FisherDiag.uniform(model.params)
-        incremental_finetune(model, small_sbm, fisher, ShadowConfig(epochs=3), seed=1)
+        incremental_finetune(model, small_sbm, fisher, ExperimentConfig(epochs_shadow=3), seed=1)
         for k in snapshot.names:
             np.testing.assert_array_equal(model.params.tensors[k], snapshot.tensors[k])
 
@@ -183,4 +185,4 @@ class TestIncrementalFinetune:
         model = tiny_model(small_sbm, linkpred_objective)
         bad = FisherDiag({"w": np.zeros((1, 1))}, sample_count=0)
         with pytest.raises(Exception):
-            incremental_finetune(model, small_sbm, bad, ShadowConfig(), seed=0)
+            incremental_finetune(model, small_sbm, bad, ExperimentConfig(), seed=0)

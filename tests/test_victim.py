@@ -54,7 +54,8 @@ class TestModelBasics:
         trained = pretrain_multidomain([induced_subgraph(small_sbm, members)], linkpred_objective,
                                        cfg, seed=4)
         init = VictimModel.init(
-            {small_sbm.domain_id: small_sbm.feature_dim}, linkpred_objective, cfg,
+            {small_sbm.domain_id: small_sbm.feature_dim}, linkpred_objective,
+            cfg.layers, cfg.emb_dim,
             seed=derive_seed(4, "init"),
         )
         for k in trained.params.names:
@@ -67,7 +68,7 @@ class TestModelBasics:
         cfg = TrainConfig(epochs=200, lr=1e-3, emb_dim=8)
         model = pretrain_multidomain(members, linkpred_objective, cfg, seed=9)
         fresh = VictimModel.init(
-            {0: 6, 1: 5}, linkpred_objective, cfg,
+            {0: 6, 1: 5}, linkpred_objective, cfg.layers, cfg.emb_dim,
             seed=derive_seed(9, "init"),
         )
         for g in graphs:
