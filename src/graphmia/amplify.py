@@ -49,16 +49,14 @@ class SamplePlan:
     """Frozen sample identities for a set of nodes of ``graph``.
 
     Row i of ``refs`` holds the node ids that ``nodes[i]`` is compared with:
-    ``num_positive`` positives, then ``num_negative`` negatives.  Under the
-    contrastive objective positive column p is the anchor itself, read in
-    ``views[p]``, the shared augmented view drawn with ``view_seed(seed, p)``
-    from the plan's seed; every other column compares two nodes of the
-    graph itself.
+    ``m`` positives, then ``m`` negatives.  Under the contrastive objective
+    positive column p is the anchor itself, read in ``views[p]``, the shared
+    augmented view drawn with ``view_seed(seed, p)`` from the plan's seed;
+    every other column compares two nodes of the graph itself.
     """
 
     graph: Graph
-    num_positive: int
-    num_negative: int
+    m: int
     nodes: tuple[int, ...]
     skipped: tuple[int, ...]
     refs: np.ndarray
@@ -66,48 +64,36 @@ class SamplePlan:
 
 
 def draw_sample_plan(
-    graph: Graph,
-    nodes,
-    objective: SSLObjective,
-    num_positive: int,
-    num_negative: int,
-    seed: int,
+    graph: Graph, nodes, objective: SSLObjective, m: int, seed: int
 ) -> SamplePlan:
-    """Sample positives/negatives for every node; link-prediction nodes that
-    are isolated or adjacent to every other node are skipped and recorded.
-    A contrastive plan with kept nodes builds its shared views here."""
+    """Sample m positives and m negatives for every node; link-prediction
+    nodes that are isolated or adjacent to every other node are skipped and
+    recorded.  A contrastive plan with kept nodes builds its shared views
+    here."""
     kept: list[int] = []
     skipped: list[int] = []
     rows: list[np.ndarray] = []
     for node in sorted(int(v) for v in nodes):
         try:
-            pos, neg = make_positive_negative(
-                graph, node, objective, num_positive, num_negative, seed
-            )
+            pos, neg = make_positive_negative(graph, node, objective, m, seed)
         except (NoPositiveError, NoNegativeError):
             skipped.append(node)
             continue
         kept.append(node)
         rows.append(np.concatenate([pos, neg]))
-    refs = np.array(rows, dtype=np.int64).reshape(len(kept), num_positive + num_negative)
+    refs = np.array(rows, dtype=np.int64).reshape(len(kept), 2 * m)
     refs.flags.writeable = False
     views = ()
     if objective.kind == CONTRASTIVE and kept:
-        views = tuple(augment_graph(graph, view_seed(seed, p)) for p in range(num_positive))
+        views = tuple(augment_graph(graph, view_seed(seed, p)) for p in range(m))
     return SamplePlan(
-        graph=graph,
-        num_positive=num_positive,
-        num_negative=num_negative,
-        nodes=tuple(kept),
-        skipped=tuple(skipped),
-        refs=refs,
-        views=views,
+        graph=graph, m=m, nodes=tuple(kept), skipped=tuple(skipped), refs=refs, views=views,
     )
 
 
 def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
-    """The (len(plan.nodes), P+N) similarity matrix under ``model``: row i
-    holds the cosines of ``plan.nodes[i]`` to its positives, then its
+    """The (len(plan.nodes), 2m) similarity matrix under ``model``: row i
+    holds the cosines of ``plan.nodes[i]`` to its m positives, then its m
     negatives.
 
     Profiles of different models against the same plan use identical sample
@@ -152,7 +138,7 @@ def distill_loss_and_grads(
 ) -> tuple[float, ParamSet]:
     """Sum over plan nodes of ||s_student - s_teacher||^2 with exact gradients.
 
-    ``teachers`` is the (len(nodes), P+N) matrix of teacher entries; the
+    ``teachers`` is the (len(nodes), 2m) matrix of teacher entries; the
     teacher is a constant, gradients flow only through the student.
     """
     h, cache = student.forward(plan.graph)
@@ -190,14 +176,8 @@ def unlearn(
     if unlearn_graph.num_nodes == 0:
         raise ValueError("unlearn graph is empty")
     augment_model = fine_tune_augment(target, unlearn_graph, cfg, seed)
-    plan = draw_sample_plan(
-        unlearn_graph,
-        range(unlearn_graph.num_nodes),
-        target.objective,
-        cfg.m_samples,
-        cfg.m_samples,
-        derive_seed(seed, "unlearn-plan"),
-    )
+    plan = draw_sample_plan(unlearn_graph, range(unlearn_graph.num_nodes), target.objective,
+                            cfg.m_samples, derive_seed(seed, "unlearn-plan"))
     if not plan.nodes:
         raise ValueError("no unlearn node admits a positive sample")
     teachers = teacher_scores(

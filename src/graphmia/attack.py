@@ -60,11 +60,10 @@ def build_attack_dataset(
     Nodes without a valid positive sample are skipped and counted; more
     than half skipped on either side is treated as a data-quality failure.
     """
-    num_samples = plan_tr.num_positive
-    if num_samples < 1:
+    if plan_tr.m < 1:
         raise ValueError("need at least one positive/negative sample per node")
-    if {plan_tr.num_negative, plan_te.num_positive, plan_te.num_negative} != {num_samples}:
-        raise ShapeError("both plans must draw m positives and m negatives per node")
+    if plan_tr.m != plan_te.m:
+        raise ShapeError(f"the plans draw m = {plan_tr.m} and m = {plan_te.m} samples per node")
     for plan, side in ((plan_tr, "train"), (plan_te, "test")):
         if len(plan.skipped) > len(plan.nodes):
             raise DataQualityError(f"more than half of the shadow-{side} nodes were skipped")
@@ -134,7 +133,7 @@ def infer_membership(
     from the result.
     """
     m = attack_model.feature_dim // 2
-    plan = draw_sample_plan(graph, nodes, target_model.objective, m, m, seed)
+    plan = draw_sample_plan(graph, nodes, target_model.objective, m, seed)
     if not plan.nodes:
         return {}
     labels, scores = classify(attack_model.mlp, similarity_profile(target_model, plan))

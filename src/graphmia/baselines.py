@@ -121,33 +121,30 @@ def grad_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
 # NLO-MIA / GLO-MIA: robustness under structural perturbation
 
 
-def perturbed_views(graph: Graph, k: int, edge_fraction: float, seed: int) -> list[Graph]:
-    """The k perturbed copies both robustness baselines share."""
+def perturbed_views(graph: Graph, seed: int) -> list[Graph]:
+    """The ``K_PERTURB`` perturbed copies both robustness baselines share,
+    each making ``EDGE_FRACTION`` of the edge count in edge edits."""
     return [
-        perturb_edges(graph, edge_fraction, derive_seed(seed, "perturb-view", i))
-        for i in range(k)
+        perturb_edges(graph, EDGE_FRACTION, derive_seed(seed, "perturb-view", i))
+        for i in range(K_PERTURB)
     ]
 
 
-def pairwise_similarity_features(
-    model: VictimModel, graph: Graph, nodes, k: int, edge_fraction: float, seed: int
-) -> np.ndarray:
-    """C(k, 2) pairwise cosine similarities of each node across k views."""
-    views = perturbed_views(graph, k, edge_fraction, seed)
+def pairwise_similarity_features(model: VictimModel, graph: Graph, nodes, seed: int) -> np.ndarray:
+    """C(k, 2) pairwise cosine similarities of each node across the k =
+    ``K_PERTURB`` perturbed views."""
     idx = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    embs = [embed(model, g)[idx] for g in views]
-    cols = [cosine_rows(embs[a], embs[b]) for a, b in itertools.combinations(range(k), 2)]
+    embs = [embed(model, g)[idx] for g in perturbed_views(graph, seed)]
+    cols = [cosine_rows(a, b) for a, b in itertools.combinations(embs, 2)]
     return np.stack(cols, axis=1)
 
 
 def _view_similarities(seed: int):
-    """Extractor of the pairwise similarities over ``K_PERTURB`` views, each
-    making ``EDGE_FRACTION`` of the edge count in edge edits, under ``seed``."""
+    """Extractor of the pairwise view similarities under ``seed``."""
 
     def extract(model, graph, nodes, role):
         return nodes, pairwise_similarity_features(
-            model, graph, nodes, K_PERTURB, EDGE_FRACTION, derive_seed(seed, "nlo-views"),
-        )
+            model, graph, nodes, derive_seed(seed, "nlo-views"))
 
     return extract
 
@@ -249,13 +246,13 @@ def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
 
 
 def parameter_change_features(
-    model: VictimModel, graph: Graph, nodes, epochs: int, lr: float, seed: int
+    model: VictimModel, graph: Graph, nodes, seed: int
 ) -> tuple[list[int], np.ndarray, int]:
     """Per-layer L2 norms of the parameter change after fine-tuning a fresh
-    copy of the model on each node's own SSL loss.  Every epoch of a node
-    runs on one L-hop ball that covers all its epochs' samples.  Returns
-    the surviving node order, the feature matrix, and the diverged-node
-    count."""
+    copy of the model on each node's own SSL loss for ``GPIA_EPOCHS`` Adam
+    steps at ``GPIA_LR``.  Every epoch of a node runs on one L-hop ball that
+    covers all its epochs' samples.  Returns the surviving node order, the
+    feature matrix, and the diverged-node count."""
     kept: list[int] = []
     rows: list[np.ndarray] = []
     diverged = 0
@@ -263,12 +260,12 @@ def parameter_change_features(
     for node in nodes:
         node = int(node)
         terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
-                         [derive_seed(seed, "gpia", node, epoch) for epoch in range(epochs)])
+                         [derive_seed(seed, "gpia", node, epoch) for epoch in range(GPIA_EPOCHS)])
         tuned = model.copy()
         params = tuned.params
-        state = AdamState.init(params, lr=lr)
+        state = AdamState.init(params, lr=GPIA_LR)
         try:
-            for epoch in range(epochs):
+            for epoch in range(GPIA_EPOCHS):
                 loss, grads, _ = terms(tuned, epoch)
                 if not np.isfinite(loss):
                     raise NumericError(f"per-node fine-tune diverged at node {node}")
@@ -289,8 +286,7 @@ def gpia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
          cfg: ExperimentConfig, seed: int) -> list[Predictions]:
     def extract(model, graph, nodes, role):
         kept, feats, _ = parameter_change_features(
-            model, graph, nodes, GPIA_EPOCHS, GPIA_LR, derive_seed(seed, f"gpia-{role}"),
-        )
+            model, graph, nodes, derive_seed(seed, f"gpia-{role}"))
         return kept, feats
 
     return _shadow_attack(

@@ -15,13 +15,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import KINDS
 from .checkpoint import pretrain_key, save_victim, victim_path
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import (
     robustness_probe,
     separability_projection,
-    summarize_by_membership,
     write_projection_csv,
     write_robustness_csv,
 )
@@ -110,25 +111,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         ratios = ", ".join(f"{r:.4f}" for r in result.explained_ratios)
         print(f"wrote {path} (explained variance ratios: {ratios})")
     else:
-        values = {}
-        labels = {}
-        for tag, graph, is_member in (
-            ("member", dom.member_graph, 1), ("nonmember", dom.nonmember_graph, 0),
-        ):
-            probe = robustness_probe(
-                ctx.target, graph, range(graph.num_nodes),
-                trials=args.trials, seed=derive_seed(cfg.seed, "robustness", tag),
-            )
-            offset = len(values)
-            for node, sim in probe.items():
-                values[offset + node] = sim
-                labels[offset + node] = is_member
-        members = [k for k, v in labels.items() if v == 1]
+        graphs = {"member": dom.member_graph, "nonmember": dom.nonmember_graph}
+        values = np.concatenate([
+            robustness_probe(ctx.target, g, args.trials, derive_seed(cfg.seed, "robustness", tag))
+            for tag, g in graphs.items()
+        ])
+        labels = np.repeat([1, 0], [g.num_nodes for g in graphs.values()])
         path = out / f"robustness_seed{cfg.seed}.csv"
-        write_robustness_csv(path, values, members)
-        summary = summarize_by_membership(values, members)
-        print(f"wrote {path} (member mean {summary.member_mean:.4f}, "
-              f"non-member mean {summary.nonmember_mean:.4f})")
+        write_robustness_csv(path, values, labels)
+        print(f"wrote {path} (member mean {values[labels == 1].mean():.4f}, "
+              f"non-member mean {values[labels == 0].mean():.4f})")
     return 0
 
 

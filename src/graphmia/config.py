@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -73,6 +74,14 @@ class ExperimentConfig:
         return [self.seed + r for r in range(self.repetitions)]
 
     def validate(self) -> None:
+        for prefix, owner in (("", self), ("synthetic.", self.synthetic)):
+            if owner is None:
+                continue
+            for name, kind in _value_types(type(owner)).items():
+                value = getattr(owner, name)
+                if kind is float and value is not None and not math.isfinite(value):
+                    key = "lambda" if name == "lam" else prefix + name
+                    raise ConfigError(f"{key} must be finite, got {value}")
         try:
             SSLObjective(self.objective, self.temperature, self.negatives_per_positive)
         except ValueError as exc:
@@ -150,6 +159,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     the field's annotation names."""
     cfg = ExperimentConfig()
     dataset_kv: dict[int, dict[str, str]] = {}
+    sources: set[str] = set()  # "synthetic" and "dataset", as the file's keys use them
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,6 +167,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key.startswith(("synthetic.", "dataset.")):
+            sources.add(key.split(".", 1)[0])
+            if len(sources) > 1:
+                raise ConfigError(f"line {lineno}: {key!r} mixes synthetic.* and dataset.* keys")
         unknown = ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             if key.startswith("dataset."):

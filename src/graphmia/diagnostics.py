@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,55 +16,18 @@ from .victim import VictimModel, embed
 ROBUSTNESS_BUDGET = 0.15
 
 
-def robustness_probe(
-    model: VictimModel,
-    graph: Graph,
-    nodes,
-    trials: int = 5,
-    seed: int = 0,
-) -> dict[int, float]:
+def robustness_probe(model: VictimModel, graph: Graph, trials: int, seed: int) -> np.ndarray:
     """Mean cosine similarity of each node's embedding before and after
-    random edits of ``ROBUSTNESS_BUDGET`` of its edges, averaged over
-    ``trials`` perturbed copies."""
+    random edits of ``ROBUSTNESS_BUDGET`` of the graph's edges, averaged
+    over ``trials`` perturbed copies; entry v belongs to node v."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    idx = np.fromiter((int(v) for v in nodes), dtype=np.int64)
-    h0 = embed(model, graph)[idx]
-    sims = np.zeros(len(idx))
+    h0 = embed(model, graph)
+    sims = np.zeros(graph.num_nodes)
     for t in range(trials):
         perturbed = perturb_edges(graph, ROBUSTNESS_BUDGET, derive_seed(seed, "robustness", t))
-        ht = embed(model, perturbed)[idx]
-        sims += cosine_rows(h0, ht)
-    sims /= trials
-    return {int(v): float(s) for v, s in zip(idx, sims)}
-
-
-@dataclass
-class GroupSummary:
-    """Distribution summary of a per-node statistic split by membership."""
-
-    member_mean: float
-    member_std: float
-    nonmember_mean: float
-    nonmember_std: float
-
-    @property
-    def gap(self) -> float:
-        return self.member_mean - self.nonmember_mean
-
-
-def summarize_by_membership(values: dict[int, float], members) -> GroupSummary:
-    member_set = {int(v) for v in members}
-    mem = np.array([v for k, v in values.items() if k in member_set])
-    non = np.array([v for k, v in values.items() if k not in member_set])
-    if len(mem) == 0 or len(non) == 0:
-        raise ValueError("both membership groups must be non-empty")
-    return GroupSummary(
-        member_mean=float(mem.mean()),
-        member_std=float(mem.std(ddof=1)) if len(mem) > 1 else 0.0,
-        nonmember_mean=float(non.mean()),
-        nonmember_std=float(non.std(ddof=1)) if len(non) > 1 else 0.0,
-    )
+        sims += cosine_rows(h0, embed(model, perturbed))
+    return sims / trials
 
 
 def separability_projection(
@@ -93,9 +55,8 @@ def write_projection_csv(path: str | Path, result: PCAResult, labels: np.ndarray
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_robustness_csv(path: str | Path, values: dict[int, float], members) -> None:
-    member_set = {int(v) for v in members}
+def write_robustness_csv(path: str | Path, values: np.ndarray, labels: np.ndarray) -> None:
     lines = ["node,label,mean_similarity"]
-    for node in sorted(values):
-        lines.append(f"{node},{int(node in member_set)},{values[node]:.9g}")
+    for i, (value, lab) in enumerate(zip(values, labels)):
+        lines.append(f"{i},{int(lab)},{value:.9g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

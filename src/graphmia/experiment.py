@@ -101,9 +101,8 @@ class AttackContext:
 
     def _shadow_plans(self, seed_train: int, seed_test: int) -> tuple[SamplePlan, SamplePlan]:
         """m-sample plans over every shadow-train and every shadow-test node."""
-        m = self.cfg.m_samples
         return tuple(
-            draw_sample_plan(g, range(g.num_nodes), self.target.objective, m, m, s)
+            draw_sample_plan(g, range(g.num_nodes), self.target.objective, self.cfg.m_samples, s)
             for g, s in ((self.shadow_train_graph, seed_train), (self.shadow_test_graph, seed_test))
         )
 
@@ -312,8 +311,8 @@ def similarity_margin_gap(model: VictimModel, plans: tuple[SamplePlan, SamplePla
     margins = []
     for plan in plans:
         s = similarity_profile(model, plan)
-        p = plan.num_positive
-        margins.append(float(np.mean(s[:, :p].mean(axis=1) - s[:, p:].mean(axis=1))))
+        m = plan.m
+        margins.append(float(np.mean(s[:, :m].mean(axis=1) - s[:, m:].mean(axis=1))))
     return margins[0] - margins[1]
 
 

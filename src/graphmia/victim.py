@@ -70,14 +70,10 @@ class SSLObjective:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 500
-    lr: float = 1e-3
-    layers: int = 2
-    emb_dim: int = 64
-
-    def __post_init__(self) -> None:
-        if self.epochs < 0 or self.layers < 1 or self.emb_dim < 1:
-            raise ValueError("invalid training configuration")
+    epochs: int
+    lr: float
+    layers: int
+    emb_dim: int
 
 
 @dataclass
@@ -232,11 +228,11 @@ def make_positive_negative(
     graph: Graph,
     node: int,
     objective: SSLObjective,
-    num_positive: int,
-    num_negative: int,
+    m: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the node ids a node's similarity vector compares it with.
+    """Sample the ``m`` positive and ``m`` negative node ids a node's
+    similarity vector compares it with.
 
     Positives under the contrastive objective are the node itself, to be
     read in the shared augmented views ``view_seed(seed, p)``; under link
@@ -251,17 +247,17 @@ def make_positive_negative(
     """
     node = int(node)
     if objective.kind == CONTRASTIVE:
-        positives = np.full(num_positive, node, dtype=np.int64)
+        positives = np.full(m, node, dtype=np.int64)
         exclude = {node}
     else:
         nbrs = graph.neighbors(node)
         if len(nbrs) == 0:
             raise NoPositiveError(f"node {node} is isolated; no link-prediction positive exists")
         prng = substream(seed, "pos", node)
-        positives = prng.choice(nbrs, size=num_positive, replace=len(nbrs) < num_positive)
+        positives = prng.choice(nbrs, size=m, replace=len(nbrs) < m)
         exclude = {node, *(int(v) for v in nbrs)}
     nrng = substream(seed, "neg", node)
-    negatives = _sample_distinct(nrng, graph.num_nodes, exclude, num_negative)
+    negatives = _sample_distinct(nrng, graph.num_nodes, exclude, m)
     return np.asarray(positives, dtype=np.int64), np.array(negatives, dtype=np.int64)
 
 

@@ -24,11 +24,8 @@ from graphmia.amplify import (
     distill_loss_and_grads,
 )
 from graphmia.baselines import (
-    EDGE_FRACTION,
     GE_REFERENCES,
     GPIA_EPOCHS,
-    GPIA_LR,
-    K_PERTURB,
     pairwise_similarity_features,
     parameter_change_features,
 )
@@ -102,7 +99,7 @@ class TestCriterion1GradientIntegrity:
             # distillation MSE through the student's embeddings
             obj = SSLObjective(LINK_PREDICTION)
             model = tiny_model(g, obj, seed=seed + 5, emb_dim=8)
-            plan = draw_sample_plan(g, range(g.num_nodes), obj, 2, 2, seed=7)
+            plan = draw_sample_plan(g, range(g.num_nodes), obj, 2, seed=7)
             teachers = np.random.default_rng(seed).uniform(-1, 1, (len(plan.nodes), 4))
             _, grads = distill_loss_and_grads(model, plan, teachers)
             numeric = finite_diff_grads(
@@ -160,7 +157,7 @@ class TestCriterion2AlgebraicFixedPoints:
 
         # lambda = 1: teacher equals the augment scores exactly
         augment = fine_tune_augment(model, g, ExperimentConfig(epochs_augment=3), seed=6)
-        plan = draw_sample_plan(g, range(g.num_nodes), obj, 3, 3, seed=8)
+        plan = draw_sample_plan(g, range(g.num_nodes), obj, 3, seed=8)
         s_t = similarity_profile(model, plan)
         s_a = similarity_profile(augment, plan)
         np.testing.assert_array_equal(teacher_scores(s_t, s_a, 1.0), s_a)
@@ -253,15 +250,13 @@ class TestCriterion7BaselineShapes:
         g = sbm_graph(60, 6, 8.0, seed=13)
         model = tiny_model(g, SSLObjective(LINK_PREDICTION), seed=1, emb_dim=8)
 
-        feats = pairwise_similarity_features(model, g, range(3), K_PERTURB, EDGE_FRACTION, seed=2)
+        feats = pairwise_similarity_features(model, g, range(3), seed=2)
         assert feats.shape[1] == 45  # C(10, 2)
 
         assert GE_REFERENCES == 20
 
         assert GPIA_EPOCHS == 10
-        _, change, _ = parameter_change_features(
-            model, g, [0], epochs=GPIA_EPOCHS, lr=GPIA_LR, seed=3
-        )
+        _, change, _ = parameter_change_features(model, g, [0], seed=3)
         assert change.shape == (1, len(model.params.names))
 
         assert ExperimentConfig().hidden_dim == 256

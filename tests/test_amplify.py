@@ -48,8 +48,8 @@ def plain_cosine(a, b) -> float:
 class TestSamplePlan:
     def test_deterministic_and_reusable(self, linkpred_objective):
         g = sbm_graph(20, 4, 4.0, seed=2)
-        a = draw_sample_plan(g, range(20), linkpred_objective, 3, 3, seed=5)
-        b = draw_sample_plan(g, range(20), linkpred_objective, 3, 3, seed=5)
+        a = draw_sample_plan(g, range(20), linkpred_objective, 3, seed=5)
+        b = draw_sample_plan(g, range(20), linkpred_objective, 3, seed=5)
         assert a.nodes == b.nodes
         np.testing.assert_array_equal(a.refs, b.refs)
         assert a.refs.shape == (len(a.nodes), 6)
@@ -57,13 +57,13 @@ class TestSamplePlan:
 
     def test_skips_isolated_linkpred(self, linkpred_objective):
         g = Graph.from_edges(5, [(0, 1), (1, 2)], np.ones((5, 2)))
-        plan = draw_sample_plan(g, range(5), linkpred_objective, 2, 1, seed=1)
+        plan = draw_sample_plan(g, range(5), linkpred_objective, 2, seed=1)
         assert set(plan.skipped) == {3, 4}
         assert set(plan.nodes) == {0, 1, 2}
 
     def test_contrastive_shared_views(self, contrastive_objective):
         g = sbm_graph(12, 4, 4.0, seed=3)
-        plan = draw_sample_plan(g, range(12), contrastive_objective, 2, 2, seed=9)
+        plan = draw_sample_plan(g, range(12), contrastive_objective, 2, seed=9)
         assert len(plan.views) == 2
         for p, view in enumerate(plan.views):
             want = augment_graph(g, view_seed(9, p))
@@ -80,20 +80,20 @@ class TestSimilarityProfile:
         model = tiny_model(g, linkpred_objective, seed=1, emb_dim=8)
         h = embed(model, g)
         assert np.linalg.norm(h[0]) > 0  # guard against a dead-ReLU init
-        plan = draw_sample_plan(g, range(6), linkpred_objective, 2, 3, seed=4)
+        plan = draw_sample_plan(g, range(6), linkpred_objective, 3, seed=4)
         prof = similarity_profile(model, plan)
         # regular graph with identical features -> identical nonzero rows
-        np.testing.assert_allclose(prof, np.ones((6, 5)), atol=1e-12)
+        np.testing.assert_allclose(prof, np.ones((6, 6)), atol=1e-12)
 
     def test_vector_length(self, linkpred_objective, small_sbm):
         model = tiny_model(small_sbm, linkpred_objective)
-        plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, 3, seed=4)
+        plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 3, seed=4)
         prof = similarity_profile(model, plan)
-        assert prof.shape == (len(plan.nodes), 5)
+        assert prof.shape == (len(plan.nodes), 6)
 
     def test_matches_independent_cosine_oracle(self, linkpred_objective, small_sbm):
         model = tiny_model(small_sbm, linkpred_objective)
-        plan = draw_sample_plan(small_sbm, range(8), linkpred_objective, 2, 2, seed=6)
+        plan = draw_sample_plan(small_sbm, range(8), linkpred_objective, 2, seed=6)
         prof = similarity_profile(model, plan)
         h = embed(model, small_sbm)
         for i, v in enumerate(plan.nodes):
@@ -103,7 +103,7 @@ class TestSimilarityProfile:
     def test_contrastive_matches_independent_cosine_oracle(self, contrastive_objective, small_sbm):
         g, obj = small_sbm, contrastive_objective
         model = tiny_model(g, obj)
-        plan = draw_sample_plan(g, range(8), obj, 2, 3, seed=6)
+        plan = draw_sample_plan(g, range(8), obj, 2, seed=6)
         prof = similarity_profile(model, plan)
         h = embed(model, g)
         views_h = [embed(model, augment_graph(g, view_seed(6, p))) for p in range(2)]
@@ -116,7 +116,7 @@ class TestSimilarityProfile:
                 assert entry == pytest.approx(plain_cosine(h[v], h[j]), abs=1e-12)
 
     def test_same_plan_two_models_same_samples(self, linkpred_objective, small_sbm):
-        plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, 2, seed=8)
+        plan = draw_sample_plan(small_sbm, range(10), linkpred_objective, 2, seed=8)
         m1 = tiny_model(small_sbm, linkpred_objective, seed=1)
         m2 = tiny_model(small_sbm, linkpred_objective, seed=2)
         p1 = similarity_profile(m1, plan)
@@ -126,7 +126,7 @@ class TestSimilarityProfile:
 
     def test_out_of_range_cosine_rejected(self, linkpred_objective, small_sbm, monkeypatch):
         model = tiny_model(small_sbm, linkpred_objective)
-        plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, 2, seed=8)
+        plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, seed=8)
         monkeypatch.setattr(amplify, "ref_cosines",
                             lambda h, views_h, anchors, refs: np.full(refs.shape, 1.5))
         with pytest.raises(ValueError):
@@ -203,7 +203,7 @@ class TestDistillGradients:
         g = sbm_graph(8, 3, 3.0, seed=6)
         obj = SSLObjective(kind, negatives_per_positive=2)
         model = tiny_model(g, obj, emb_dim=4)
-        plan = draw_sample_plan(g, range(g.num_nodes), obj, 2, 2, seed=3)
+        plan = draw_sample_plan(g, range(g.num_nodes), obj, 2, seed=3)
         rng = np.random.default_rng(0)
         teachers = rng.uniform(-1, 1, size=(len(plan.nodes), 4))
 
@@ -265,8 +265,7 @@ class TestUnlearn:
         model = tiny_model(g, linkpred_objective, emb_dim=6)
         result = unlearn(model, g, ExperimentConfig(epochs_unlearn=1), seed=7)
         replay = draw_sample_plan(
-            g, range(g.num_nodes), linkpred_objective,
-            result.plan.num_positive, result.plan.num_negative,
+            g, range(g.num_nodes), linkpred_objective, result.plan.m,
             seed=derive_seed(7, "unlearn-plan"),
         )
         assert result.plan.nodes == replay.nodes

@@ -26,8 +26,8 @@ def shadow_plans(model, train_g, test_g, m, seed, train_nodes=None):
     ``train_nodes`` is given, m positives and m negatives per node."""
     nodes = range(train_g.num_nodes) if train_nodes is None else train_nodes
     return (
-        draw_sample_plan(train_g, nodes, model.objective, m, m, derive_seed(seed, "attack-train")),
-        draw_sample_plan(test_g, range(test_g.num_nodes), model.objective, m, m,
+        draw_sample_plan(train_g, nodes, model.objective, m, derive_seed(seed, "attack-train")),
+        draw_sample_plan(test_g, range(test_g.num_nodes), model.objective, m,
                          derive_seed(seed, "attack-test")),
     )
 
@@ -186,7 +186,7 @@ class TestInferMembership:
         assert ds.feature_dim == 2 * m
         attack = train_attack_model(ds, ExperimentConfig(epochs_attack=5), seed=2)
         got = infer_membership(attack, model, test_g, range(10), seed=5)
-        plan = draw_sample_plan(test_g, range(10), model.objective, m, m, 5)
+        plan = draw_sample_plan(test_g, range(10), model.objective, m, 5)
         labels, scores = classify(attack.mlp, similarity_profile(model, plan))
         assert got == {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}
 

@@ -55,23 +55,29 @@ class TestProtocolConstants:
 class TestPerturbationFeatures:
     def test_feature_length_45_at_k10(self, setting):
         graph, _, model, _ = setting
-        feats = pairwise_similarity_features(model, graph, range(4), 10, 0.0015, seed=1)
+        feats = pairwise_similarity_features(model, graph, range(4), seed=1)
         assert feats.shape == (4, 45)
 
-    def test_feature_length_3_at_k3(self, setting):
+    def test_feature_length_3_at_k3(self, setting, monkeypatch):
         graph, _, model, _ = setting
-        feats = pairwise_similarity_features(model, graph, range(4), 3, 0.0015, seed=1)
+        monkeypatch.setattr(bl, "K_PERTURB", 3)
+        feats = pairwise_similarity_features(model, graph, range(4), seed=1)
         assert feats.shape == (4, 3)
 
-    def test_zero_budget_all_ones(self, setting):
+    def test_zero_budget_all_ones(self, setting, monkeypatch):
         graph, _, model, _ = setting
-        feats = pairwise_similarity_features(model, graph, range(5), 4, 0.0, seed=1)
+        monkeypatch.setattr(bl, "K_PERTURB", 4)
+        monkeypatch.setattr(bl, "EDGE_FRACTION", 0.0)
+        feats = pairwise_similarity_features(model, graph, range(5), seed=1)
         np.testing.assert_allclose(feats, 1.0, atol=1e-12)
 
-    def test_views_shared_between_nlo_and_glo(self, setting):
+    def test_views_shared_between_nlo_and_glo(self, setting, monkeypatch):
         graph, _, _, _ = setting
-        a = perturbed_views(graph, 5, 0.1, seed=9)
-        b = perturbed_views(graph, 5, 0.1, seed=9)
+        monkeypatch.setattr(bl, "K_PERTURB", 5)
+        monkeypatch.setattr(bl, "EDGE_FRACTION", 0.1)
+        a = perturbed_views(graph, seed=9)
+        b = perturbed_views(graph, seed=9)
+        assert len(a) == 5
         assert [graph_fingerprint(g) for g in a] == [graph_fingerprint(g) for g in b]
 
 
@@ -157,20 +163,23 @@ class TestGradMia:
 
 
 class TestGpia:
-    def test_zero_lr_zero_change(self, setting):
+    def test_zero_lr_zero_change(self, setting, monkeypatch):
         graph, _, model, _ = setting
-        _, feats, _ = parameter_change_features(model, graph, [0, 1], epochs=10, lr=0.0, seed=1)
+        monkeypatch.setattr(bl, "GPIA_LR", 0.0)
+        _, feats, _ = parameter_change_features(model, graph, [0, 1], seed=1)
         np.testing.assert_array_equal(feats, 0.0)
 
-    def test_feature_length_is_parameter_count(self, setting):
+    def test_feature_length_is_parameter_count(self, setting, monkeypatch):
         graph, _, model, _ = setting
-        _, feats, _ = parameter_change_features(model, graph, [0], epochs=1, lr=1e-3, seed=1)
+        monkeypatch.setattr(bl, "GPIA_EPOCHS", 1)
+        _, feats, _ = parameter_change_features(model, graph, [0], seed=1)
         assert feats.shape == (1, len(model.params.names))
 
     def test_diverged_node_counted_and_left_out(self, monkeypatch, setting):
         graph, _, model, _ = setting
         nodes = [0, 1, 2, 3]
-        kept, want, diverged = parameter_change_features(model, graph, nodes, 3, 1e-3, seed=1)
+        monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
+        kept, want, diverged = parameter_change_features(model, graph, nodes, seed=1)
         assert kept == nodes and diverged == 0
 
         class Diverging(NodeLoss):
@@ -181,7 +190,7 @@ class TestGpia:
                 return (np.nan if (self.node, draw) == (2, 1) else loss), grads, dx
 
         monkeypatch.setattr(bl, "NodeLoss", Diverging)
-        kept, feats, diverged = parameter_change_features(model, graph, nodes, 3, 1e-3, seed=1)
+        kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
         assert kept == [0, 1, 3] and diverged == 1
         np.testing.assert_array_equal(feats, want[[0, 1, 3]])
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import graphmia.experiment as exp_mod
@@ -11,6 +13,7 @@ from graphmia.config import (
     ConfigError,
     ExperimentConfig,
     SyntheticSpec,
+    _value_types,
     canonical_text,
     config_hash,
     load_config,
@@ -189,6 +192,14 @@ EVERY_KEY = [
 ]
 
 
+# the key of every float setting: ``lambda`` sets the field ``lam``
+FLOAT_KEYS = [
+    "lambda" if name == "lam" else prefix + name
+    for cls, prefix in ((ExperimentConfig, ""), (SyntheticSpec, "synthetic."))
+    for name, kind in _value_types(cls).items() if kind is float
+]
+
+
 class TestEveryKey:
     """Each setting is read from a file under its documented key, with its
     field's type, and round-trips through the canonical text."""
@@ -212,6 +223,12 @@ class TestEveryKey:
     def test_unknown_key_names_its_line(self, key):
         with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
             parse_config(f"seed = 3\n{key} = 1\n")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_its_key(self, key, text):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be finite, got {text}$"):
+            parse_config(f"{key} = {text}\n")
 
     @pytest.mark.parametrize("key, text", [
         ("synthetic.domains", "two"),
@@ -264,13 +281,21 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert (out / "report_similarity_wo-il_seed11.json").exists()
 
-    def test_diagnose(self, cli_config, tmp_path):
+    def test_diagnose(self, cli_config, tmp_path, capsys):
         out = tmp_path / "runs"
         assert main(["diagnose", "pca", "--config", str(cli_config), "--out", str(out)]) == 0
         assert main(["diagnose", "robustness", "--trials", "2",
                      "--config", str(cli_config), "--out", str(out)]) == 0
         assert (out / "pca_seed11.csv").exists()
-        assert (out / "robustness_seed11.csv").exists()
+        # member rows first, then non-member rows, numbered like the PCA rows
+        rows = [line.split(",") for line in
+                (out / "robustness_seed11.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
+        labels = [int(r[1]) for r in rows]
+        assert labels == sorted(labels, reverse=True) and set(labels) == {0, 1}
+        means = [np.mean([float(r[2]) for r in rows if int(r[1]) == lab]) for lab in (1, 0)]
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed.endswith(f"(member mean {means[0]:.4f}, non-member mean {means[1]:.4f})")
 
     def test_pretrain_checkpoint(self, cli_config, tmp_path):
         out = tmp_path / "runs"
@@ -336,6 +361,15 @@ class TestCliArgumentsCheckedFirst:
         path.write_text(f"seed = 3\n{key} = {text}\n")
         err = self.usage_error(["attack", "--config", str(path), "--out", str(tmp_path)], capsys)
         assert f"graphmia: error: line 2: bad value for '{key}': '{text}'" in err
+
+    def test_synthetic_and_dataset_keys_mixed(self, tmp_path, capsys, no_work):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "f.txt").write_text("2 1\n0\n0\n")
+        path = tmp_path / "mixed.cfg"
+        path.write_text("synthetic.nodes_per_domain = 40\n"
+                        "dataset.0.edges = e.tsv\ndataset.0.features = f.txt\n")
+        err = self.usage_error(["attack", "--config", str(path), "--out", str(tmp_path)], capsys)
+        assert "graphmia: error: line 2: 'dataset.0.edges' mixes synthetic.* and dataset.* keys" in err
 
     def test_scaling_needs_a_synthetic_config(self, tmp_path, capsys, no_work):
         (tmp_path / "e.tsv").write_text("0\t1\n")

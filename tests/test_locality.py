@@ -20,7 +20,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from graphmia.baselines import input_gradient_features, parameter_change_features
+import graphmia.baselines as bl
+from graphmia.baselines import input_gradient_features
 from graphmia.graph import Graph
 from graphmia.nn import (
     AdamState,
@@ -195,7 +196,10 @@ class TestBallExactness:
     def test_gpia_features(self, graph, kind, seed):
         model = model_for(graph, kind, 2, seed)
         nodes = range(graph.num_nodes)
-        kept, feats, diverged = parameter_change_features(model, graph, nodes, 3, 1e-2, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bl, "GPIA_EPOCHS", 3)
+            mp.setattr(bl, "GPIA_LR", 1e-2)
+            kept, feats, diverged = bl.parameter_change_features(model, graph, nodes, seed)
         assert kept == list(nodes) and diverged == 0
         base = model.params
         compared = 0

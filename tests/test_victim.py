@@ -49,7 +49,7 @@ def star_graph(leaves: int = 5, feature_dim: int = 2, spare: int = 4) -> Graph:
 
 class TestModelBasics:
     def test_zero_lr_keeps_init(self, small_sbm, linkpred_objective):
-        cfg = TrainConfig(epochs=1, lr=0.0, emb_dim=8)
+        cfg = TrainConfig(epochs=1, lr=0.0, layers=2, emb_dim=8)
         members = frozenset(range(small_sbm.num_nodes))
         trained = pretrain_multidomain([induced_subgraph(small_sbm, members)], linkpred_objective,
                                        cfg, seed=4)
@@ -65,7 +65,7 @@ class TestModelBasics:
         graphs = [sbm_graph(40, 6, 6.0, seed=1, domain_id=0),
                   sbm_graph(40, 5, 6.0, seed=2, domain_id=1)]
         members = [induced_subgraph(g, range(40)) for g in graphs]
-        cfg = TrainConfig(epochs=200, lr=1e-3, emb_dim=8)
+        cfg = TrainConfig(epochs=200, lr=1e-3, layers=2, emb_dim=8)
         model = pretrain_multidomain(members, linkpred_objective, cfg, seed=9)
         fresh = VictimModel.init(
             {0: 6, 1: 5}, linkpred_objective, cfg.layers, cfg.emb_dim,
@@ -80,7 +80,7 @@ class TestModelBasics:
         graphs = [sbm_graph(20, 4, 4.0, seed=d, domain_id=d) for d in range(5)]
         members = [induced_subgraph(g, range(20)) for g in graphs]
         model = pretrain_multidomain(
-            members, linkpred_objective, TrainConfig(epochs=1, emb_dim=6), seed=0
+            members, linkpred_objective, TrainConfig(epochs=1, lr=1e-3, layers=2, emb_dim=6), seed=0
         )
         assert sorted(model.projectors) == [0, 1, 2, 3, 4]
 
@@ -91,12 +91,13 @@ class TestModelBasics:
         graphs = {"none": [], "twice": [small_sbm, small_sbm],
                   "empty": [induced_subgraph(small_sbm, [])]}[case]
         with pytest.raises(ValueError, match=match):
-            pretrain_multidomain(graphs, linkpred_objective, TrainConfig(epochs=1), seed=0)
+            pretrain_multidomain(graphs, linkpred_objective, TrainConfig(epochs=1, lr=1e-3, layers=2, emb_dim=64),
+                                 seed=0)
 
     def test_domain_order_irrelevant(self, linkpred_objective):
         graphs = [sbm_graph(25, 4, 5.0, seed=d, domain_id=d) for d in range(2)]
         members = [induced_subgraph(g, range(25)) for g in graphs]
-        cfg = TrainConfig(epochs=10, emb_dim=6)
+        cfg = TrainConfig(epochs=10, lr=1e-3, layers=2, emb_dim=6)
         a = pretrain_multidomain(members, linkpred_objective, cfg, seed=5)
         b = pretrain_multidomain(members[::-1], linkpred_objective, cfg, seed=5)
         for k in a.params.names:
@@ -137,27 +138,28 @@ class TestEmbed:
 class TestSampling:
     def test_star_center_three_distinct_leaves(self, linkpred_objective):
         g = star_graph(5)
-        pos, neg = make_positive_negative(g, 0, linkpred_objective, 3, 2, seed=1)
+        pos, neg = make_positive_negative(g, 0, linkpred_objective, 3, seed=1)
         ids = pos.tolist()
         assert len(set(ids)) == 3 and all(1 <= i <= 5 for i in ids)
-        # center is adjacent to everything: negatives impossible without pool
+        # the hub's only non-neighbors are the spare clique's nodes
+        assert set(neg.tolist()) <= {6, 7, 8, 9}
         assert pos.dtype == neg.dtype == np.int64
 
     def test_leaf_with_replacement(self, linkpred_objective):
         g = star_graph(5)
-        pos, _ = make_positive_negative(g, 1, linkpred_objective, 2, 2, seed=1)
+        pos, _ = make_positive_negative(g, 1, linkpred_objective, 2, seed=1)
         assert pos.tolist() == [0, 0]
 
     def test_negatives_exclude_neighbors_and_self(self, linkpred_objective):
         g = star_graph(6)
         for seed in range(5):
-            _, neg = make_positive_negative(g, 1, linkpred_objective, 1, 3, seed=seed)
+            _, neg = make_positive_negative(g, 1, linkpred_objective, 3, seed=seed)
             for v in neg:
                 assert v != 1 and v not in g.neighbors(1)
 
     def test_contrastive_distinct_view_seeds(self, contrastive_objective):
         g = star_graph(4)
-        pos, neg = make_positive_negative(g, 2, contrastive_objective, 2, 3, seed=7)
+        pos, neg = make_positive_negative(g, 2, contrastive_objective, 2, seed=7)
         # the node itself, read in each of the shared views
         assert pos.tolist() == [2, 2]
         assert view_seed(7, 0) != view_seed(7, 1)
@@ -166,12 +168,12 @@ class TestSampling:
     def test_isolated_node_raises(self, linkpred_objective):
         g = Graph.from_edges(4, [(0, 1)], np.ones((4, 2)))
         with pytest.raises(NoPositiveError):
-            make_positive_negative(g, 3, linkpred_objective, 1, 1, seed=0)
+            make_positive_negative(g, 3, linkpred_objective, 1, seed=0)
 
     def test_deterministic(self, linkpred_objective):
         g = star_graph(8)
-        a = make_positive_negative(g, 0, linkpred_objective, 3, 3, 5)
-        b = make_positive_negative(g, 0, linkpred_objective, 3, 3, 5)
+        a = make_positive_negative(g, 0, linkpred_objective, 3, 5)
+        b = make_positive_negative(g, 0, linkpred_objective, 3, 5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -188,12 +190,12 @@ class TestDegenerateNodes:
 
     def test_hub_has_no_negative(self, linkpred_objective):
         with pytest.raises(NoNegativeError):
-            make_positive_negative(self._star12(), 0, linkpred_objective, 2, 2, seed=0)
+            make_positive_negative(self._star12(), 0, linkpred_objective, 2, seed=0)
 
     def test_hub_skipped_in_plan(self, linkpred_objective):
         from graphmia.amplify import draw_sample_plan
 
-        plan = draw_sample_plan(self._star12(), range(12), linkpred_objective, 2, 2, seed=0)
+        plan = draw_sample_plan(self._star12(), range(12), linkpred_objective, 2, seed=0)
         assert plan.skipped == (0,)
         assert plan.nodes == tuple(range(1, 12))
 
@@ -262,10 +264,10 @@ class TestTinySplit:
         from graphmia.amplify import draw_sample_plan
 
         g = self._path4()
-        plan = draw_sample_plan(g, range(4), SSLObjective(kind), 2, 5, seed=0)
+        plan = draw_sample_plan(g, range(4), SSLObjective(kind), 5, seed=0)
         assert plan.nodes == (0, 1, 2, 3) and plan.skipped == ()
         for node, refs in zip(plan.nodes, plan.refs):
-            negatives = refs[2:].tolist()
+            negatives = refs[5:].tolist()
             assert len(negatives) == 5
             assert node not in negatives
             if kind == LINK_PREDICTION:
@@ -276,7 +278,7 @@ class TestTinySplit:
 
         # on a path of three nodes the middle one is adjacent to every other
         g = Graph.from_edges(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
-        plan = draw_sample_plan(g, range(3), linkpred_objective, 1, 5, seed=0)
+        plan = draw_sample_plan(g, range(3), linkpred_objective, 5, seed=0)
         assert plan.skipped == (1,)
         assert plan.nodes == (0, 2)
 
@@ -373,7 +375,7 @@ class TestDivergence:
         nan_on_call(monkeypatch, victim_mod, "ssl_loss_and_grads", 3)
         with pytest.raises(NumericError, match="diverged at epoch 1, domain 1$"):
             pretrain_multidomain(graphs, linkpred_objective,
-                                 TrainConfig(epochs=4, emb_dim=4), seed=0)
+                                 TrainConfig(epochs=4, lr=1e-3, layers=2, emb_dim=4), seed=0)
 
 
 class TestOverfittingWedge:
@@ -391,12 +393,12 @@ class TestOverfittingWedge:
         members, holdout = split_half(graph, seed=seed + 1)
         model = pretrain_multidomain(
             [induced_subgraph(graph, members)], obj,
-            TrainConfig(epochs=300, lr=1e-3, emb_dim=64), seed=seed + 2,
+            TrainConfig(epochs=300, lr=1e-3, layers=2, emb_dim=64), seed=seed + 2,
         )
         stats = {}
         for tag, nodes in (("member", members), ("holdout", holdout)):
             g = induced_subgraph(graph, nodes)
-            plan = draw_sample_plan(g, range(g.num_nodes), obj, 5, 5, seed=99)
+            plan = draw_sample_plan(g, range(g.num_nodes), obj, 5, seed=99)
             prof = similarity_profile(model, plan)
             pos = float(np.mean(prof[:, :5].mean(axis=1)))
             neg = float(np.mean(prof[:, 5:].mean(axis=1)))
