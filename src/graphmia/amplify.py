@@ -18,15 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .graph import Graph
-from .nn import (
-    AdamState,
-    NumericError,
-    ParamSet,
-    ShapeError,
-    adam_step,
-    ref_cosines,
-    ref_cosines_backward,
-)
+from .nn import ParamSet, ShapeError, minimize, ref_cosines, ref_cosines_backward
 from .rng import derive_seed
 from .victim import (
     CONTRASTIVE,
@@ -120,7 +112,7 @@ def teacher_scores(s_target: np.ndarray, s_augment: np.ndarray, lam: float) -> n
 
 
 def fine_tune_augment(
-    target: VictimModel, unlearn_graph: Graph, cfg: ExperimentConfig, seed: int = 0
+    target: VictimModel, unlearn_graph: Graph, cfg: ExperimentConfig, seed: int
 ) -> VictimModel:
     """Brief SSL fine-tuning of a copy of the target on the unlearn graph."""
     tuned, _ = fine_tune(
@@ -185,15 +177,9 @@ def unlearn(
     )
 
     student = target.copy()
-    params = student.params
-    state = AdamState.init(params, lr=cfg.lr_unlearn)
-    history: list[float] = []
-    for epoch in range(cfg.epochs_unlearn):
-        loss, grads = distill_loss_and_grads(student, plan, teachers)
-        if not np.isfinite(loss):
-            raise NumericError(f"distillation diverged at epoch {epoch}")
-        history.append(loss)
-        adam_step(state, params, grads)
+    history = minimize(student.params, cfg.lr_unlearn, cfg.epochs_unlearn,
+                       lambda _: distill_loss_and_grads(student, plan, teachers),
+                       "distillation", lambda e: f"epoch {e}")
     final_loss, _ = distill_loss_and_grads(student, plan, teachers)
     initial = history[0] if history else final_loss
     return UnlearnResult(

@@ -17,7 +17,7 @@ import numpy as np
 from .amplify import SamplePlan, draw_sample_plan, similarity_profile
 from .config import ExperimentConfig
 from .graph import Graph
-from .nn import MLP, AdamState, ShapeError, adam_step, cross_entropy
+from .nn import MLP, ParamSet, ShapeError, cross_entropy, minimize
 from .rng import derive_seed
 from .victim import VictimModel
 
@@ -84,13 +84,18 @@ def fit_mlp_classifier(x: np.ndarray, y: np.ndarray, cfg: ExperimentConfig, seed
     if len(set(np.asarray(y).tolist())) < 2:
         raise ValueError("training data must contain both labels")
     mlp = MLP.init(x.shape[1], cfg.hidden_dim, 2, seed=derive_seed(seed, "attack-mlp"))
-    params = mlp.params
-    state = AdamState.init(params, lr=cfg.lr_attack)
-    for _ in range(cfg.epochs_attack):
+    # A step's activations live into the next step: freed together, they let
+    # malloc return their pages, and faulting them in again doubles the fit time.
+    cache = None
+
+    def step(_: int) -> tuple[float, ParamSet]:
+        nonlocal cache
         logits, cache = mlp.forward(x)
-        _, dlogits = cross_entropy(logits, y)
-        grads = mlp.backward(cache, dlogits)
-        adam_step(state, params, grads)
+        loss, dlogits = cross_entropy(logits, y)
+        return loss, mlp.backward(cache, dlogits)
+
+    minimize(mlp.params, cfg.lr_attack, cfg.epochs_attack, step, "attack training",
+             lambda e: f"epoch {e}")
     return mlp
 
 

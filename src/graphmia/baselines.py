@@ -20,7 +20,7 @@ import numpy as np
 from .attack import classify, fit_mlp_classifier
 from .config import ExperimentConfig
 from .graph import Graph, perturb_edges
-from .nn import AdamState, adam_step, cosine_rows, NumericError
+from .nn import NumericError, cosine_rows, minimize
 from .rng import derive_seed, substream
 from .victim import NodeLoss, VictimModel, embed
 
@@ -262,19 +262,14 @@ def parameter_change_features(
         terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
                          [derive_seed(seed, "gpia", node, epoch) for epoch in range(GPIA_EPOCHS)])
         tuned = model.copy()
-        params = tuned.params
-        state = AdamState.init(params, lr=GPIA_LR)
         try:
-            for epoch in range(GPIA_EPOCHS):
-                loss, grads, _ = terms(tuned, epoch)
-                if not np.isfinite(loss):
-                    raise NumericError(f"per-node fine-tune diverged at node {node}")
-                adam_step(state, params, grads)
+            minimize(tuned.params, GPIA_LR, GPIA_EPOCHS, lambda e: terms(tuned, e)[:2],
+                     "per-node fine-tune", lambda e: f"node {node}, epoch {e}")
         except NumericError:
             diverged += 1
             continue
         delta = np.array([
-            np.linalg.norm(params.tensors[k] - base.tensors[k]) for k in base.names
+            np.linalg.norm(tuned.params.tensors[k] - base.tensors[k]) for k in base.names
         ])
         kept.append(node)
         rows.append(delta)

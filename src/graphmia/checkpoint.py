@@ -105,7 +105,7 @@ def pretrain_key(
     return h.hexdigest()
 
 
-def save_victim(path: str | Path, model: VictimModel, seed: int = 0,
+def save_victim(path: str | Path, model: VictimModel, seed: int,
                 key: str | None = None) -> None:
     """Checkpoint plus ``.meta`` text sidecar (key = value lines); ``key``,
     when given, is recorded as the ``pretrain_key`` line."""

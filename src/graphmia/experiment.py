@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplify import SamplePlan, draw_sample_plan, similarity_profile, unlearn
+from .amplify import SamplePlan, UnlearnResult, draw_sample_plan, similarity_profile, unlearn
 from .attack import build_attack_dataset, infer_membership, train_attack_model
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import embed_mia, ge_mia, ge_references, glo_mia, gpia, grad_mia, nlo_mia
@@ -316,25 +316,18 @@ def similarity_margin_gap(model: VictimModel, plans: tuple[SamplePlan, SamplePla
     return margins[0] - margins[1]
 
 
-@dataclass
-class ShadowBuild:
-    model: VictimModel
-    distill_initial: float | None = None
-    distill_final: float | None = None
-
-
-def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
-    """The three shadow constructions: full, no-unlearning, no-incremental."""
+def build_shadow_model(ctx: AttackContext,
+                       variant: str) -> tuple[VictimModel, UnlearnResult | None]:
+    """The three shadow constructions: full, no-unlearning, no-incremental.
+    Returns the shadow model and, for ``full``, the distillation result."""
     cfg, seed = ctx.cfg, ctx.seed
     if variant == VARIANT_WO_IL:
-        return ShadowBuild(model=ctx.scratch_shadow)
+        return ctx.scratch_shadow, None
 
-    distill_initial = distill_final = None
+    result = None
     if variant == VARIANT_FULL:
         result = unlearn(ctx.target, ctx.unlearn_graph, cfg, seed=derive_seed(seed, "unlearn"))
         base = result.model
-        distill_initial = result.initial_loss
-        distill_final = result.final_loss
     elif variant == VARIANT_WO_UL:
         base = ctx.target
     else:
@@ -344,13 +337,13 @@ def build_shadow_model(ctx: AttackContext, variant: str) -> ShadowBuild:
     model, _ = incremental_finetune(
         base, ctx.shadow_train_graph, fisher, cfg, seed=derive_seed(seed, "shadow-ft"),
     )
-    return ShadowBuild(model=model, distill_initial=distill_initial, distill_final=distill_final)
+    return model, result
 
 
 def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
     cfg, seed = ctx.cfg, ctx.seed
-    build = build_shadow_model(ctx, variant)
-    dataset = build_attack_dataset(build.model, *ctx.attack_plans)
+    shadow, distilled = build_shadow_model(ctx, variant)
+    dataset = build_attack_dataset(shadow, *ctx.attack_plans)
     attack_model = train_attack_model(dataset, cfg, seed=derive_seed(seed, "attack-train"))
     members, nonmembers = ctx.query_nodes
     member_preds = infer_membership(
@@ -366,12 +359,12 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
         "attack_train_accuracy": attack_model.train_accuracy,
         "skipped_train": dataset.skipped_train,
         "skipped_test": dataset.skipped_test,
-        "shadow_gap": similarity_margin_gap(build.model, ctx.gap_plans),
+        "shadow_gap": similarity_margin_gap(shadow, ctx.gap_plans),
         "target_gap": ctx.target_gap,
     }
-    if build.distill_initial is not None:
-        extras["distill_initial"] = build.distill_initial
-        extras["distill_final"] = build.distill_final
+    if distilled is not None:
+        extras["distill_initial"] = distilled.initial_loss
+        extras["distill_final"] = distilled.final_loss
     return RunRecord(
         report=report, variant=variant, config_hash=config_hash(cfg),
         split_fingerprint=ctx.split_fingerprint, extras=extras,

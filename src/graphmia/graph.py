@@ -215,7 +215,7 @@ def graph_fingerprint(graph: Graph) -> str:
     return h.hexdigest()
 
 
-def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int = 0) -> Graph:
+def load_graph(edge_path: str | Path, feature_path: str | Path, domain_id: int) -> Graph:
     """Load a graph from an edge file and a feature file.
 
     Edge file: one ``u<TAB>v`` pair per line, 0-based decimal ids, lines

@@ -8,10 +8,17 @@ A model's parameters are one contiguous float64 vector (a ``ParamSet``);
 its named matrices are views into that vector, and its gradients share
 its layout.  Adam, the Fisher estimate and the EWC penalty are therefore
 element-wise operations on whole vectors.
+
+Every optimisation of the package (pre-training, the augment and shadow
+fine-tunes, distillation, the attack MLP, GPIA's per-node fine-tunes) is
+one call of :func:`minimize`.  Each step computes the loss and gradients,
+raises :class:`NumericError` naming the stage and the step if the loss is
+not finite, takes one Adam step and appends the loss to the history.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -401,7 +408,7 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def init(cls, params: ParamSet, lr: float = 1e-3) -> "AdamState":
+    def init(cls, params: ParamSet, lr: float) -> "AdamState":
         return cls(lr=lr, m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
 
 
@@ -416,3 +423,21 @@ def adam_step(state: AdamState, params: ParamSet, grads: ParamSet) -> None:
     v += (1.0 - BETA2) * (g * g)
     params.vector -= state.lr * (m / (1.0 - BETA1 ** state.step)) / (
         np.sqrt(v / (1.0 - BETA2 ** state.step)) + EPS)
+
+
+def minimize(params: ParamSet, lr: float, steps: int,
+             loss_and_grads: Callable[[int], tuple[float, ParamSet]],
+             stage: str, step_name: Callable[[int], str]) -> list[float]:
+    """Take ``steps`` Adam steps on ``params`` in place and return each
+    step's loss.  ``loss_and_grads(k)`` gives step k's loss and gradients at
+    the current parameters; a non-finite loss raises ``NumericError("<stage>
+    diverged at <step_name(k)>")`` before step k changes anything."""
+    state = AdamState.init(params, lr)
+    history: list[float] = []
+    for k in range(steps):
+        loss, grads = loss_and_grads(k)
+        if not np.isfinite(loss):
+            raise NumericError(f"{stage} diverged at {step_name(k)}")
+        adam_step(state, params, grads)
+        history.append(loss)
+    return history

@@ -22,7 +22,7 @@ class PCAResult:
     rank_deficient: bool          # fewer informative components than requested
 
 
-def pca_project(embeddings: np.ndarray, k: int = 2) -> PCAResult:
+def pca_project(embeddings: np.ndarray, k: int) -> PCAResult:
     """Project rows onto the top-k principal directions.
 
     Columns are centered; the covariance uses the 1/(n-1) convention.  Each

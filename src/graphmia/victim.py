@@ -16,14 +16,12 @@ import numpy as np
 from .graph import Graph, _csr_slice, ball_matrix
 from .nn import (
     GCNEncoder,
-    NumericError,
     ParamSet,
     ShapeError,
-    AdamState,
-    adam_step,
     bce_with_logits,
     glorot,
     info_nce,
+    minimize,
     ref_cosines,
     ref_cosines_backward,
     scatter_matrix,
@@ -501,19 +499,16 @@ def fine_tune(
     per-epoch total losses.
     """
     tuned = model.copy()
-    params = tuned.params
-    state = AdamState.init(params, lr=lr)
-    history: list[float] = []
-    for epoch in range(epochs):
+
+    def step(epoch: int) -> tuple[float, ParamSet]:
         loss, grads = ssl_loss_and_grads(tuned, graph, derive_seed(seed, "epoch", epoch))
         if penalty_grads is not None:
-            pval, pgrad = penalty_grads(params)
+            pval, pgrad = penalty_grads(tuned.params)
             loss += pval
             grads.add_(pgrad)
-        if not np.isfinite(loss):
-            raise NumericError(f"fine-tune diverged at epoch {epoch}")
-        adam_step(state, params, grads)
-        history.append(loss)
+        return loss, grads
+
+    history = minimize(tuned.params, lr, epochs, step, "fine-tune", lambda e: f"epoch {e}")
     tuned.trained_epochs += epochs
     return tuned, history
 
@@ -543,16 +538,14 @@ def pretrain_multidomain(
     domain_dims = {g.domain_id: g.feature_dim for g in member_graphs}
     model = VictimModel.init(domain_dims, objective, config.layers, config.emb_dim,
                              seed=derive_seed(seed, "init"))
-    params = model.params
-    state = AdamState.init(params, lr=config.lr)
-
     by_domain = sorted(member_graphs, key=lambda g: g.domain_id)
-    for epoch in range(config.epochs):
-        for graph in by_domain:
-            dom = graph.domain_id
-            loss, grads = ssl_loss_and_grads(model, graph, derive_seed(seed, "pretrain", dom, epoch))
-            if not np.isfinite(loss):
-                raise NumericError(f"pre-training diverged at epoch {epoch}, domain {dom}")
-            adam_step(state, params, grads)
+    schedule = [(epoch, graph) for epoch in range(config.epochs) for graph in by_domain]
+
+    def step(k: int) -> tuple[float, ParamSet]:
+        epoch, graph = schedule[k]
+        return ssl_loss_and_grads(model, graph, derive_seed(seed, "pretrain", graph.domain_id, epoch))
+
+    minimize(model.params, config.lr, len(schedule), step, "pre-training",
+             lambda k: f"epoch {schedule[k][0]}, domain {schedule[k][1].domain_id}")
     model.trained_epochs = config.epochs
     return model

@@ -87,7 +87,7 @@ class TestVictimRoundtrip:
     def test_old_fallback_domain_line_ignored(self, tmp_path, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
         path = tmp_path / "victim.ckpt"
-        save_victim(path, model)
+        save_victim(path, model, seed=0)
         meta = tmp_path / "victim.ckpt.meta"
         meta.write_text(meta.read_text() + "fallback_domain = 0\n")
         loaded = load_victim(path)

@@ -45,7 +45,7 @@ class TestLoadGraph:
 
     def test_empty_edges_three_rows(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "", "3 1\n1\n2\n3\n")
-        g = load_graph(edge_path, feat_path)
+        g = load_graph(edge_path, feat_path, domain_id=0)
         assert (g.num_nodes, g.num_edges) == (3, 0)
 
     def test_dedup_and_self_loops(self, tmp_path, caplog):
@@ -54,47 +54,47 @@ class TestLoadGraph:
             "0\t1\n1\t2\n0\t2\n1\t0\n2\t2\n",
             "3 1\n0\n0\n0\n",
         )
-        g = load_graph(edge_path, feat_path)
+        g = load_graph(edge_path, feat_path, domain_id=0)
         assert g.num_edges == 3
         assert "dropped 1 self-loop(s) and 1 duplicate edge(s)" in caplog.text
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "0\t1\nbogus\n", "2 1\n0\n0\n")
         with pytest.raises(GraphFormatError, match=":2"):
-            load_graph(edge_path, feat_path)
+            load_graph(edge_path, feat_path, domain_id=0)
 
     def test_edge_out_of_range(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "0\t7\n", "2 1\n0\n0\n")
         with pytest.raises(NodeRangeError):
-            load_graph(edge_path, feat_path)
+            load_graph(edge_path, feat_path, domain_id=0)
 
     def test_feature_row_mismatch(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "", "3 2\n1 2\n3 4\n")
         with pytest.raises(GraphFormatError):
-            load_graph(edge_path, feat_path)
+            load_graph(edge_path, feat_path, domain_id=0)
 
     def test_feature_width_mismatch(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "", "2 2\n1 2\n3\n")
         with pytest.raises(GraphFormatError, match="expected 2 values"):
-            load_graph(edge_path, feat_path)
+            load_graph(edge_path, feat_path, domain_id=0)
 
     def test_feature_rows_beyond_header(self, tmp_path):
         edge_path, feat_path = write_graph_files(
             tmp_path, "", "2 2\n1 2\n3 4\n\n5 6\n7 8\n"
         )
         with pytest.raises(GraphFormatError, match=r"features\.txt:5: "):
-            load_graph(edge_path, feat_path)
+            load_graph(edge_path, feat_path, domain_id=0)
 
     @pytest.mark.parametrize("features_text", ["-1 3\n", "2 -1\n\n\n", "3 0\n\n\n\n"],
                              ids=["negative-n", "negative-d", "zero-d"])
     def test_header_needs_nonnegative_n_and_positive_d(self, tmp_path, features_text):
         edge_path, feat_path = write_graph_files(tmp_path, "", features_text)
         with pytest.raises(GraphFormatError, match=r"features\.txt:1: "):
-            load_graph(edge_path, feat_path)
+            load_graph(edge_path, feat_path, domain_id=0)
 
     def test_trailing_blank_feature_lines(self, tmp_path):
         edge_path, feat_path = write_graph_files(tmp_path, "", "2 1\n1\n2\n\n  \n")
-        assert load_graph(edge_path, feat_path).num_nodes == 2
+        assert load_graph(edge_path, feat_path, domain_id=0).num_nodes == 2
 
 
 class TestFromEdges:

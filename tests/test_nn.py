@@ -12,6 +12,7 @@ from graphmia.nn import (
     MLP,
     AdamState,
     GCNEncoder,
+    NumericError,
     ParamSet,
     ShapeError,
     adam_step,
@@ -19,6 +20,7 @@ from graphmia.nn import (
     cosine_rows_backward,
     cross_entropy,
     info_nce,
+    minimize,
     ref_cosines,
     ref_cosines_backward,
     scatter_matrix,
@@ -113,7 +115,7 @@ class TestOneParameterVector:
         for other in (ParamSet({"b": np.ones((1, 2)), "a": np.ones((2, 2))}),
                       ParamSet({"a": np.ones((1, 4)), "b": np.ones((1, 2))})):
             with pytest.raises(ShapeError):
-                adam_step(AdamState.init(params), params, other)
+                adam_step(AdamState.init(params, lr=1e-3), params, other)
             with pytest.raises(ShapeError):
                 params.add_(other)
         assert not params.vector.any()
@@ -489,6 +491,59 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = ParamSet({"w": np.zeros((2, 2))})
-        state = AdamState.init(params)
+        state = AdamState.init(params, lr=1e-3)
         with pytest.raises(ShapeError):
             adam_step(state, params, ParamSet({"w": np.zeros((1, 2))}))
+
+
+class TestMinimize:
+    @staticmethod
+    def quadratic(params, target):
+        """0.5 * ||w - target||^2 and its gradient at the live parameters."""
+        def loss_and_grads(_):
+            diff = params.vector - target
+            return 0.5 * float(diff @ diff), ParamSet.over(diff.copy(), params.layout)
+        return loss_and_grads
+
+    def test_matches_hand_written_adam(self):
+        rng = np.random.default_rng(3)
+        params = ParamSet({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 2))})
+        target = rng.normal(size=params.vector.shape)
+        w = params.vector.copy()
+        m, v, want_history = np.zeros_like(w), np.zeros_like(w), []
+        for step in range(1, 16):
+            g = w - target
+            want_history.append(0.5 * float(g @ g))
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            w = w - 0.05 * (m / (1.0 - 0.9 ** step)) / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+        history = minimize(params, 0.05, 15, self.quadratic(params, target), "quadratic",
+                           lambda k: f"step {k}")
+        np.testing.assert_array_equal(params.vector, w)
+        assert history == want_history
+
+    def test_non_finite_loss_names_the_step_and_stops_before_it(self):
+        rng = np.random.default_rng(4)
+        start = ParamSet({"w": rng.normal(size=(3, 2))})
+        target = rng.normal(size=start.vector.shape)
+        want = start.copy()
+        minimize(want, 0.1, 3, self.quadratic(want, target), "quadratic", lambda k: f"step {k}")
+
+        params = start.copy()
+        finite = self.quadratic(params, target)
+
+        def nan_at_three(k):
+            loss, grads = finite(k)
+            return (np.nan if k == 3 else loss), grads
+
+        with pytest.raises(NumericError, match="^quadratic diverged at step 3$"):
+            minimize(params, 0.1, 6, nan_at_three, "quadratic", lambda k: f"step {k}")
+        np.testing.assert_array_equal(params.vector, want.vector)
+
+    def test_zero_steps_leave_parameters_untouched(self):
+        params = ParamSet({"w": np.array([[1.0, -2.0]])})
+        calls = []
+        history = minimize(params, 0.1, 0, lambda k: calls.append(k), "none",
+                           lambda k: f"step {k}")
+        assert history == [] and calls == []
+        np.testing.assert_array_equal(params.vector, [1.0, -2.0])
