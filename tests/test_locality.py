@@ -4,11 +4,14 @@ The reference below evaluates one node's SSL loss on the whole graph, with
 the normalized adjacency built entry by entry by the dense oracle of
 ``test_nn`` and every node embedded, exactly as the loss is defined.  The
 ball code must match it (and everything built on it: the Fisher diagonal
-and GPIA features) to 1e-12 relative.  The oracle's matrix is applied in
-sparse form, so that each row sums its entries in the same order as the
-package does: a dense product rounds differently, and where a gradient is
-what is left after its terms cancel, that alone moves it by more than
-1e-12 of its size, for the whole-graph code as much as for the ball.  A
+and GPIA features) to 1e-12 relative.  The oracle's matrix has the
+package's entry rounding and is applied in sparse form, so that each row
+sums the same entries in the same order as the package does: a dense
+product, or one last bit of an entry, rounds differently, and where a
+gradient is what is left after its terms cancel, that alone moves it by
+more than 1e-12 of its size, for the whole-graph code as much as for the
+ball.  The gradient of the cosine of two parallel embeddings of norm 0.03,
+for instance, is the difference of two terms of size 30.  A
 second test counts encoder rows to keep per-node work proportional to the
 ball, not to the graph.
 """
