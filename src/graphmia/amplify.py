@@ -163,7 +163,9 @@ def unlearn(
     Builds the augment model, profiles target and augment on a shared
     sample plan of ``m_samples`` positives and as many negatives per
     unlearn-graph node, forms teachers, and trains the student for
-    ``epochs_unlearn``.  The target itself is never mutated.
+    ``epochs_unlearn``; its final loss takes one forward pass.  An unlearn
+    graph where no node has a sample raises ``NoPositiveError``.  The
+    target itself is never mutated.
     """
     if unlearn_graph.num_nodes == 0:
         raise ValueError("unlearn graph is empty")
@@ -171,7 +173,7 @@ def unlearn(
     plan = draw_sample_plan(unlearn_graph, range(unlearn_graph.num_nodes), target.objective,
                             cfg.m_samples, derive_seed(seed, "unlearn-plan"))
     if not plan.nodes:
-        raise ValueError("no unlearn node admits a positive sample")
+        raise NoPositiveError("no unlearn node admits a positive sample")
     teachers = teacher_scores(
         similarity_profile(target, plan), similarity_profile(augment_model, plan), cfg.lam
     )
@@ -180,7 +182,8 @@ def unlearn(
     history = minimize(student.params, cfg.lr_unlearn, cfg.epochs_unlearn,
                        lambda _: distill_loss_and_grads(student, plan, teachers),
                        "distillation", lambda e: f"epoch {e}")
-    final_loss, _ = distill_loss_and_grads(student, plan, teachers)
+    resid = similarity_profile(student, plan) - teachers
+    final_loss = float((resid * resid).sum())
     initial = history[0] if history else final_loss
     return UnlearnResult(
         model=student,

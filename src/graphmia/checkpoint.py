@@ -105,10 +105,9 @@ def pretrain_key(
     return h.hexdigest()
 
 
-def save_victim(path: str | Path, model: VictimModel, seed: int,
-                key: str | None = None) -> None:
-    """Checkpoint plus ``.meta`` text sidecar (key = value lines); ``key``,
-    when given, is recorded as the ``pretrain_key`` line."""
+def save_victim(path: str | Path, model: VictimModel, seed: int, key: str) -> None:
+    """Checkpoint plus ``.meta`` text sidecar (key = value lines); ``key`` is
+    recorded as the ``pretrain_key`` line."""
     path = Path(path)
     save_params(path, model.params)
     obj = model.objective
@@ -122,9 +121,8 @@ def save_victim(path: str | Path, model: VictimModel, seed: int,
         "layers": model.encoder.num_layers,
         "trained_epochs": model.trained_epochs,
         "seed": seed,
+        "pretrain_key": key,
     }
-    if key is not None:
-        meta["pretrain_key"] = key
     lines = [f"{k} = {v}" for k, v in meta.items()]
     _meta_path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

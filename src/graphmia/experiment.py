@@ -56,7 +56,8 @@ class DomainData:
 class AttackContext:
     """Everything one seed's attacks read: config, target model, the attack
     domain, the shadow subgraphs, and the per-seed results that several
-    attacks read, each computed once on first use."""
+    attacks read, each computed once on first use, among them the one
+    shadow-side plan pair that every variant and the gap probe read."""
 
     cfg: ExperimentConfig
     seed: int
@@ -99,29 +100,17 @@ class AttackContext:
         )
         return model
 
-    def _shadow_plans(self, seed_train: int, seed_test: int) -> tuple[SamplePlan, SamplePlan]:
-        """m-sample plans over every shadow-train and every shadow-test node."""
-        return tuple(
-            draw_sample_plan(g, range(g.num_nodes), self.target.objective, self.cfg.m_samples, s)
-            for g, s in ((self.shadow_train_graph, seed_train), (self.shadow_test_graph, seed_test))
-        )
-
     @cached_property
     def attack_plans(self) -> tuple[SamplePlan, SamplePlan]:
-        """The attack dataset's plans, shared by every variant's shadow."""
+        """m-sample plans over every shadow-train and every shadow-test node:
+        the one shadow-side plan pair of the seed.  Every variant's attack
+        dataset and the amplification record's gap probe read it."""
         base = derive_seed(self.seed, "attack-dataset")
-        return self._shadow_plans(derive_seed(base, "attack-train"), derive_seed(base, "attack-test"))
-
-    @cached_property
-    def gap_plans(self) -> tuple[SamplePlan, SamplePlan]:
-        """The gap probe's plans, shared by the target and every shadow."""
-        base = derive_seed(self.seed, "gap-probe")
-        return self._shadow_plans(derive_seed(base, "gap", "train"), derive_seed(base, "gap", "test"))
-
-    @cached_property
-    def target_gap(self) -> float:
-        """The target's shadow-train minus shadow-test similarity margin."""
-        return similarity_margin_gap(self.target, self.gap_plans)
+        return tuple(
+            draw_sample_plan(g, range(g.num_nodes), self.target.objective, self.cfg.m_samples,
+                             derive_seed(base, f"attack-{part}"))
+            for g, part in ((self.shadow_train_graph, "train"), (self.shadow_test_graph, "test"))
+        )
 
 
 @dataclass
@@ -359,10 +348,10 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
         "attack_train_accuracy": attack_model.train_accuracy,
         "skipped_train": dataset.skipped_train,
         "skipped_test": dataset.skipped_test,
-        "shadow_gap": similarity_margin_gap(shadow, ctx.gap_plans),
-        "target_gap": ctx.target_gap,
     }
-    if distilled is not None:
+    if distilled is not None:  # the amplification record's lines
+        extras["shadow_gap"] = similarity_margin_gap(shadow, ctx.attack_plans)
+        extras["target_gap"] = similarity_margin_gap(ctx.target, ctx.attack_plans)
         extras["distill_initial"] = distilled.initial_loss
         extras["distill_final"] = distilled.final_loss
     return RunRecord(

@@ -13,7 +13,8 @@ Every optimisation of the package (pre-training, the augment and shadow
 fine-tunes, distillation, the attack MLP, GPIA's per-node fine-tunes) is
 one call of :func:`minimize`.  Each step computes the loss and gradients,
 raises :class:`NumericError` naming the stage and the step if the loss is
-not finite, takes one Adam step and appends the loss to the history.
+not finite or a kernel found a non-finite value, takes one Adam step and
+appends the loss to the history.
 """
 
 from __future__ import annotations
@@ -431,11 +432,16 @@ def minimize(params: ParamSet, lr: float, steps: int,
     """Take ``steps`` Adam steps on ``params`` in place and return each
     step's loss.  ``loss_and_grads(k)`` gives step k's loss and gradients at
     the current parameters; a non-finite loss raises ``NumericError("<stage>
-    diverged at <step_name(k)>")`` before step k changes anything."""
+    diverged at <step_name(k)>")`` before step k changes anything, and a
+    ``NumericError`` raised inside ``loss_and_grads(k)`` is raised again with
+    that prefix before its own message."""
     state = AdamState.init(params, lr)
     history: list[float] = []
     for k in range(steps):
-        loss, grads = loss_and_grads(k)
+        try:
+            loss, grads = loss_and_grads(k)
+        except NumericError as exc:
+            raise NumericError(f"{stage} diverged at {step_name(k)}: {exc}") from exc
         if not np.isfinite(loss):
             raise NumericError(f"{stage} diverged at {step_name(k)}")
         adam_step(state, params, grads)

@@ -23,6 +23,7 @@ from graphmia.synth import sbm_graph
 from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
+    NoPositiveError,
     SSLObjective,
     augment_graph,
     embed,
@@ -244,6 +245,24 @@ class TestUnlearn:
             model, g, ExperimentConfig(lam=1.0, epochs_augment=3, epochs_unlearn=30), seed=5
         )
         assert result.final_loss <= result.history[0]
+
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_final_loss_is_the_distill_loss_of_the_student(self, kind):
+        g = sbm_graph(20, 4, 5.0, seed=12)
+        model = tiny_model(g, SSLObjective(kind), emb_dim=6)
+        cfg = ExperimentConfig(lam=1.0, epochs_augment=3, epochs_unlearn=6)
+        result = unlearn(model, g, cfg, seed=7)
+        augment = fine_tune_augment(model, g, cfg, seed=7)
+        teachers = teacher_scores(similarity_profile(model, result.plan),
+                                  similarity_profile(augment, result.plan), cfg.lam)
+        loss, _ = distill_loss_and_grads(result.model, result.plan, teachers)
+        assert result.final_loss == loss
+
+    def test_edgeless_unlearn_graph_raises_no_positive(self, linkpred_objective):
+        g = Graph.from_edges(4, [], np.ones((4, 3)))
+        model = tiny_model(g, linkpred_objective)
+        with pytest.raises(NoPositiveError, match="no unlearn node admits a positive sample"):
+            unlearn(model, g, ExperimentConfig(epochs_unlearn=2), seed=3)
 
     def test_diverged_distillation_names_the_epoch(self, monkeypatch, linkpred_objective):
         g = sbm_graph(20, 4, 5.0, seed=11)

@@ -20,6 +20,7 @@ from graphmia.baselines import (
 )
 from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, partition_shadow
+from graphmia.nn import NumericError
 from graphmia.synth import sbm_graph
 from graphmia.victim import LINK_PREDICTION, NodeLoss, SSLObjective, per_node_ssl_loss
 
@@ -193,6 +194,19 @@ class TestGpia:
         kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
         assert kept == [0, 1, 3] and diverged == 1
         np.testing.assert_array_equal(feats, want[[0, 1, 3]])
+
+        class KernelFails(NodeLoss):
+            """Node 1's encoder output turns non-finite at its second epoch."""
+
+            def __call__(self, model, draw=0, want_feature_grad=False):
+                if (self.node, draw) == (1, 1):
+                    raise NumericError("non-finite encoder output")
+                return super().__call__(model, draw, want_feature_grad)
+
+        monkeypatch.setattr(bl, "NodeLoss", KernelFails)
+        kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
+        assert kept == [0, 2, 3] and diverged == 1
+        np.testing.assert_array_equal(feats, want[[0, 2, 3]])
 
 
 class TestEndToEndDeterminism:

@@ -18,6 +18,8 @@ from graphmia.victim import CONTRASTIVE, SSLObjective
 
 from conftest import tiny_model
 
+KEY = "0" * 64
+
 
 def sample_params() -> ParamSet:
     rng = np.random.default_rng(7)
@@ -74,7 +76,7 @@ class TestVictimRoundtrip:
         model = tiny_model(small_sbm, obj)
         model.trained_epochs = 12
         path = tmp_path / "victim.ckpt"
-        save_victim(path, model, seed=99)
+        save_victim(path, model, seed=99, key=KEY)
         loaded = load_victim(path)
         assert loaded.objective == obj
         assert loaded.trained_epochs == 12
@@ -87,7 +89,7 @@ class TestVictimRoundtrip:
     def test_old_fallback_domain_line_ignored(self, tmp_path, small_sbm, linkpred_objective):
         model = tiny_model(small_sbm, linkpred_objective)
         path = tmp_path / "victim.ckpt"
-        save_victim(path, model, seed=0)
+        save_victim(path, model, seed=0, key=KEY)
         meta = tmp_path / "victim.ckpt.meta"
         meta.write_text(meta.read_text() + "fallback_domain = 0\n")
         loaded = load_victim(path)
@@ -100,13 +102,13 @@ class TestVictimRoundtrip:
         # lines, and a pretrain key (load_victim never reads the key)
         model = tiny_model(small_sbm, contrastive_objective)
         path = tmp_path / "victim.ckpt"
-        save_victim(path, model, seed=4)
+        save_victim(path, model, seed=4, key="1" * 64)
         meta = tmp_path / "victim.ckpt.meta"
         assert "rate" not in meta.read_text()
         meta.write_text(meta.read_text().replace(
             "negatives_per_positive = 3\n",
             "negatives_per_positive = 3\nedge_drop_rate = 0.2\nfeature_mask_rate = 0.2\n",
-        ) + "pretrain_key = " + "1" * 64 + "\n")
+        ))
         loaded = load_victim(path)
         assert loaded.objective == contrastive_objective
         for k in model.params.names:
@@ -136,7 +138,7 @@ class TestTruncated:
 def _victim_files(tmp_path, small_sbm, objective):
     model = tiny_model(small_sbm, objective)
     path = tmp_path / "victim.ckpt"
-    save_victim(path, model, seed=3)
+    save_victim(path, model, seed=3, key=KEY)
     return model, path, tmp_path / "victim.ckpt.meta"
 
 
@@ -221,7 +223,10 @@ class TestVictimMetaChecked:
             load_victim(path)
 
     def test_no_pretrain_key_still_loads(self, tmp_path, small_sbm, linkpred_objective):
+        # a sidecar written before the key was recorded
         model, path, meta = _victim_files(tmp_path, small_sbm, linkpred_objective)
+        assert f"pretrain_key = {KEY}" in meta.read_text()
+        _edit_meta(meta, "pretrain_key", None)
         assert "pretrain_key" not in meta.read_text()
         loaded = load_victim(path)
         for k in model.params.names:

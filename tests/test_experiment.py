@@ -73,6 +73,23 @@ class TestRunExperiment:
         for name in a_files:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_amplification_records_byte_identical(self, tmp_path):
+        # the criterion-9 config; criterion 9 itself compares the reports only
+        cfg = ExperimentConfig(
+            epochs_pretrain=40, epochs_augment=2, epochs_unlearn=5, epochs_shadow=10,
+            epochs_attack=40, repetitions=2, seed=11, m_samples=3, emb_dim=16,
+            hidden_dim=64,
+            synthetic=SyntheticSpec(domains=2, nodes_per_domain=120, feature_dim=8,
+                                    avg_degree=12),
+        )
+        dirs = (tmp_path / "a", tmp_path / "b")
+        for d in dirs:
+            run_experiment(cfg, attacks=("similarity",), variants=("full",), out_dir=d)
+        names = sorted(p.name for p in dirs[0].glob("amplify_seed*.txt"))
+        assert names == ["amplify_seed11.txt", "amplify_seed12.txt"]
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
     def test_baselines_share_split_fingerprint(self):
         cfg = tiny_cfg()
         res = run_experiment(cfg, attacks=("similarity", "glo-mia", "ge-mia"))
@@ -138,8 +155,8 @@ class TestRunExperiment:
         assert target_gaps == cfg.seeds()
 
     def test_plans_drawn_once_per_seed(self, monkeypatch):
-        # one unlearn plan, two attack-dataset plans and two gap-probe plans
-        # serve all three variants; each variant queries the target twice
+        # one unlearn plan and two attack-dataset plans serve all three
+        # variants and the gap probe; each variant queries the target twice
         import graphmia.amplify as amplify_mod
         import graphmia.attack as attack_mod
 
@@ -155,7 +172,38 @@ class TestRunExperiment:
             monkeypatch.setattr(mod, "draw_sample_plan", counting)
         res = run_experiment(cfg, attacks=("similarity",), variants=exp_mod.VARIANTS)
         assert not res.failures and len(res.records) == 3
-        assert len(calls) == 1 + 2 + 2 + 6
+        assert len(calls) == 1 + 2 + 6
+
+    def test_gap_probe_reads_the_attack_plans(self, monkeypatch):
+        ctx = build_context(tiny_cfg(m_queries=6, epochs_attack=5), seed=11)
+        real_gap = exp_mod.similarity_margin_gap
+        probes = []
+
+        def spying_gap(model, plans):
+            probes.append((model, plans))
+            return real_gap(model, plans)
+
+        monkeypatch.setattr(exp_mod, "similarity_margin_gap", spying_gap)
+        for variant in ("wo-ul", "wo-il"):
+            record = exp_mod.run_similarity_attack(ctx, variant)
+            assert "shadow_gap" not in record.extras and "target_gap" not in record.extras
+        assert probes == []
+        record = exp_mod.run_similarity_attack(ctx, "full")
+        assert [model is ctx.target for model, _ in probes] == [False, True]
+        assert all(plans is ctx.attack_plans for _, plans in probes)
+        assert record.extras["target_gap"] == real_gap(ctx.target, ctx.attack_plans)
+
+    def test_edgeless_unlearn_graph_fails_typed(self):
+        # seeds 9-11 draw a 2-node link-prediction unlearn graph without an
+        # edge: no node has a positive sample, and the seed fails typed
+        cfg = ExperimentConfig(
+            repetitions=5, unlearn_fraction=0.34,
+            synthetic=SyntheticSpec(domains=1, nodes_per_domain=12, avg_degree=3),
+        )
+        res = run_experiment(cfg)
+        errors = {f.seed: f.error for f in res.failures}
+        for seed in (9, 10, 11):
+            assert errors[seed] == "NoPositiveError: no unlearn node admits a positive sample"
 
     def test_query_cap(self):
         cfg = tiny_cfg(m_queries=15)

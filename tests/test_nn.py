@@ -545,6 +545,21 @@ class TestMinimize:
             minimize(params, 0.1, 6, nan_at_three, "quadratic", lambda k: f"step {k}")
         np.testing.assert_array_equal(params.vector, want.vector)
 
+    def test_kernel_error_gets_the_stage_and_step(self):
+        rng = np.random.default_rng(4)
+        params = ParamSet({"w": rng.normal(size=(3, 2))})
+        finite = self.quadratic(params, rng.normal(size=params.vector.shape))
+
+        def kernel_fails_at_two(k):
+            if k == 2:
+                raise NumericError("non-finite cross-entropy")
+            return finite(k)
+
+        with pytest.raises(NumericError, match="^quadratic diverged at step 2: "
+                                               "non-finite cross-entropy$") as info:
+            minimize(params, 0.1, 6, kernel_fails_at_two, "quadratic", lambda k: f"step {k}")
+        assert isinstance(info.value.__cause__, NumericError)
+
     def test_zero_steps_leave_parameters_untouched(self):
         params = ParamSet({"w": np.array([[1.0, -2.0]])})
         calls = []

@@ -369,6 +369,14 @@ class TestDivergence:
         with pytest.raises(NumericError, match="fine-tune diverged at epoch 2$"):
             fine_tune(model, small_sbm, epochs=5, lr=1e-3, seed=1)
 
+    def test_kernel_error_names_the_stage_and_epoch(self, small_sbm, linkpred_objective):
+        # the encoder's own check fires first; minimize names where it fired
+        model = tiny_model(small_sbm, linkpred_objective)
+        with pytest.raises(NumericError) as info:
+            fine_tune(model, small_sbm, epochs=5, lr=1e300, seed=1)
+        assert info.match(r"^fine-tune diverged at epoch \d+: non-finite encoder output$")
+        assert str(info.value.__cause__) == "non-finite encoder output"
+
     def test_pretrain_names_the_epoch_and_domain(self, monkeypatch, linkpred_objective):
         graphs = [sbm_graph(20, 4, 4.0, seed=d, domain_id=d) for d in (0, 1)]
         # each epoch takes one step per domain: call 3 is epoch 1, domain 1
