@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .graph import Graph
-from .nn import ParamSet, ShapeError, minimize, ref_cosines, ref_cosines_backward
+from .nn import ParamSet, ShapeError, minimize, ref_cosines
 from .rng import derive_seed
 from .victim import (
     CONTRASTIVE,
@@ -92,7 +92,7 @@ def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
     identities, so their entry-wise differences isolate the model change.
     """
     views_h = [embed(model, vg) for vg in plan.views]
-    s = ref_cosines(embed(model, plan.graph), views_h, plan.nodes, plan.refs)
+    s, _ = ref_cosines(embed(model, plan.graph), views_h, plan.nodes, plan.refs)
     if s.size and (s.min() < -1.0 - _BOUND_TOL or s.max() > 1.0 + _BOUND_TOL):
         raise ValueError("similarity entries outside [-1, 1]")
     return s
@@ -136,9 +136,10 @@ def distill_loss_and_grads(
     h, cache = student.forward(plan.graph)
     views = [student.forward(vg) for vg in plan.views]
     views_h = [v[0] for v in views]
-    resid = ref_cosines(h, views_h, plan.nodes, plan.refs) - teachers
+    s, pullback = ref_cosines(h, views_h, plan.nodes, plan.refs)
+    resid = s - teachers
     loss = float((resid * resid).sum())
-    dh, dviews = ref_cosines_backward(h, views_h, plan.nodes, plan.refs, 2.0 * resid)
+    dh, dviews = pullback(2.0 * resid)
     grads, _ = student.backward(cache, dh)
     for (_, vcache), dv in zip(views, dviews):
         g, _ = student.backward(vcache, dv)
@@ -164,8 +165,9 @@ def unlearn(
     sample plan of ``m_samples`` positives and as many negatives per
     unlearn-graph node, forms teachers, and trains the student for
     ``epochs_unlearn``; its final loss takes one forward pass.  An unlearn
-    graph where no node has a sample raises ``NoPositiveError``.  The
-    target itself is never mutated.
+    graph where no node has a sample raises ``NoNegativeError`` if it is
+    complete and ``NoPositiveError`` if it has no edge.  The target itself
+    is never mutated.
     """
     if unlearn_graph.num_nodes == 0:
         raise ValueError("unlearn graph is empty")
@@ -173,6 +175,9 @@ def unlearn(
     plan = draw_sample_plan(unlearn_graph, range(unlearn_graph.num_nodes), target.objective,
                             cfg.m_samples, derive_seed(seed, "unlearn-plan"))
     if not plan.nodes:
+        if unlearn_graph.num_edges:  # then every node is adjacent to every other
+            raise NoNegativeError(f"complete unlearn graph on {unlearn_graph.num_nodes} nodes: "
+                                  "no node admits a negative sample")
         raise NoPositiveError("no unlearn node admits a positive sample")
     teachers = teacher_scores(
         similarity_profile(target, plan), similarity_profile(augment_model, plan), cfg.lam

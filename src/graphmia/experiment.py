@@ -287,9 +287,9 @@ def _score(
     return accuracy_f1(predictions, truth, attack=attack, seed=ctx.seed)
 
 
-def similarity_margin_gap(model: VictimModel, plans: tuple[SamplePlan, SamplePlan]) -> float:
-    """Membership-signal gap between the nodes of a shadow-train and a
-    shadow-test plan.
+def similarity_margin_gap(train_profiles: np.ndarray, test_profiles: np.ndarray) -> float:
+    """Membership-signal gap between shadow-train and shadow-test nodes,
+    read from their (nodes x 2m) similarity profiles under one model.
 
     Per node the signal is its similarity margin, mean(positive sims) -
     mean(negative sims): how much closer the node sits to its positives
@@ -298,9 +298,8 @@ def similarity_margin_gap(model: VictimModel, plans: tuple[SamplePlan, SamplePla
     on the same plans are comparable.
     """
     margins = []
-    for plan in plans:
-        s = similarity_profile(model, plan)
-        m = plan.m
+    for s in (train_profiles, test_profiles):
+        m = s.shape[1] // 2
         margins.append(float(np.mean(s[:, :m].mean(axis=1) - s[:, m:].mean(axis=1))))
     return margins[0] - margins[1]
 
@@ -350,8 +349,11 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
         "skipped_test": dataset.skipped_test,
     }
     if distilled is not None:  # the amplification record's lines
-        extras["shadow_gap"] = similarity_margin_gap(shadow, ctx.attack_plans)
-        extras["target_gap"] = similarity_margin_gap(ctx.target, ctx.attack_plans)
+        # the shadow's profiles are the attack dataset's rows
+        extras["shadow_gap"] = similarity_margin_gap(dataset.x[dataset.y == 1],
+                                                     dataset.x[dataset.y == 0])
+        extras["target_gap"] = similarity_margin_gap(
+            *(similarity_profile(ctx.target, plan) for plan in ctx.attack_plans))
         extras["distill_initial"] = distilled.initial_loss
         extras["distill_final"] = distilled.final_loss
     return RunRecord(

@@ -147,11 +147,13 @@ class GCNEncoder:
             raise ShapeError("feature rows do not match graph node count")
         cache = []
         h = h0
-        for i, w in enumerate(self.weights):
-            m = a_hat @ h
-            z = m @ w
-            cache.append((m, z))
-            h = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
+        # a diverged model overflows here; the finite check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, w in enumerate(self.weights):
+                m = a_hat @ h
+                z = m @ w
+                cache.append((m, z))
+                h = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
         if not np.all(np.isfinite(h)):
             raise NumericError("non-finite encoder output")
         return h, cache
@@ -240,8 +242,9 @@ def scatter_matrix(targets: np.ndarray, sources: np.ndarray, weights: np.ndarray
 # similarity
 
 
-def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cosine between two equally-shaped matrices (0 where degenerate)."""
+def _row_cosines(a: np.ndarray, b: np.ndarray):
+    """Row norms of ``a`` and ``b``, the mask of rows whose norm product is
+    nonzero, and the row-wise cosines (0 where it is zero)."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     denom = na * nb
@@ -249,69 +252,57 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros(len(a))
     ok = denom > 0.0
     out[ok] = dots[ok] / denom[ok]
-    return out
+    return na, nb, ok, out
 
 
-def cosine_rows_backward(
-    a: np.ndarray, b: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """d(upstream . cos_rows(a, b)) w.r.t. a and b; zero rows get zero grad."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    ok = (na > 0.0) & (nb > 0.0)
-    da = np.zeros_like(a)
-    db = np.zeros_like(b)
-    if not np.any(ok):
-        return da, db
-    ai, bi = a[ok], b[ok]
-    nai = na[ok][:, None]
-    nbi = nb[ok][:, None]
-    cos = np.einsum("ij,ij->i", ai, bi)[:, None] / (nai * nbi)
-    g = upstream[ok][:, None]
-    da[ok] = g * (bi / (nai * nbi) - cos * ai / (nai * nai))
-    db[ok] = g * (ai / (nai * nbi) - cos * bi / (nbi * nbi))
-    return da, db
+def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cosine between two equally-shaped matrices (0 where degenerate)."""
+    return _row_cosines(a, b)[3]
 
 
-def ref_cosines(h: np.ndarray, views_h: list, anchors, refs: np.ndarray) -> np.ndarray:
-    """Cosine of each anchor row of ``h`` to its references: entry (i, c)
-    compares ``h[anchors[i]]`` with node ``refs[i, c]``, read in
-    ``views_h[c]`` for c < len(views_h) and in ``h`` for every later c."""
-    anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
-    s = np.zeros(refs.shape)
-    for p, hv in enumerate(views_h):
-        s[:, p] = cosine_rows(h[anchors], hv[refs[:, p]])
-    rep = np.repeat(anchors, refs.shape[1] - k)
-    s[:, k:] = cosine_rows(h[rep], h[refs[:, k:].ravel()]).reshape(len(anchors), -1)
-    return s
+def ref_cosines(h: np.ndarray, views_h: list, anchors, refs: np.ndarray):
+    """Cosine of each anchor row of ``h`` to its references, and its pullback.
 
+    Entry (i, c) of ``s`` compares ``h[anchors[i]]`` with node ``refs[i, c]``,
+    read in ``views_h[c]`` for c < len(views_h) and in ``h`` for every later
+    c.  ``pullback(upstream)`` returns ``(dh, [dview_p])``, the gradients of
+    sum(upstream * s); a pair with a zero-norm side gets zero gradient.
 
-def ref_cosines_backward(
-    h: np.ndarray, views_h: list, anchors, refs: np.ndarray, upstream: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Gradients of sum(upstream * ref_cosines(h, views_h, anchors, refs))
-    w.r.t. ``h`` and each view.
-
-    All of them come from one :func:`scatter_matrix` product over the
-    rows of ``h`` stacked on those of each view, so each gradient has the
-    bits of ``np.add.at`` applied term after term in this order: into
-    ``h``, the anchor rows of view column 0, 1, ..., then the anchor rows
-    of the columns read in ``h`` and last their reference rows, both
-    row-major; into view p, the reference rows of column p.
+    Each pair is laid out once, the view columns column by column and then
+    the columns read in ``h`` row by row, and its norms, dot product and
+    cosine serve both directions.  The gradients are one
+    :func:`scatter_matrix` product over the rows of ``h`` stacked on each
+    view's, with the bits of ``np.add.at`` applied term after term in this
+    order: into ``h``, the anchor rows of view column 0, 1, ..., then the
+    anchor rows of the columns read in ``h`` and last their reference rows;
+    into view p, the reference rows of column p.
     """
     anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
+    rows, cols = refs.shape
     starts = list(accumulate([len(h), *(len(hv) for hv in views_h)], initial=0))
-    targets, terms = [], []
-    for p, hv in enumerate(views_h):
-        da, db = cosine_rows_backward(h[anchors], hv[refs[:, p]], upstream[:, p])
-        targets += [anchors, refs[:, p] + starts[p + 1]]
-        terms += [da, db]
-    rep, others = np.repeat(anchors, refs.shape[1] - k), refs[:, k:].ravel()
-    da, db = cosine_rows_backward(h[rep], h[others], upstream[:, k:].ravel())
-    targets, terms = np.concatenate([*targets, rep, others]), np.concatenate([*terms, da, db])
-    m = len(terms)
-    grads = scatter_matrix(targets, np.arange(m), np.ones(m), (starts[-1], m)) @ terms
-    return grads[:len(h)], [grads[a:b] for a, b in zip(starts[1:], starts[2:])]
+    stacked = np.concatenate([h, *views_h])
+    a_idx = np.concatenate([np.tile(anchors, k), np.repeat(anchors, cols - k)])
+    b_idx = np.concatenate([*(refs[:, p] + starts[p + 1] for p in range(k)), refs[:, k:].ravel()])
+    a, b = stacked[a_idx], stacked[b_idx]
+    na, nb, ok, cos = _row_cosines(a, b)
+    s = np.empty(refs.shape)
+    s[:, :k] = cos[:k * rows].reshape(k, rows).T
+    s[:, k:] = cos[k * rows:].reshape(rows, cols - k)
+
+    def pullback(upstream: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        # a degenerate pair's terms are +-0 (zero upstream, unit norms), and
+        # a sum that starts at +0 reads them as the zero rows of np.add.at
+        g = np.where(ok, np.concatenate([upstream[:, :k].T.ravel(), upstream[:, k:].ravel()]),
+                     0.0)[:, None]
+        nai, nbi, c = np.where(ok, na, 1.0)[:, None], np.where(ok, nb, 1.0)[:, None], cos[:, None]
+        terms = np.concatenate([g * (b / (nai * nbi) - c * a / (nai * nai)),
+                                g * (a / (nai * nbi) - c * b / (nbi * nbi))])
+        m = len(terms)
+        grads = scatter_matrix(np.concatenate([a_idx, b_idx]), np.arange(m), np.ones(m),
+                               (starts[-1], m)) @ terms
+        return grads[:len(h)], [grads[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
+
+    return s, pullback
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .nn import (
     info_nce,
     minimize,
     ref_cosines,
-    ref_cosines_backward,
     scatter_matrix,
 )
 from .rng import derive_seed, substream
@@ -325,16 +324,18 @@ def _view_info_nce(h: np.ndarray, hv: np.ndarray, anchors, negatives, temperatur
     of ``negatives`` in ``h``: the one-view plan row [anchor | negatives].
     Returns the loss and its gradients w.r.t. ``h`` and ``hv``."""
     refs = np.concatenate([anchors[:, None], negatives], axis=1)
-    s = ref_cosines(h, [hv], anchors, refs)
+    s, pullback = ref_cosines(h, [hv], anchors, refs)
     loss, dpos, dneg = info_nce(s[:, 0], s[:, 1:], temperature)
-    dh, (dhv,) = ref_cosines_backward(h, [hv], anchors, refs, np.column_stack([dpos, dneg]))
+    dh, (dhv,) = pullback(np.column_stack([dpos, dneg]))
     return loss, dh, dhv
 
 
 def linkpred_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
-    """BCE on sigmoid(h_u . h_v) over all edges plus matched random non-edges."""
-    edges = graph.edge_array
-    if len(edges) == 0:
+    """BCE on sigmoid(h_u . h_v) over all edges plus matched random non-edges.
+    A graph without an edge or without a non-edge has zero loss and zero
+    gradients, as a node adjacent to none or to every other has in NodeLoss."""
+    edges, n = graph.edge_array, graph.num_nodes
+    if len(edges) in (0, n * (n - 1) // 2):
         return 0.0, model.params.zeros_like()
     rng = substream(seed, "linkpred-negatives")
     neg_u, neg_v = _sample_negative_pairs(graph, len(edges), rng)

@@ -23,6 +23,7 @@ from graphmia.synth import sbm_graph
 from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
+    NoNegativeError,
     NoPositiveError,
     SSLObjective,
     augment_graph,
@@ -129,7 +130,7 @@ class TestSimilarityProfile:
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, seed=8)
         monkeypatch.setattr(amplify, "ref_cosines",
-                            lambda h, views_h, anchors, refs: np.full(refs.shape, 1.5))
+                            lambda h, views_h, anchors, refs: (np.full(refs.shape, 1.5), None))
         with pytest.raises(ValueError):
             similarity_profile(model, plan)
 
@@ -262,6 +263,16 @@ class TestUnlearn:
         g = Graph.from_edges(4, [], np.ones((4, 3)))
         model = tiny_model(g, linkpred_objective)
         with pytest.raises(NoPositiveError, match="no unlearn node admits a positive sample"):
+            unlearn(model, g, ExperimentConfig(epochs_unlearn=2), seed=3)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_complete_unlearn_graph_raises_no_negative(self, n, linkpred_objective):
+        # the augment fine-tune runs (a complete graph has zero link-prediction
+        # loss); the empty plan then names the complete graph
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)],
+                             np.random.default_rng(n).normal(size=(n, 3)))
+        model = tiny_model(g, linkpred_objective)
+        with pytest.raises(NoNegativeError, match=f"^complete unlearn graph on {n} nodes"):
             unlearn(model, g, ExperimentConfig(epochs_unlearn=2), seed=3)
 
     def test_diverged_distillation_names_the_epoch(self, monkeypatch, linkpred_objective):

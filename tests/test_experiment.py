@@ -46,6 +46,17 @@ class TestDomainPreparation:
         assert total == ctx.attack_domain.nonmember_graph.num_nodes
 
 
+@pytest.fixture(scope="module")
+def two_node_unlearn_errors():
+    """Failure strings by seed of a link-prediction config whose unlearn
+    graph has 2 nodes (split (2, 2, 2))."""
+    cfg = ExperimentConfig(
+        repetitions=5, unlearn_fraction=0.34,
+        synthetic=SyntheticSpec(domains=1, nodes_per_domain=12, avg_degree=3),
+    )
+    return {f.seed: f.error for f in run_experiment(cfg).failures}
+
+
 class TestRunExperiment:
     def test_reports_and_summary(self, tmp_path):
         cfg = tiny_cfg()
@@ -126,9 +137,9 @@ class TestRunExperiment:
 
     def test_per_seed_work_computed_once(self, monkeypatch):
         cfg = tiny_cfg(repetitions=2, m_queries=6, epochs_attack=10)
-        scratch, contexts, gap_models = [], [], []
+        scratch, contexts, profiled = [], [], []
         real_fine_tune = exp_mod.fine_tune
-        real_gap = exp_mod.similarity_margin_gap
+        real_profile = exp_mod.similarity_profile
         real_context = exp_mod.build_context
 
         def counting_fine_tune(*args, **kwargs):
@@ -139,20 +150,22 @@ class TestRunExperiment:
             contexts.append(real_context(*args, **kwargs))
             return contexts[-1]
 
-        def counting_gap(model, plans):
-            gap_models.append(model)
-            return real_gap(model, plans)
+        def recording_profile(model, plan):
+            profiled.append(model)
+            return real_profile(model, plan)
 
         monkeypatch.setattr(exp_mod, "fine_tune", counting_fine_tune)
         monkeypatch.setattr(exp_mod, "build_context", recording_context)
-        monkeypatch.setattr(exp_mod, "similarity_margin_gap", counting_gap)
+        monkeypatch.setattr(exp_mod, "similarity_profile", recording_profile)
         res = run_experiment(cfg, attacks=("similarity", *exp_mod.BASELINE_KINDS),
                              variants=("full", "wo-il"))
         assert not res.failures
         assert len(res.records) == 2 * (2 + len(exp_mod.BASELINE_KINDS))
         assert len(scratch) == 2
-        target_gaps = [ctx.seed for ctx in contexts for m in gap_models if m is ctx.target]
-        assert target_gaps == cfg.seeds()
+        # the target gap profiles the target once per attack plan per seed
+        target_profiles = [ctx.seed for ctx in contexts for m in profiled if m is ctx.target]
+        assert target_profiles == [seed for seed in cfg.seeds() for _ in range(2)]
+        assert len(profiled) == len(target_profiles)
 
     def test_plans_drawn_once_per_seed(self, monkeypatch):
         # one unlearn plan and two attack-dataset plans serve all three
@@ -175,35 +188,57 @@ class TestRunExperiment:
         assert len(calls) == 1 + 2 + 6
 
     def test_gap_probe_reads_the_attack_plans(self, monkeypatch):
+        # the shadow gap reads the attack dataset's rows; the target gap
+        # profiles the target on the attack-dataset plans
         ctx = build_context(tiny_cfg(m_queries=6, epochs_attack=5), seed=11)
-        real_gap = exp_mod.similarity_margin_gap
-        probes = []
+        real_gap, real_dataset = exp_mod.similarity_margin_gap, exp_mod.build_attack_dataset
+        real_profile = exp_mod.similarity_profile
+        probes, datasets, profiled = [], [], []
 
-        def spying_gap(model, plans):
-            probes.append((model, plans))
-            return real_gap(model, plans)
+        def spying_gap(train_profiles, test_profiles):
+            probes.append((train_profiles, test_profiles))
+            return real_gap(train_profiles, test_profiles)
+
+        def recording_dataset(*args):
+            datasets.append(real_dataset(*args))
+            return datasets[-1]
+
+        def recording_profile(model, plan):
+            profiled.append((model, plan))
+            return real_profile(model, plan)
 
         monkeypatch.setattr(exp_mod, "similarity_margin_gap", spying_gap)
+        monkeypatch.setattr(exp_mod, "build_attack_dataset", recording_dataset)
+        monkeypatch.setattr(exp_mod, "similarity_profile", recording_profile)
         for variant in ("wo-ul", "wo-il"):
             record = exp_mod.run_similarity_attack(ctx, variant)
             assert "shadow_gap" not in record.extras and "target_gap" not in record.extras
-        assert probes == []
+        assert probes == [] and profiled == []
         record = exp_mod.run_similarity_attack(ctx, "full")
-        assert [model is ctx.target for model, _ in probes] == [False, True]
-        assert all(plans is ctx.attack_plans for _, plans in probes)
-        assert record.extras["target_gap"] == real_gap(ctx.target, ctx.attack_plans)
+        (shadow_tr, shadow_te), (target_tr, target_te) = probes
+        x, y = datasets[-1].x, datasets[-1].y
+        assert shadow_tr.tobytes() == x[y == 1].tobytes()
+        assert shadow_te.tobytes() == x[y == 0].tobytes()
+        assert [model is ctx.target for model, _ in profiled] == [True, True]
+        assert [plan for _, plan in profiled] == list(ctx.attack_plans)
+        want = [real_profile(ctx.target, plan).tobytes() for plan in ctx.attack_plans]
+        assert [target_tr.tobytes(), target_te.tobytes()] == want
+        assert record.extras["target_gap"] == real_gap(target_tr, target_te)
 
-    def test_edgeless_unlearn_graph_fails_typed(self):
+    def test_edgeless_unlearn_graph_fails_typed(self, two_node_unlearn_errors):
         # seeds 9-11 draw a 2-node link-prediction unlearn graph without an
         # edge: no node has a positive sample, and the seed fails typed
-        cfg = ExperimentConfig(
-            repetitions=5, unlearn_fraction=0.34,
-            synthetic=SyntheticSpec(domains=1, nodes_per_domain=12, avg_degree=3),
-        )
-        res = run_experiment(cfg)
-        errors = {f.seed: f.error for f in res.failures}
         for seed in (9, 10, 11):
-            assert errors[seed] == "NoPositiveError: no unlearn node admits a positive sample"
+            assert two_node_unlearn_errors[seed] == (
+                "NoPositiveError: no unlearn node admits a positive sample")
+
+    def test_complete_unlearn_graph_fails_typed(self, two_node_unlearn_errors):
+        # seeds 7 and 8 draw the 2-node unlearn graph with its edge: the
+        # augment fine-tune runs on it, and no node has a negative sample
+        for seed in (7, 8):
+            assert two_node_unlearn_errors[seed] == (
+                "NoNegativeError: complete unlearn graph on 2 nodes: "
+                "no node admits a negative sample")
 
     def test_query_cap(self):
         cfg = tiny_cfg(m_queries=15)

@@ -32,7 +32,6 @@ from graphmia.nn import (
     adam_step,
     bce_with_logits,
     cosine_rows,
-    cosine_rows_backward,
     info_nce,
 )
 from graphmia.rng import derive_seed, substream
@@ -52,7 +51,7 @@ from graphmia.victim import (
 )
 
 from conftest import whole_graph_feature_grad
-from test_nn import dense_normalized_adjacency
+from test_nn import cosine_rows_grad, dense_normalized_adjacency
 
 TOL = 1e-12
 
@@ -113,10 +112,10 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
                                 cosine_rows(anchor, h[negs])[None, :], obj.temperature)
     dh = np.zeros_like(h)
     dhv = np.zeros_like(hv)
-    da, db = cosine_rows_backward(h[[node]], hv[[node]], dpos)
+    da, db = cosine_rows_grad(h[[node]], hv[[node]], dpos)
     dh[node] += da[0]
     dhv[node] += db[0]
-    da, db = cosine_rows_backward(anchor, h[negs], dneg[0])
+    da, db = cosine_rows_grad(anchor, h[negs], dneg[0])
     dh[node] += da.sum(axis=0)
     for v, d in zip(negs, db):
         dh[v] += d

@@ -17,12 +17,11 @@ from graphmia.nn import (
     ShapeError,
     adam_step,
     bce_with_logits,
-    cosine_rows_backward,
+    cosine_rows,
     cross_entropy,
     info_nce,
     minimize,
     ref_cosines,
-    ref_cosines_backward,
     scatter_matrix,
 )
 from graphmia.victim import (
@@ -256,20 +255,32 @@ class TestRefCosines:
     @pytest.mark.parametrize("num_views", [0, 1, 2])
     def test_entries_are_plain_cosines(self, num_views):
         h, views_h, _ = self._inputs(num_views)
-        s = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        s, _ = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
         for i, a in enumerate(self.ANCHORS):
             for c, r in enumerate(self.REFS[i]):
                 other = views_h[c][r] if c < num_views else h[r]
                 assert s[i, c] == pytest.approx(cosine_sim(h[a], other)[0], abs=1e-14)
 
     @pytest.mark.parametrize("num_views", [0, 1, 2])
+    def test_columns_are_cosine_rows(self, num_views):
+        # the kernel's entries are those of cosine_rows on each column's
+        # rows, byte for byte: one formula behind both
+        h, views_h, _ = self._inputs(num_views)
+        s, _ = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        for c in range(self.REFS.shape[1]):
+            other = views_h[c] if c < num_views else h
+            want = cosine_rows(h[self.ANCHORS], other[self.REFS[:, c]])
+            assert s[:, c].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_views", [0, 1, 2])
     def test_backward_matches_finite_differences(self, num_views):
         h, views_h, upstream = self._inputs(num_views)
-        dh, dviews = ref_cosines_backward(h, views_h, self.ANCHORS, self.REFS, upstream)
+        _, pullback = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        dh, dviews = pullback(upstream)
         assert len(dviews) == num_views
 
         def loss():
-            return float((upstream * ref_cosines(h, views_h, self.ANCHORS, self.REFS)).sum())
+            return float((upstream * ref_cosines(h, views_h, self.ANCHORS, self.REFS)[0]).sum())
 
         step = 1e-6
         zero_rows = [5, 4, None][:1 + num_views]
@@ -289,18 +300,38 @@ class TestRefCosines:
                 assert grad[idx] == pytest.approx((up - down) / (2.0 * step), abs=1e-8)
 
 
+def cosine_rows_grad(a, b, upstream):
+    """d(upstream . cos_rows(a, b)) w.r.t. a and b, from scratch; rows with
+    a zero norm get zero gradient."""
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    ok = (na > 0.0) & (nb > 0.0)
+    da = np.zeros_like(a)
+    db = np.zeros_like(b)
+    if not np.any(ok):
+        return da, db
+    ai, bi = a[ok], b[ok]
+    nai = na[ok][:, None]
+    nbi = nb[ok][:, None]
+    cos = np.einsum("ij,ij->i", ai, bi)[:, None] / (nai * nbi)
+    g = upstream[ok][:, None]
+    da[ok] = g * (bi / (nai * nbi) - cos * ai / (nai * nai))
+    db[ok] = g * (ai / (nai * nbi) - cos * bi / (nbi * nbi))
+    return da, db
+
+
 def add_at_ref_cosines_backward(h, views_h, anchors, refs, upstream):
-    """Reference: ``ref_cosines_backward`` as np.add.at calls, each view
-    column in turn, then the columns read in ``h``."""
+    """Reference: the pullback of ``ref_cosines`` as np.add.at calls, each
+    view column in turn, then the columns read in ``h``."""
     anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
     dh = np.zeros_like(h)
     dviews = [np.zeros_like(hv) for hv in views_h]
     for p, hv in enumerate(views_h):
-        da, db = cosine_rows_backward(h[anchors], hv[refs[:, p]], upstream[:, p])
+        da, db = cosine_rows_grad(h[anchors], hv[refs[:, p]], upstream[:, p])
         np.add.at(dh, anchors, da)
         np.add.at(dviews[p], refs[:, p], db)
     rep, others = np.repeat(anchors, refs.shape[1] - k), refs[:, k:].ravel()
-    da, db = cosine_rows_backward(h[rep], h[others], upstream[:, k:].ravel())
+    da, db = cosine_rows_grad(h[rep], h[others], upstream[:, k:].ravel())
     np.add.at(dh, rep, da)
     np.add.at(dh, others, db)
     return dh, dviews
@@ -366,7 +397,8 @@ class TestScatterMatrix:
         anchors = rng.integers(n, size=rows)
         refs = rng.integers(n, size=(rows, cols))
         upstream = rng.normal(size=(rows, cols))
-        dh, dviews = ref_cosines_backward(h, views_h, anchors, refs, upstream)
+        _, pullback = ref_cosines(h, views_h, anchors, refs)
+        dh, dviews = pullback(upstream)
         ref_dh, ref_dviews = add_at_ref_cosines_backward(h, views_h, anchors, refs, upstream)
         assert dh.tobytes() == ref_dh.tobytes()
         assert [d.tobytes() for d in dviews] == [d.tobytes() for d in ref_dviews]

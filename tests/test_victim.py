@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -206,22 +208,39 @@ class TestDegenerateNodes:
         assert loss == 0.0
         assert not grads.vector.any() and not whole_graph_feature_grad(model, g, 0, 0).any()
 
-    def test_complete_graph_raises(self, linkpred_objective):
-        k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)],
-                              np.random.default_rng(2).normal(size=(5, 3)))
-        model = tiny_model(k5, linkpred_objective)
+    @staticmethod
+    def _k5() -> Graph:
+        return Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)],
+                                np.random.default_rng(2).normal(size=(5, 3)))
 
+    @staticmethod
+    @contextlib.contextmanager
+    def _returns_within(seconds):
+        """Fail rather than hang if the block does not finish in time."""
         def hung(signum, frame):
-            pytest.fail("linkpred_loss did not return on a complete graph")
+            pytest.fail(f"no return within {seconds} s on a complete graph")
 
         previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(20)
+        signal.alarm(seconds)
         try:
-            with pytest.raises(NoNegativeError):
-                linkpred_loss(model, k5, seed=0)
+            yield
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_complete_graph_raises(self):
+        # the negative-pair sampler has no non-edge to draw on a complete graph
+        with self._returns_within(20), pytest.raises(NoNegativeError):
+            _sample_negative_pairs(self._k5(), 10, np.random.default_rng(0))
+
+    def test_complete_graph_contributes_zero(self, linkpred_objective):
+        # as an edgeless graph does, and as a node adjacent to every other
+        # node does in NodeLoss
+        k5 = self._k5()
+        model = tiny_model(k5, linkpred_objective)
+        with self._returns_within(20):
+            loss, grads = linkpred_loss(model, k5, seed=0)
+        assert loss == 0.0 and not grads.vector.any()
 
     def test_one_node_contrastive_graph_raises(self, contrastive_objective):
         g = Graph.from_edges(1, [], np.ones((1, 3)))
@@ -370,10 +389,13 @@ class TestDivergence:
             fine_tune(model, small_sbm, epochs=5, lr=1e-3, seed=1)
 
     def test_kernel_error_names_the_stage_and_epoch(self, small_sbm, linkpred_objective):
-        # the encoder's own check fires first; minimize names where it fired
+        # the encoder's own check fires first; minimize names where it fired,
+        # and the typed error is the one signal: numpy warns of nothing
         model = tiny_model(small_sbm, linkpred_objective)
-        with pytest.raises(NumericError) as info:
-            fine_tune(model, small_sbm, epochs=5, lr=1e300, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError) as info:
+                fine_tune(model, small_sbm, epochs=5, lr=1e300, seed=1)
         assert info.match(r"^fine-tune diverged at epoch \d+: non-finite encoder output$")
         assert str(info.value.__cause__) == "non-finite encoder output"
 
