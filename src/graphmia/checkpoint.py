@@ -24,7 +24,7 @@ VERSION = 1
 # Part of every pretrain key: bump it whenever a change moves the numbers
 # pretrain_multidomain produces, or the text the key hashes, so that older
 # checkpoints miss the cache.
-PRETRAIN_KEY_VERSION = 2
+PRETRAIN_KEY_VERSION = 3
 
 
 class CheckpointError(ValueError):

@@ -23,15 +23,10 @@ from .victim import VictimModel, fine_tune, per_node_ssl_loss
 class FisherDiag(ParamSet):
     """Non-negative per-parameter importance weights on a model's layout."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], sample_count: int) -> None:
+    def __init__(self, tensors: dict[str, np.ndarray]) -> None:
         super().__init__(tensors)
-        self.sample_count = sample_count
         if not np.all(np.isfinite(self.vector)) or np.any(self.vector < 0):
             raise ValueError("Fisher entries must be finite and >= 0")
-
-    @classmethod
-    def uniform(cls, params: ParamSet, value: float = 1.0) -> "FisherDiag":
-        return cls({k: np.full_like(t, value) for k, t in params.items()}, sample_count=0)
 
 
 def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> FisherDiag:
@@ -49,7 +44,7 @@ def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> Fishe
         _, grads = per_node_ssl_loss(model, shadow_train, node, derive_seed(seed, "fisher", node))
         acc.vector += grads.vector * grads.vector
     acc.vector /= shadow_train.num_nodes
-    return FisherDiag(acc.tensors, sample_count=shadow_train.num_nodes)
+    return FisherDiag(acc.tensors)
 
 
 def ewc_penalty(

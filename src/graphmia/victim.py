@@ -183,42 +183,31 @@ def view_seed(seed: int, view_index: int) -> int:
     return derive_seed(seed, "view", view_index)
 
 
-def _block_size(need: int, accept: float) -> int:
-    """Draws for one block of rejection sampling: enough for ``need``
-    acceptances at rate ``accept`` in one block, but for rare shortfalls."""
-    return int(1.1 * need / accept) + 8
+def _rank_to_id(excluded: np.ndarray, ranks) -> np.ndarray:
+    """The ``ranks``-th (from 0) non-negative integers outside the sorted,
+    distinct ``excluded``: an exact, order-keeping bijection of [0, pool)
+    onto the complement, applied to every rank in one call.
+
+    ``excluded[k] - k`` eligible integers lie below ``excluded[k]``, so the
+    r-th eligible one lies past it exactly when that count is at most r.
+    Every negative in this module is a uniform rank mapped here."""
+    return ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
 
 
-def _sample_distinct(rng: np.random.Generator, n: int, exclude: set[int], count: int) -> list[int]:
-    """Uniform sample of ``count`` nodes outside ``exclude``; falls back to
-    replacement only when the eligible pool is smaller than ``count``.
+def _closed_row(graph: Graph, node: int) -> np.ndarray:
+    """Sorted ids of ``node`` and its neighbours: row ``node`` of the
+    pattern of Â, which is A + I."""
+    a_hat = graph.gcn_matrix
+    return a_hat.indices[a_hat.indptr[node]:a_hat.indptr[node + 1]]
 
-    A pool of at most ``max(4 * count, 16)`` nodes is sampled with one
-    ``rng.choice``.  A larger one is rejection-sampled: the result is the
-    first ``count`` distinct draws of ``rng.integers(n)`` outside
-    ``exclude``.  The draws come in blocks, which numpy's Generator fills
-    with the same integers as one scalar call per draw, so the result is
-    that of the scalar loop; ``rng`` is left past the block's surplus
-    draws, so callers pass a generator of their own.
-    """
-    pool_size = n - len(exclude)
-    if pool_size <= 0:
+
+def _sample_outside(rng: np.random.Generator, n: int, excluded: np.ndarray, count: int) -> np.ndarray:
+    """``count`` uniform ids in [0, n) outside the sorted ``excluded``:
+    distinct, unless fewer than ``count`` are eligible."""
+    pool = n - len(excluded)
+    if pool <= 0:
         raise NoNegativeError("no eligible nodes to sample")
-    if pool_size <= max(4 * count, 16):
-        pool = np.array(sorted(set(range(n)) - exclude), dtype=np.int64)
-        picked = rng.choice(pool, size=count, replace=pool_size < count)
-        return [int(v) for v in picked]
-    chosen: list[int] = []
-    taken = set(exclude)
-    while len(chosen) < count:
-        block = rng.integers(n, size=_block_size(count - len(chosen), (pool_size - len(chosen)) / n))
-        for v in block.tolist():
-            if v not in taken:
-                taken.add(v)
-                chosen.append(v)
-                if len(chosen) == count:
-                    break
-    return chosen
+    return _rank_to_id(excluded, rng.choice(pool, size=count, replace=pool < count))
 
 
 def make_positive_negative(
@@ -245,17 +234,16 @@ def make_positive_negative(
     node = int(node)
     if objective.kind == CONTRASTIVE:
         positives = np.full(m, node, dtype=np.int64)
-        exclude = {node}
+        excluded = np.array([node])
     else:
         nbrs = graph.neighbors(node)
         if len(nbrs) == 0:
             raise NoPositiveError(f"node {node} is isolated; no link-prediction positive exists")
         prng = substream(seed, "pos", node)
         positives = prng.choice(nbrs, size=m, replace=len(nbrs) < m)
-        exclude = {node, *(int(v) for v in nbrs)}
-    nrng = substream(seed, "neg", node)
-    negatives = _sample_distinct(nrng, graph.num_nodes, exclude, m)
-    return np.asarray(positives, dtype=np.int64), np.array(negatives, dtype=np.int64)
+        excluded = _closed_row(graph, node)
+    negatives = _sample_outside(substream(seed, "neg", node), graph.num_nodes, excluded, m)
+    return np.asarray(positives, dtype=np.int64), negatives
 
 
 # ---------------------------------------------------------------------------
@@ -265,44 +253,19 @@ def make_positive_negative(
 def _sample_negative_pairs(
     graph: Graph, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform non-edges (u, v), u != v.
+    """``count`` uniform ordered non-edges (u, v), u != v, with replacement.
 
-    Rejection-sampled, unless fewer than a quarter of all pairs are
-    non-edges: rejection then needs more than four draws per pair, without
-    bound as the graph nears complete, so the ordered non-edges are
-    enumerated instead (O(n^2), which is O(E) at that density).
-
-    Rejection returns the first ``count`` pairs of the stream u, v, u, v,
-    ... of ``rng.integers(n)`` draws that are neither a self-pair nor an
-    edge.  The stream is drawn in blocks sized from the non-edge share, so
-    one block usually suffices; numpy's Generator fills a block with the
-    same integers as one scalar call per draw, so the pairs are those of
-    a draw-by-draw loop.  ``rng`` is left past the block's surplus draws,
-    so callers pass a generator of their own.
+    A pair is its key u * n + v, and the pattern of Â (A + I) holds the
+    keys of every edge and self-pair, sorted.  One uniform rank over the
+    ordered non-edges, mapped past those keys, is the key of a non-edge.
     """
     n = graph.num_nodes
-    pairs = n * (n - 1) // 2
-    if count and graph.num_edges == pairs:
+    a_hat = graph.gcn_matrix
+    excluded = np.repeat(np.arange(n, dtype=np.int64), np.diff(a_hat.indptr)) * n + a_hat.indices
+    pool = n * n - len(excluded)
+    if pool == 0:
         raise NoNegativeError(f"complete graph on {n} nodes has no non-edge")
-    if 4 * (pairs - graph.num_edges) < pairs:
-        edges = graph.edge_array
-        free = ~np.eye(n, dtype=bool)
-        free[edges[:, 0], edges[:, 1]] = free[edges[:, 1], edges[:, 0]] = False
-        us, vs = np.nonzero(free)
-        pick = rng.integers(len(us), size=count)
-        return us[pick], vs[pick]
-    # n * n is above every edge key: searchsorted never runs off the end
-    keys = np.append(graph.edge_keys, n * n)
-    kept = [np.empty((0, 2), dtype=np.int64)]
-    need = count
-    while need > 0:
-        draws = rng.integers(n, size=(_block_size(need, 2 * (pairs - graph.num_edges) / n**2), 2))
-        key = draws.min(axis=1) * n + draws.max(axis=1)
-        ok = (draws[:, 0] != draws[:, 1]) & (keys[np.searchsorted(keys, key)] != key)
-        kept.append(draws[ok][:need])
-        need -= len(kept[-1])
-    us, vs = np.concatenate(kept).T
-    return us, vs
+    return np.divmod(_rank_to_id(excluded, rng.integers(pool, size=count)), n)
 
 
 def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
@@ -360,10 +323,12 @@ def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float
     h, cache = model.forward(graph)
     hv, cache_v = model.forward(view)
 
+    # anchor a's r-th non-self node v is the rank a * (n - 1) + r over the
+    # pairs (a, v), a != v, mapped past the self-pair keys to the key a * n + v
     rng = substream(seed, "contrastive-negatives")
     raw = rng.integers(0, n - 1, size=(n, obj.negatives_per_positive))
     anchors = np.arange(n)
-    negatives = raw + (raw >= anchors[:, None])
+    negatives = _rank_to_id(anchors * (n + 1), anchors[:, None] * (n - 1) + raw) % n
     loss, dh, dhv = _view_info_nce(h, hv, anchors, negatives, obj.temperature)
 
     grads, _ = model.backward(cache, dh)
@@ -400,11 +365,10 @@ def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, seed: int)
     rng = substream(seed, "node-negatives", node)
     if objective.kind == LINK_PREDICTION:
         nbrs = graph.neighbors(node)
-        exclude = {node, *(int(v) for v in nbrs)}
-        negs = np.array(_sample_distinct(rng, graph.num_nodes, exclude, len(nbrs)))
+        negs = _sample_outside(rng, graph.num_nodes, _closed_row(graph, node), len(nbrs))
         labels = np.concatenate([np.ones(len(nbrs)), np.zeros(len(negs))])
         return np.concatenate([nbrs, negs]), labels
-    negs = np.array(_sample_distinct(rng, graph.num_nodes, {node}, objective.negatives_per_positive))
+    negs = _sample_outside(rng, graph.num_nodes, np.array([node]), objective.negatives_per_positive)
     return negs, _augment_draws(graph, derive_seed(seed, "node-view", node))
 
 

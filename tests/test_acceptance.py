@@ -127,9 +127,7 @@ class TestCriterion1GradientIntegrity:
             anchor = params.copy()
             for t in anchor.tensors.values():
                 t += rng.normal(scale=0.2, size=t.shape)
-            fisher = FisherDiag(
-                {k: rng.uniform(0, 2, size=t.shape) for k, t in params.items()}, sample_count=1
-            )
+            fisher = FisherDiag({k: rng.uniform(0, 2, size=t.shape) for k, t in params.items()})
             _, grads = ewc_penalty(params, anchor, fisher, alpha=0.6)
             numeric = finite_diff_grads(
                 lambda: ewc_penalty(params, anchor, fisher, 0.6)[0], params

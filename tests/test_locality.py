@@ -43,7 +43,7 @@ from graphmia.victim import (
     VictimModel,
     _augment_draws,
     NodeLoss,
-    _sample_distinct,
+    _sample_outside,
     augment_graph,
     ball_matrix,
     node_ball,
@@ -92,7 +92,7 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
     if obj.kind == LINK_PREDICTION:
         if len(nbrs) in (0, n - 1):
             return 0.0, grads, np.zeros_like(graph.features)
-        negs = np.array(_sample_distinct(rng, n, {node, *nbrs.tolist()}, len(nbrs)))
+        negs = _sample_outside(rng, n, np.union1d(nbrs, [node]), len(nbrs))
         others = np.concatenate([nbrs, negs])
         h, fcache = forward(graph)
         loss, ds = bce_with_logits(h[others] @ h[node],
@@ -103,7 +103,7 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
         dh[node] += ds @ h[others]
         return loss, grads, backward(fcache, dh, grads)
 
-    negs = np.array(_sample_distinct(rng, n, {node}, obj.negatives_per_positive))
+    negs = _sample_outside(rng, n, np.array([node]), obj.negatives_per_positive)
     aug_seed = derive_seed(seed, "node-view", node)
     h, fcache = forward(graph)
     hv, vcache = forward(augment_graph(graph, aug_seed))
