@@ -35,7 +35,6 @@ from .victim import (
     TrainConfig,
     VictimModel,
     embed,
-    make_positive_negative,
     pretrain_multidomain,
 )
 

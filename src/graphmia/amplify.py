@@ -19,17 +19,18 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import Graph
 from .nn import ParamSet, ShapeError, minimize, ref_cosines
-from .rng import derive_seed
+from .rng import derive_seed, substream
 from .victim import (
     CONTRASTIVE,
     NoNegativeError,
     NoPositiveError,
     SSLObjective,
     VictimModel,
+    _closed_row,
+    _sample_outside,
     augment_graph,
     embed,
     fine_tune,
-    make_positive_negative,
     view_seed,
 )
 
@@ -58,21 +59,35 @@ class SamplePlan:
 def draw_sample_plan(
     graph: Graph, nodes, objective: SSLObjective, m: int, seed: int
 ) -> SamplePlan:
-    """Sample m positives and m negatives for every node; link-prediction
-    nodes that are isolated or adjacent to every other node are skipped and
-    recorded.  A contrastive plan with kept nodes builds its shared views
-    here."""
+    """Sample m positives and m negatives for every node, in ascending node
+    order from the one stream ``substream(seed, "plan")``.
+
+    Positives are the node itself, read in the shared views (contrastive),
+    or neighbours, with replacement below degree m (link prediction).
+    Negatives are uniform ids outside the node or its closed neighbourhood,
+    distinct unless fewer than m are eligible.  Nodes without a sample are
+    skipped and recorded: of degree 0 or n - 1 under link prediction, every
+    node of a graph of fewer than 2 nodes under the contrastive objective.
+    A contrastive plan with kept nodes builds its shared views here."""
+    n = graph.num_nodes
+    contrastive = objective.kind == CONTRASTIVE
+    rng = substream(seed, "plan")
     kept: list[int] = []
     skipped: list[int] = []
     rows: list[np.ndarray] = []
     for node in sorted(int(v) for v in nodes):
-        try:
-            pos, neg = make_positive_negative(graph, node, objective, m, seed)
-        except (NoPositiveError, NoNegativeError):
+        nbrs = graph.neighbors(node)
+        no_sample = n < 2 if contrastive else len(nbrs) in (0, n - 1)
+        if no_sample:
             skipped.append(node)
             continue
+        if contrastive:
+            positives, excluded = np.full(m, node), np.array([node])
+        else:
+            positives = rng.choice(nbrs, size=m, replace=len(nbrs) < m)
+            excluded = _closed_row(graph, node)
         kept.append(node)
-        rows.append(np.concatenate([pos, neg]))
+        rows.append(np.concatenate([positives, _sample_outside(rng, n, excluded, m)]))
     refs = np.array(rows, dtype=np.int64).reshape(len(kept), 2 * m)
     refs.flags.writeable = False
     views = ()

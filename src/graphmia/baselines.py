@@ -93,11 +93,14 @@ def embed_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
 def input_gradient_features(
     model: VictimModel, graph: Graph, nodes, seed: int
 ) -> np.ndarray:
+    """Each node's gradient of its own SSL loss with respect to its own
+    feature row, one row per node of the ascending ``nodes``; every node's
+    references come from one stream, ``substream(seed, "grad-feature")``."""
+    rng = substream(seed, "grad-feature")
     rows = []
     for node in nodes:
         node = int(node)
-        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
-                         [derive_seed(seed, "grad-feature", node)])
+        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng)
         _, _, dx = terms(model, 0, want_feature_grad=True)
         if not np.all(np.isfinite(dx)):
             raise NumericError(f"non-finite input gradient at node {node}")
@@ -251,16 +254,20 @@ def parameter_change_features(
     """Per-layer L2 norms of the parameter change after fine-tuning a fresh
     copy of the model on each node's own SSL loss for ``GPIA_EPOCHS`` Adam
     steps at ``GPIA_LR``.  Every epoch of a node runs on one L-hop ball that
-    covers all its epochs' samples.  Returns the surviving node order, the
-    feature matrix, and the diverged-node count."""
+    covers all its epochs' samples.  All draws come from one stream,
+    ``substream(seed, "gpia")``, a node's epochs drawn together before its
+    fine-tune, over the ascending ``nodes``; so a node that diverges leaves
+    every later node's draws as they were.  Returns the surviving node
+    order, the feature matrix, and the diverged-node count."""
+    rng = substream(seed, "gpia")
     kept: list[int] = []
     rows: list[np.ndarray] = []
     diverged = 0
     base = model.params
     for node in nodes:
         node = int(node)
-        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node,
-                         [derive_seed(seed, "gpia", node, epoch) for epoch in range(GPIA_EPOCHS)])
+        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng,
+                         draws=GPIA_EPOCHS)
         tuned = model.copy()
         try:
             minimize(tuned.params, GPIA_LR, GPIA_EPOCHS, lambda e: terms(tuned, e)[:2],

@@ -343,11 +343,7 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
         seed=derive_seed(seed, "infer-nonmembers"),
     )
     report = _score(ctx, member_preds, nonmember_preds, PRIMARY_ATTACK)
-    extras = {
-        "attack_train_accuracy": attack_model.train_accuracy,
-        "skipped_train": dataset.skipped_train,
-        "skipped_test": dataset.skipped_test,
-    }
+    extras = {}
     if distilled is not None:  # the amplification record's lines
         # the shadow's profiles are the attack dataset's rows
         extras["shadow_gap"] = similarity_margin_gap(dataset.x[dataset.y == 1],
@@ -390,7 +386,7 @@ def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
     report = _score(ctx, member_preds, nonmember_preds, kind)
     return RunRecord(
         report=report, variant=VARIANT_FULL, config_hash=config_hash(cfg),
-        split_fingerprint=ctx.split_fingerprint, extras={},
+        split_fingerprint=ctx.split_fingerprint,
     )
 
 

@@ -6,6 +6,12 @@ A substream is addressed by the seed plus a path of labels, e.g.
 with SHA-256 into a 64-bit word and the words seed a ``numpy`` SeedSequence
 backing a PCG64 generator, so streams for different paths are independent
 and runs are bit-reproducible on any platform with the same numpy build.
+
+Labels name stages, domains, epochs and views, never nodes.  A stage that
+draws for many nodes (a sample plan, the Fisher estimate, Grad-MIA, GPIA)
+opens one stream per call and draws every node's samples from it in
+ascending node order, so the number of streams a run opens does not grow
+with the graph.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .graph import Graph
 from .nn import ParamSet
-from .rng import derive_seed
+from .rng import substream
 from .victim import VictimModel, fine_tune, per_node_ssl_loss
 
 
@@ -34,14 +34,15 @@ def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> Fishe
 
     Each node's SSL loss contribution counts as one sample; its squared
     parameter gradient is accumulated and the sum averaged over nodes.
-    Iteration is over sorted node ids, so the estimate does not depend on
-    how the node set was ordered.
+    Every node's references come from one stream, ``substream(seed,
+    "fisher")``, drawn in ascending node order.
     """
     if shadow_train.num_nodes == 0:
         raise ValueError("shadow training graph is empty")
     acc = model.params.zeros_like()
+    rng = substream(seed, "fisher")
     for node in range(shadow_train.num_nodes):
-        _, grads = per_node_ssl_loss(model, shadow_train, node, derive_seed(seed, "fisher", node))
+        _, grads = per_node_ssl_loss(model, shadow_train, node, rng)
         acc.vector += grads.vector * grads.vector
     acc.vector /= shadow_train.num_nodes
     return FisherDiag(acc.tensors)

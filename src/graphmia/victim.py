@@ -4,7 +4,7 @@ The victim is deliberately simplified: one linear projector per domain
 mapping raw features into a shared space, followed by a shared GCN
 encoder, trained with either a contrastive (InfoNCE over augmented views)
 or a link-prediction objective.  It exposes exactly the surfaces the
-attack pipeline needs: embed, fine-tune, and positive/negative sampling.
+attack pipeline needs: embed, fine-tune, and per-node loss terms.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class MissingProjectorError(KeyError):
 
 
 class NoPositiveError(ValueError):
-    """A link-prediction positive was requested for an isolated node."""
+    """A link-prediction positive was requested where no node has an edge."""
 
 
 class NoNegativeError(ValueError):
@@ -159,11 +159,11 @@ def embed(model: VictimModel, graph: Graph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# augmentation and positive/negative sampling
+# augmentation and negative sampling
 
 
-def _augment_draws(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = substream(seed, "augment")
+def _augment_draws(graph: Graph, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A view's kept edges and masked feature columns, drawn from ``rng``."""
     keep_edges = rng.random(graph.num_edges) >= EDGE_DROP_RATE
     drop_cols = rng.random(graph.feature_dim) < FEATURE_MASK_RATE
     return keep_edges, drop_cols
@@ -172,7 +172,7 @@ def _augment_draws(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def augment_graph(graph: Graph, seed: int) -> Graph:
     """Stochastic view: edge dropout plus feature-column masking at
     ``EDGE_DROP_RATE`` and ``FEATURE_MASK_RATE``."""
-    keep_edges, drop_cols = _augment_draws(graph, seed)
+    keep_edges, drop_cols = _augment_draws(graph, substream(seed, "augment"))
     masked = graph.features.copy()
     masked[:, drop_cols] = 0.0
     return _csr_slice(graph, keep_edges[graph.entry_edges], masked)
@@ -208,42 +208,6 @@ def _sample_outside(rng: np.random.Generator, n: int, excluded: np.ndarray, coun
     if pool <= 0:
         raise NoNegativeError("no eligible nodes to sample")
     return _rank_to_id(excluded, rng.choice(pool, size=count, replace=pool < count))
-
-
-def make_positive_negative(
-    graph: Graph,
-    node: int,
-    objective: SSLObjective,
-    m: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the ``m`` positive and ``m`` negative node ids a node's
-    similarity vector compares it with.
-
-    Positives under the contrastive objective are the node itself, to be
-    read in the shared augmented views ``view_seed(seed, p)``; under link
-    prediction they are neighbors (with replacement when the degree is
-    below the request).  Negatives are uniformly random distinct non-self
-    (contrastive) or non-neighbor (link prediction) nodes in the
-    unaugmented graph, drawn with replacement when fewer are eligible than
-    requested; a node with no eligible negative raises ``NoNegativeError``.
-
-    Sampling depends only on (graph, node, seed), never on a model, so the
-    same plan can be replayed against different models.
-    """
-    node = int(node)
-    if objective.kind == CONTRASTIVE:
-        positives = np.full(m, node, dtype=np.int64)
-        excluded = np.array([node])
-    else:
-        nbrs = graph.neighbors(node)
-        if len(nbrs) == 0:
-            raise NoPositiveError(f"node {node} is isolated; no link-prediction positive exists")
-        prng = substream(seed, "pos", node)
-        positives = prng.choice(nbrs, size=m, replace=len(nbrs) < m)
-        excluded = _closed_row(graph, node)
-    negatives = _sample_outside(substream(seed, "neg", node), graph.num_nodes, excluded, m)
-    return np.asarray(positives, dtype=np.int64), negatives
 
 
 # ---------------------------------------------------------------------------
@@ -357,33 +321,34 @@ def node_ball(graph: Graph, targets, hops: int) -> np.ndarray:
     return ball
 
 
-def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, seed: int):
-    """One draw of a node's references under ``seed``.  Link prediction:
+def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, rng: np.random.Generator):
+    """One draw of a node's references from ``rng``.  Link prediction:
     (neighbours then as many non-neighbour negatives, labels).
     Contrastive: (K negatives, the ``augment_graph`` draws of the node's
     own view: kept edges and masked feature columns)."""
-    rng = substream(seed, "node-negatives", node)
     if objective.kind == LINK_PREDICTION:
         nbrs = graph.neighbors(node)
         negs = _sample_outside(rng, graph.num_nodes, _closed_row(graph, node), len(nbrs))
         labels = np.concatenate([np.ones(len(nbrs)), np.zeros(len(negs))])
         return np.concatenate([nbrs, negs]), labels
     negs = _sample_outside(rng, graph.num_nodes, np.array([node]), objective.negatives_per_positive)
-    return negs, _augment_draws(graph, derive_seed(seed, "node-view", node))
+    return negs, _augment_draws(graph, rng)
 
 
 class NodeLoss:
-    """One node's SSL loss term under each of several seeds, evaluated on
-    the one L-hop ball that covers the references of every draw.
+    """One node's SSL loss term under ``draws`` reference draws, evaluated
+    on the one L-hop ball that covers the references of every draw.
 
-    Draws depend only on (graph, node, seed), never on a model, so a
-    per-node fine-tune draws all its epochs up front and runs every epoch
-    on the same slice of the graph.  Link-prediction nodes that are
-    isolated or adjacent to every other node (no positive or no negative)
-    contribute zero loss and zero gradients.
+    Every draw is taken from ``rng`` here, when the term is built: draws
+    never depend on a model, so a per-node fine-tune runs every epoch on
+    the same slice of the graph, and what a stage draws for its next node
+    does not depend on how this node's model run ends.  Link-prediction
+    nodes that are isolated or adjacent to every other node (no positive or
+    no negative) draw nothing and contribute zero loss and zero gradients.
     """
 
-    def __init__(self, graph: Graph, objective: SSLObjective, hops: int, node: int, seeds) -> None:
+    def __init__(self, graph: Graph, objective: SSLObjective, hops: int, node: int,
+                 rng: np.random.Generator, draws: int = 1) -> None:
         self.graph = graph
         self.objective = objective
         self.node = node = int(node)
@@ -392,7 +357,7 @@ class NodeLoss:
         if self.empty:
             self.ball = np.array([node], dtype=np.int64)
             return
-        self.draws = [_draw_node_refs(graph, objective, node, s) for s in seeds]
+        self.draws = [_draw_node_refs(graph, objective, node, rng) for _ in range(draws)]
         self.ball = node_ball(graph, np.concatenate([[node], *(d[0] for d in self.draws)]), hops)
         self.a_hat, self.x = ball_matrix(graph, self.ball), graph.features[self.ball]
 
@@ -429,9 +394,10 @@ class NodeLoss:
 
 
 def per_node_ssl_loss(
-    model: VictimModel, graph: Graph, node: int, seed: int
+    model: VictimModel, graph: Graph, node: int, rng: np.random.Generator
 ) -> tuple[float, ParamSet]:
-    """One node's contribution to the SSL loss, with parameter gradients.
+    """One node's contribution to the SSL loss, with parameter gradients,
+    its references drawn from ``rng``.
 
     Link prediction: the node's incident edges plus the same number of
     random non-edges from it.  Contrastive: the node's anchor term against
@@ -439,7 +405,7 @@ def per_node_ssl_loss(
     L-hop ball (see :class:`NodeLoss`), so the cost is O(ball), not
     O(graph).
     """
-    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, [seed])
+    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng)
     loss, grads, _ = terms(model)
     return loss, grads
 

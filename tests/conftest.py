@@ -142,11 +142,11 @@ def max_rel_error(analytic: ParamSet, numeric: ParamSet, floor: float = 1e-3) ->
     return worst
 
 
-def whole_graph_feature_grad(model: VictimModel, graph: Graph, node: int, seed: int):
-    """The gradient of ``per_node_ssl_loss(model, graph, node, seed)`` with
+def whole_graph_feature_grad(model: VictimModel, graph: Graph, node: int, rng):
+    """The gradient of ``per_node_ssl_loss(model, graph, node, rng)`` with
     respect to every feature row: ``NodeLoss``'s ball rows placed into a
     zero (num_nodes x feature_dim) array."""
-    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, [seed])
+    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng)
     _, _, ball_dx = terms(model, 0, want_feature_grad=True)
     dx = np.zeros_like(graph.features)
     dx[terms.ball] = ball_dx

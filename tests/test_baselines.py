@@ -22,7 +22,13 @@ from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, partition_shadow
 from graphmia.nn import NumericError
 from graphmia.synth import sbm_graph
-from graphmia.victim import LINK_PREDICTION, NodeLoss, SSLObjective, per_node_ssl_loss
+from graphmia.victim import (
+    CONTRASTIVE,
+    LINK_PREDICTION,
+    NodeLoss,
+    SSLObjective,
+    per_node_ssl_loss,
+)
 
 from conftest import tiny_model
 
@@ -140,7 +146,7 @@ class TestGradMia:
         obj = SSLObjective(LINK_PREDICTION)
         model = tiny_model(g, obj, emb_dim=4)
         node = 2
-        from graphmia.rng import derive_seed
+        from graphmia.rng import substream
 
         feat = input_gradient_features(model, g, [node], seed=5)[0]
         step = 1e-5
@@ -154,10 +160,8 @@ class TestGradMia:
                     g.num_nodes, [tuple(e) for e in g.edge_array.tolist()], bumped,
                     domain_id=g.domain_id,
                 )
-                loss, _ = per_node_ssl_loss(
-                    model, g2, node,
-                    seed=derive_seed(5, "grad-feature", node),
-                )
+                # the node is the stage's only one: its stream's first draw
+                loss, _ = per_node_ssl_loss(model, g2, node, substream(5, "grad-feature"))
                 vals.append(loss)
             numeric[j] = (vals[0] - vals[1]) / (2 * step)
         np.testing.assert_allclose(feat, numeric, rtol=1e-4, atol=1e-7)
@@ -207,6 +211,27 @@ class TestGpia:
         kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
         assert kept == [0, 2, 3] and diverged == 1
         np.testing.assert_array_equal(feats, want[[0, 2, 3]])
+
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_divergence_leaves_the_next_node_bit_identical(self, monkeypatch, kind):
+        # a node's epochs are all drawn when its term is built, so a node
+        # that stops at its first epoch takes as many draws as one that runs
+        graph = sbm_graph(30, 4, 6.0, seed=8)
+        model = tiny_model(graph, SSLObjective(kind, negatives_per_positive=3), emb_dim=6)
+        monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
+        _, want, _ = parameter_change_features(model, graph, [4, 5], seed=2)
+
+        class Diverging(NodeLoss):
+            """Node 4's loss is NaN at its first epoch."""
+
+            def __call__(self, model, draw=0, want_feature_grad=False):
+                loss, grads, dx = super().__call__(model, draw, want_feature_grad)
+                return (np.nan if self.node == 4 else loss), grads, dx
+
+        monkeypatch.setattr(bl, "NodeLoss", Diverging)
+        kept, feats, diverged = parameter_change_features(model, graph, [4, 5], seed=2)
+        assert kept == [5] and diverged == 1
+        assert feats[0].tobytes() == want[1].tobytes()
 
 
 class TestEndToEndDeterminism:

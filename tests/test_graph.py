@@ -18,6 +18,7 @@ from graphmia.graph import (
 )
 
 import graphmia.victim as victim_mod
+from graphmia.rng import substream
 from graphmia.victim import _augment_draws, augment_graph
 
 from conftest import path_graph, triangle_graph
@@ -304,7 +305,7 @@ class TestCsrSlices:
     def test_view_matches_rebuild(self, graph, rate, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(victim_mod, "EDGE_DROP_RATE", rate)
-            keep_edges, drop_cols = _augment_draws(graph, seed)
+            keep_edges, drop_cols = _augment_draws(graph, substream(seed, "augment"))
             view = augment_graph(graph, seed)
         masked = graph.features.copy()
         masked[:, drop_cols] = 0.0

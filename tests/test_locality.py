@@ -34,7 +34,7 @@ from graphmia.nn import (
     cosine_rows,
     info_nce,
 )
-from graphmia.rng import derive_seed, substream
+from graphmia.rng import substream
 from graphmia.shadow import estimate_fisher
 from graphmia.victim import (
     CONTRASTIVE,
@@ -44,7 +44,6 @@ from graphmia.victim import (
     _augment_draws,
     NodeLoss,
     _sample_outside,
-    augment_graph,
     ball_matrix,
     node_ball,
     per_node_ssl_loss,
@@ -56,9 +55,10 @@ from test_nn import cosine_rows_grad, dense_normalized_adjacency
 TOL = 1e-12
 
 
-def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
+def whole_graph_loss(model: VictimModel, graph: Graph, node: int, rng: np.random.Generator):
     """Whole-graph reference of ``per_node_ssl_loss``: every node embedded
-    with the oracle adjacency.  Returns (loss, gradient ParamSet, dx)."""
+    with the oracle adjacency, the node's references drawn from ``rng`` as
+    a stage draws them.  Returns (loss, gradient ParamSet, dx)."""
     obj = model.objective
     dom = graph.domain_id
     w_proj = model.projectors[dom]
@@ -88,7 +88,6 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
     grads = model.params.zeros_like()
     n = graph.num_nodes
     nbrs = graph.neighbors(node)
-    rng = substream(seed, "node-negatives", node)
     if obj.kind == LINK_PREDICTION:
         if len(nbrs) in (0, n - 1):
             return 0.0, grads, np.zeros_like(graph.features)
@@ -104,9 +103,12 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
         return loss, grads, backward(fcache, dh, grads)
 
     negs = _sample_outside(rng, n, np.array([node]), obj.negatives_per_positive)
-    aug_seed = derive_seed(seed, "node-view", node)
+    keep_edges, drop_cols = _augment_draws(graph, rng)
+    masked = graph.features.copy()
+    masked[:, drop_cols] = 0.0
+    view = Graph.from_edges(n, graph.edge_array[keep_edges], masked, domain_id=dom)
     h, fcache = forward(graph)
-    hv, vcache = forward(augment_graph(graph, aug_seed))
+    hv, vcache = forward(view)
     anchor = np.repeat(h[[node]], len(negs), axis=0)
     loss, dpos, dneg = info_nce(cosine_rows(h[[node]], hv[[node]]),
                                 cosine_rows(anchor, h[negs])[None, :], obj.temperature)
@@ -120,7 +122,6 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, seed: int):
     for v, d in zip(negs, db):
         dh[v] += d
     dx = backward(fcache, dh, grads)
-    _, drop_cols = _augment_draws(graph, aug_seed)
     return loss, grads, dx + backward(vcache, dhv, grads) * (~drop_cols)[None, :]
 
 
@@ -169,10 +170,12 @@ class TestBallExactness:
     @settings(max_examples=25, deadline=None)
     def test_per_node_loss_gradients_and_dx(self, graph, kind, layers, seed):
         model = model_for(graph, kind, layers, seed)
+        # one stream per side, walked over the nodes in order as a stage walks it
+        rngs = [substream(seed, "stage") for _ in range(3)]
         for node in range(graph.num_nodes):
-            loss, grads = per_node_ssl_loss(model, graph, node, seed=seed)
-            dx = whole_graph_feature_grad(model, graph, node, seed)
-            ref_loss, ref_grads, ref_dx = whole_graph_loss(model, graph, node, seed)
+            loss, grads = per_node_ssl_loss(model, graph, node, rngs[0])
+            dx = whole_graph_feature_grad(model, graph, node, rngs[1])
+            ref_loss, ref_grads, ref_dx = whole_graph_loss(model, graph, node, rngs[2])
             assert close(loss, ref_loss)
             for name in ref_grads.names:
                 assert close(grads.tensors[name], ref_grads.tensors[name]), (node, name)
@@ -185,11 +188,10 @@ class TestBallExactness:
         model = model_for(graph, kind, 2, seed)
         fisher = estimate_fisher(model, graph, seed)
         n = graph.num_nodes
+        rng = substream(seed, "fisher")
+        ref_grads = [whole_graph_loss(model, graph, v, rng)[1] for v in range(n)]
         for name, value in fisher.items():
-            want = sum(
-                whole_graph_loss(model, graph, v, derive_seed(seed, "fisher", v))[1].tensors[name] ** 2
-                for v in range(n)
-            ) / n
+            want = sum(g.tensors[name] ** 2 for g in ref_grads) / n
             assert close(value, want), name
 
     @given(graph=hub_graphs(), kind=st.sampled_from([LINK_PREDICTION, CONTRASTIVE]),
@@ -205,13 +207,14 @@ class TestBallExactness:
         assert kept == list(nodes) and diverged == 0
         base = model.params
         compared = 0
+        rng = substream(seed, "gpia")
         for node, row in zip(nodes, feats):
             tuned = model.copy()
             params = tuned.params
             state = AdamState.init(params, lr=1e-2)
             sensitive = False
             for epoch in range(3):
-                _, grads, _ = whole_graph_loss(tuned, graph, node, derive_seed(seed, "gpia", node, epoch))
+                _, grads, _ = whole_graph_loss(tuned, graph, node, rng)
                 sensitive |= adam_sensitive(grads)
                 adam_step(state, params, grads)
             if sensitive:
@@ -234,12 +237,13 @@ class TestPartialBalls:
         g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(5, 20)], feats)
         model = model_for(g, kind, 2, seed=4)
         grad_rows = input_gradient_features(model, g, range(n), seed=6)
+        # Grad-MIA's stream, walked over the nodes in order once per side
+        rngs = [substream(6, "grad-feature") for _ in range(4)]
         for node in range(n):
-            seed = derive_seed(6, "grad-feature", node)
-            assert len(NodeLoss(g, model.objective, 2, node, [seed]).ball) < n
-            loss, grads = per_node_ssl_loss(model, g, node, seed=seed)
-            dx = whole_graph_feature_grad(model, g, node, seed)
-            ref_loss, ref_grads, ref_dx = whole_graph_loss(model, g, node, seed)
+            assert len(NodeLoss(g, model.objective, 2, node, rngs[0]).ball) < n
+            loss, grads = per_node_ssl_loss(model, g, node, rngs[1])
+            dx = whole_graph_feature_grad(model, g, node, rngs[2])
+            ref_loss, ref_grads, ref_dx = whole_graph_loss(model, g, node, rngs[3])
             assert close(loss, ref_loss)
             for name in ref_grads.names:
                 assert close(grads.tensors[name], ref_grads.tensors[name]), (node, name)

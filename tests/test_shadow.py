@@ -59,7 +59,7 @@ class TestEstimateFisher:
             1: ParamSet({k: np.full_like(t, -3.0) for k, t in model.params.items()}),
         }
 
-        def fake_loss(model_, graph_, node, seed):
+        def fake_loss(model_, graph_, node, rng):
             return 0.0, grads_by_node[node]
 
         monkeypatch.setattr(shadow_mod, "per_node_ssl_loss", fake_loss)

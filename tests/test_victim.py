@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import graphmia.victim as victim_mod
+from graphmia.amplify import draw_sample_plan
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, split_half
 from graphmia.nn import NumericError
 from graphmia.rng import derive_seed
@@ -17,17 +18,17 @@ from graphmia.victim import (
     LINK_PREDICTION,
     MissingProjectorError,
     NoNegativeError,
-    NoPositiveError,
     SSLObjective,
     TrainConfig,
     VictimModel,
+    _closed_row,
     _sample_negative_pairs,
+    _sample_outside,
     augment_graph,
     contrastive_loss,
     embed,
     fine_tune,
     linkpred_loss,
-    make_positive_negative,
     per_node_ssl_loss,
     pretrain_multidomain,
     ssl_loss_and_grads,
@@ -137,10 +138,17 @@ class TestEmbed:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def plan_row(graph: Graph, node: int, objective: SSLObjective, m: int, seed: int):
+    """The (positives, negatives) of ``node`` in a plan over every node."""
+    plan = draw_sample_plan(graph, range(graph.num_nodes), objective, m, seed)
+    row = plan.refs[plan.nodes.index(node)]
+    return row[:m], row[m:]
+
+
 class TestSampling:
     def test_star_center_three_distinct_leaves(self, linkpred_objective):
         g = star_graph(5)
-        pos, neg = make_positive_negative(g, 0, linkpred_objective, 3, seed=1)
+        pos, neg = plan_row(g, 0, linkpred_objective, 3, seed=1)
         ids = pos.tolist()
         assert len(set(ids)) == 3 and all(1 <= i <= 5 for i in ids)
         # the hub's only non-neighbors are the spare clique's nodes
@@ -149,35 +157,35 @@ class TestSampling:
 
     def test_leaf_with_replacement(self, linkpred_objective):
         g = star_graph(5)
-        pos, _ = make_positive_negative(g, 1, linkpred_objective, 2, seed=1)
+        pos, _ = plan_row(g, 1, linkpred_objective, 2, seed=1)
         assert pos.tolist() == [0, 0]
 
     def test_negatives_exclude_neighbors_and_self(self, linkpred_objective):
         g = star_graph(6)
         for seed in range(5):
-            _, neg = make_positive_negative(g, 1, linkpred_objective, 3, seed=seed)
-            for v in neg:
-                assert v != 1 and v not in g.neighbors(1)
+            plan = draw_sample_plan(g, range(g.num_nodes), linkpred_objective, 3, seed=seed)
+            for node, row in zip(plan.nodes, plan.refs):
+                assert not set(row[3:].tolist()) & set(_closed_row(g, node).tolist())
 
     def test_contrastive_distinct_view_seeds(self, contrastive_objective):
         g = star_graph(4)
-        pos, neg = make_positive_negative(g, 2, contrastive_objective, 2, seed=7)
+        pos, neg = plan_row(g, 2, contrastive_objective, 2, seed=7)
         # the node itself, read in each of the shared views
         assert pos.tolist() == [2, 2]
         assert view_seed(7, 0) != view_seed(7, 1)
         assert all(v != 2 for v in neg)
 
-    def test_isolated_node_raises(self, linkpred_objective):
+    def test_isolated_node_skipped(self, linkpred_objective):
         g = Graph.from_edges(4, [(0, 1)], np.ones((4, 2)))
-        with pytest.raises(NoPositiveError):
-            make_positive_negative(g, 3, linkpred_objective, 1, seed=0)
+        plan = draw_sample_plan(g, range(4), linkpred_objective, 1, seed=0)
+        assert plan.skipped == (2, 3) and plan.nodes == (0, 1)
 
     def test_deterministic(self, linkpred_objective):
         g = star_graph(8)
-        a = make_positive_negative(g, 0, linkpred_objective, 3, 5)
-        b = make_positive_negative(g, 0, linkpred_objective, 3, 5)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        a = draw_sample_plan(g, range(g.num_nodes), linkpred_objective, 3, 5)
+        b = draw_sample_plan(g, range(g.num_nodes), linkpred_objective, 3, 5)
+        assert a.nodes == b.nodes
+        np.testing.assert_array_equal(a.refs, b.refs)
 
 
 class TestDegenerateNodes:
@@ -190,13 +198,12 @@ class TestDegenerateNodes:
         feats = np.random.default_rng(1).normal(size=(12, 3))
         return Graph.from_edges(12, [(0, i) for i in range(1, 12)], feats)
 
-    def test_hub_has_no_negative(self, linkpred_objective):
+    def test_hub_has_no_negative(self):
+        g = self._star12()
         with pytest.raises(NoNegativeError):
-            make_positive_negative(self._star12(), 0, linkpred_objective, 2, seed=0)
+            _sample_outside(np.random.default_rng(0), g.num_nodes, _closed_row(g, 0), 2)
 
     def test_hub_skipped_in_plan(self, linkpred_objective):
-        from graphmia.amplify import draw_sample_plan
-
         plan = draw_sample_plan(self._star12(), range(12), linkpred_objective, 2, seed=0)
         assert plan.skipped == (0,)
         assert plan.nodes == tuple(range(1, 12))
@@ -204,9 +211,10 @@ class TestDegenerateNodes:
     def test_hub_contributes_zero(self, linkpred_objective):
         g = self._star12()
         model = tiny_model(g, linkpred_objective)
-        loss, grads = per_node_ssl_loss(model, g, 0, seed=0)
+        loss, grads = per_node_ssl_loss(model, g, 0, np.random.default_rng(0))
         assert loss == 0.0
-        assert not grads.vector.any() and not whole_graph_feature_grad(model, g, 0, 0).any()
+        assert not grads.vector.any()
+        assert not whole_graph_feature_grad(model, g, 0, np.random.default_rng(0)).any()
 
     @staticmethod
     def _k5() -> Graph:
@@ -280,8 +288,6 @@ class TestTinySplit:
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
     def test_plan_samples_with_replacement(self, kind):
-        from graphmia.amplify import draw_sample_plan
-
         g = self._path4()
         plan = draw_sample_plan(g, range(4), SSLObjective(kind), 5, seed=0)
         assert plan.nodes == (0, 1, 2, 3) and plan.skipped == ()
@@ -293,8 +299,6 @@ class TestTinySplit:
                 assert not set(negatives) & set(g.neighbors(node).tolist())
 
     def test_no_eligible_negative_is_skipped(self, linkpred_objective):
-        from graphmia.amplify import draw_sample_plan
-
         # on a path of three nodes the middle one is adjacent to every other
         g = Graph.from_edges(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
         plan = draw_sample_plan(g, range(3), linkpred_objective, 5, seed=0)
@@ -336,9 +340,9 @@ class TestGradients:
         g = sbm_graph(8, 3, 3.0, seed=4)
         model = tiny_model(g, SSLObjective(kind, negatives_per_positive=3), emb_dim=4)
         params = model.params
-        _, grads = per_node_ssl_loss(model, g, 2, seed=17)
+        _, grads = per_node_ssl_loss(model, g, 2, np.random.default_rng(17))
         numeric = finite_diff_grads(
-            lambda: per_node_ssl_loss(model, g, 2, seed=17)[0], params
+            lambda: per_node_ssl_loss(model, g, 2, np.random.default_rng(17))[0], params
         )
         assert max_rel_error(grads, numeric) < 1e-4
 
@@ -347,7 +351,7 @@ class TestGradients:
         g = sbm_graph(7, 3, 3.0, seed=5)
         model = tiny_model(g, SSLObjective(kind, negatives_per_positive=2), emb_dim=4)
         node = 1
-        dx = whole_graph_feature_grad(model, g, node, 19)
+        dx = whole_graph_feature_grad(model, g, node, np.random.default_rng(19))
         # finite differences on the node's own feature row
         feats = g.features.copy()
         step = 1e-5
@@ -360,7 +364,7 @@ class TestGradients:
                     g.num_nodes, [tuple(e) for e in g.edge_array.tolist()], bumped,
                     domain_id=g.domain_id,
                 )
-                val, _ = per_node_ssl_loss(model, g2, node, seed=19)
+                val, _ = per_node_ssl_loss(model, g2, node, np.random.default_rng(19))
                 numeric[j] += sign * val / (2 * step)
         np.testing.assert_allclose(dx[node], numeric, rtol=1e-4, atol=1e-7)
 
@@ -416,7 +420,7 @@ class TestOverfittingWedge:
 
     @staticmethod
     def _wedge(kind, seed):
-        from graphmia.amplify import draw_sample_plan, similarity_profile
+        from graphmia.amplify import similarity_profile
 
         graph = sbm_graph(200, 16, 10.0, seed=seed)
         obj = SSLObjective(kind)
