@@ -163,15 +163,16 @@ def nlo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
 
 def best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
     """Grid search over observed scores for the accuracy-maximizing
-    member-iff-score>=threshold rule; ties pick the smallest threshold."""
-    best_t = float("inf")
-    best_acc = -1.0
-    for t in sorted(set(float(s) for s in scores)):
-        acc = float((((scores >= t).astype(np.int64)) == labels).mean())
-        if acc > best_acc:
-            best_acc = acc
-            best_t = t
-    return best_t
+    member-iff-score>=threshold rule; ties pick the smallest threshold, and
+    no scores give ``inf``.  At threshold t the rule is right on the
+    members scoring at least t and the non-members scoring below it."""
+    if len(scores) == 0:
+        return float("inf")
+    grid = np.unique(scores)
+    members = np.sort(scores[labels == 1])
+    others = np.sort(scores[labels != 1])
+    correct = len(members) - np.searchsorted(members, grid) + np.searchsorted(others, grid)
+    return float(grid[np.argmax(correct)])
 
 
 def _fit_threshold(x: np.ndarray, y: np.ndarray):

@@ -41,6 +41,37 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def rank_to_id(excluded: np.ndarray, ranks) -> np.ndarray:
+    """The ``ranks``-th (from 0) non-negative integers outside the sorted,
+    distinct ``excluded``: an exact, order-keeping bijection of [0, pool)
+    onto the complement, applied to every rank in one call.
+
+    ``excluded[k] - k`` eligible integers lie below ``excluded[k]``, so the
+    r-th eligible one lies past it exactly when that count is at most r.
+    Every negative and every inserted edge is a uniform rank mapped here."""
+    return ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
+
+
+def triu_pair(size: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the strictly-upper-triangle pairs at the given
+    row-major positions, in the order of ``np.triu_indices(size, k=1)``,
+    using O(len(index)) memory instead of O(size^2).  Pair (u, v), u < v,
+    sits at position u(2 size - u - 1)/2 + v - u - 1.
+
+    Counted from the last pair, position q lies in the row k from the
+    bottom with k(k+1)/2 <= q < (k+1)(k+2)/2.  A float square root gives
+    k to within one; integer comparisons then make it exact.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    q = size * (size - 1) // 2 - 1 - index
+    k = ((np.sqrt(8.0 * q + 1.0) - 1.0) // 2.0).astype(np.int64)
+    k += (k + 1) * (k + 2) // 2 <= q
+    k -= k * (k + 1) // 2 > q
+    row = size - 2 - k
+    col = index - row * (2 * size - row - 1) // 2 + row + 1
+    return row, col
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph in CSR form.
@@ -345,43 +376,38 @@ def induced_subgraph(graph: Graph, nodes) -> Graph:
 def perturb_edges(graph: Graph, budget_fraction: float, seed: int) -> Graph:
     """Apply ``round(budget_fraction * num_edges)`` random edge edits.
 
-    Each action flips a fair coin between deleting a uniformly random
-    existing edge and inserting a uniformly random absent one (never a
-    self-loop or duplicate).  Actions see the current, already-edited edge
-    set.  An impossible action (deleting from an edgeless graph, inserting
-    into a complete one) consumes its slot without changing anything.
+    Each action flips a fair coin between deleting a uniform present pair
+    and inserting a uniform absent one (never a self-loop or duplicate), on
+    the edge set as edited so far; an impossible action (a delete from an
+    edgeless graph, an insert into a complete one) uses up its slot.  The
+    edits treat all original edges alike and all original non-edges alike,
+    so only two counts step through the actions: x original edges kept and
+    y non-edges added.  Draws from ``substream(seed, "perturb-edges")``, in
+    order: the coins, the picks, the E - x deleted rows of ``edge_array``,
+    and y distinct ranks over the absent pairs, mapped past the edges'
+    positions by :func:`rank_to_id` and decoded by :func:`triu_pair`.
     """
     if not 0.0 <= budget_fraction <= 1.0:
         raise ValueError("budget_fraction must lie in [0, 1]")
-    n = graph.num_nodes
-    n_actions = int(round(budget_fraction * graph.num_edges))
-    edge_list: list[tuple[int, int]] = [tuple(e) for e in graph.edge_array.tolist()]
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-    max_edges = n * (n - 1) // 2
+    n, num_edges = graph.num_nodes, graph.num_edges
+    pairs = n * (n - 1) // 2
+    n_actions = int(round(budget_fraction * num_edges))
     rng = substream(seed, "perturb-edges")
-    for _ in range(n_actions):
-        delete = rng.random() < 0.5
-        if delete and not edge_list:
-            continue
-        if not delete and len(edge_list) == max_edges:
-            continue
-        if delete:
-            i = int(rng.integers(len(edge_list)))
-            last = edge_list[-1]
-            removed = edge_list[i]
-            edge_list[i] = last
-            edge_index[last] = i
-            edge_list.pop()
-            del edge_index[removed]
-        else:
-            while True:
-                u = int(rng.integers(n))
-                v = int(rng.integers(n))
-                if u == v:
-                    continue
-                key = (u, v) if u < v else (v, u)
-                if key not in edge_index:
-                    break
-            edge_index[key] = len(edge_list)
-            edge_list.append(key)
-    return Graph.from_edges(n, edge_list, graph.features, domain_id=graph.domain_id)
+    deletes = rng.random(n_actions) < 0.5
+    picks = rng.random(n_actions)
+    kept, added = num_edges, 0
+    for delete, pick in zip(deletes.tolist(), picks.tolist()):
+        present = kept + added
+        if delete and present:  # the pair is an original edge w.p. kept / present
+            original = pick * present < kept
+            kept, added = kept - original, added - (not original)
+        elif not delete and present < pairs:  # w.p. (E - kept) / absent pairs
+            original = pick * (pairs - present) < num_edges - kept
+            kept, added = kept + original, added + (not original)
+    gone = rng.choice(num_edges, num_edges - kept, replace=False)
+    u, v = graph.edge_array.T
+    positions = u * (2 * n - u - 1) // 2 + v - u - 1
+    ranks = rng.choice(pairs - num_edges, added, replace=False)
+    new = np.stack(triu_pair(n, rank_to_id(positions, ranks)), axis=1)
+    edges = np.concatenate([np.delete(graph.edge_array, gone, axis=0), new])
+    return Graph.from_edges(n, edges, graph.features, domain_id=graph.domain_id)

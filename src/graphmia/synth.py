@@ -8,29 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, triu_pair
 from .rng import substream
 
 INTRA_WEIGHT = 0.8  # fraction of a node's expected degree spent inside its block
-
-
-def triu_pair(size: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of the strictly-upper-triangle pairs at the given
-    row-major positions, in the order of ``np.triu_indices(size, k=1)``,
-    using O(len(index)) memory instead of O(size^2).
-
-    Counted from the last pair, position q lies in the row k from the
-    bottom with k(k+1)/2 <= q < (k+1)(k+2)/2.  A float square root gives
-    k to within one; integer comparisons then make it exact.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    q = size * (size - 1) // 2 - 1 - index
-    k = ((np.sqrt(8.0 * q + 1.0) - 1.0) // 2.0).astype(np.int64)
-    k += (k + 1) * (k + 2) // 2 <= q
-    k -= k * (k + 1) // 2 > q
-    row = size - 2 - k
-    col = index - row * (2 * size - row - 1) // 2 + row + 1
-    return row, col
 
 
 def sbm_graph(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _csr_slice, ball_matrix
+from .graph import Graph, _csr_slice, ball_matrix, rank_to_id
 from .nn import (
     GCNEncoder,
     ParamSet,
@@ -183,17 +183,6 @@ def view_seed(seed: int, view_index: int) -> int:
     return derive_seed(seed, "view", view_index)
 
 
-def _rank_to_id(excluded: np.ndarray, ranks) -> np.ndarray:
-    """The ``ranks``-th (from 0) non-negative integers outside the sorted,
-    distinct ``excluded``: an exact, order-keeping bijection of [0, pool)
-    onto the complement, applied to every rank in one call.
-
-    ``excluded[k] - k`` eligible integers lie below ``excluded[k]``, so the
-    r-th eligible one lies past it exactly when that count is at most r.
-    Every negative in this module is a uniform rank mapped here."""
-    return ranks + np.searchsorted(excluded - np.arange(len(excluded)), ranks, side="right")
-
-
 def _closed_row(graph: Graph, node: int) -> np.ndarray:
     """Sorted ids of ``node`` and its neighbours: row ``node`` of the
     pattern of Â, which is A + I."""
@@ -207,7 +196,7 @@ def _sample_outside(rng: np.random.Generator, n: int, excluded: np.ndarray, coun
     pool = n - len(excluded)
     if pool <= 0:
         raise NoNegativeError("no eligible nodes to sample")
-    return _rank_to_id(excluded, rng.choice(pool, size=count, replace=pool < count))
+    return rank_to_id(excluded, rng.choice(pool, size=count, replace=pool < count))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ def _sample_negative_pairs(
     pool = n * n - len(excluded)
     if pool == 0:
         raise NoNegativeError(f"complete graph on {n} nodes has no non-edge")
-    return np.divmod(_rank_to_id(excluded, rng.integers(pool, size=count)), n)
+    return np.divmod(rank_to_id(excluded, rng.integers(pool, size=count)), n)
 
 
 def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
@@ -292,7 +281,7 @@ def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float
     rng = substream(seed, "contrastive-negatives")
     raw = rng.integers(0, n - 1, size=(n, obj.negatives_per_positive))
     anchors = np.arange(n)
-    negatives = _rank_to_id(anchors * (n + 1), anchors[:, None] * (n - 1) + raw) % n
+    negatives = rank_to_id(anchors * (n + 1), anchors[:, None] * (n - 1) + raw) % n
     loss, dh, dhv = _view_info_nce(h, hv, anchors, negatives, obj.temperature)
 
     grads, _ = model.backward(cache, dh)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphmia.baselines as bl
 from graphmia.baselines import (
@@ -78,7 +79,7 @@ class TestPerturbationFeatures:
         feats = pairwise_similarity_features(model, graph, range(5), seed=1)
         np.testing.assert_allclose(feats, 1.0, atol=1e-12)
 
-    def test_views_shared_between_nlo_and_glo(self, setting, monkeypatch):
+    def test_perturbed_views_deterministic(self, setting, monkeypatch):
         graph, _, _, _ = setting
         monkeypatch.setattr(bl, "K_PERTURB", 5)
         monkeypatch.setattr(bl, "EDGE_FRACTION", 0.1)
@@ -88,18 +89,31 @@ class TestPerturbationFeatures:
         assert [graph_fingerprint(g) for g in a] == [graph_fingerprint(g) for g in b]
 
 
+def grid_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Brute force over the observed grid: the first threshold, ascending,
+    of the highest accuracy; ``inf`` without scores."""
+    best, best_acc = float("inf"), -1.0
+    for t in sorted(set(scores.tolist())):
+        acc = float((((scores >= t).astype(int)) == labels).mean())
+        if acc > best_acc:
+            best, best_acc = t, acc
+    return best
+
+
 class TestThreshold:
     def test_exhaustive_grid_oracle(self):
         scores = np.array([0.1, 0.4, 0.6, 0.9])
         labels = np.array([0, 1, 0, 1])
-        got = best_threshold(scores, labels)
-        # brute force over the observed grid
-        best, best_acc = None, -1.0
-        for t in sorted(set(scores.tolist())):
-            acc = float((((scores >= t).astype(int)) == labels).mean())
-            if acc > best_acc:
-                best, best_acc = t, acc
-        assert got == best
+        assert best_threshold(scores, labels) == grid_oracle(scores, labels)
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_tied_scores_match_grid_oracle(self, pairs):
+        # six score values over up to 40 rows, so most scores are tied and
+        # many thresholds tie on accuracy
+        scores = np.array([s / 5 for s, _ in pairs], dtype=float)
+        labels = np.array([l for _, l in pairs], dtype=np.int64)
+        assert best_threshold(scores, labels) == grid_oracle(scores, labels)
 
     def test_all_above_threshold_all_members(self, setting, fast, monkeypatch):
         graph, _, model, split = setting

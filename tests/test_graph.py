@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
 from graphmia.graph import (
     DegenerateSplitError,
@@ -363,6 +366,69 @@ class TestPerturbEdges:
                 assert (u, int(v)) not in seen
                 seen.add((u, int(v)))
                 assert u in out.neighbors(int(v))
+
+    @pytest.mark.parametrize("num_nodes, edges", [
+        (5, [(0, 1), (1, 2), (2, 3)]),  # a 3-edge path and an isolated node
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),
+    ])
+    def test_law_matches_sequential_edits(self, num_nodes, edges):
+        # at budget 1.0 the graph takes one action per edge; over seeds
+        # 0..5999 each final edge set must appear as often as the exact law
+        # of the sequential edits says, within the 0.999 quantile of chi^2
+        # on (number of reachable edge sets - 1) degrees of freedom
+        g = Graph.from_edges(num_nodes, edges, np.zeros((num_nodes, 1)))
+        law = sequential_edit_law(num_nodes, edges, len(edges))
+        seeds = 6000
+        counts: dict[frozenset, int] = {}
+        for seed in range(seeds):
+            out = frozenset(map(tuple, perturb_edges(g, 1.0, seed).edge_array.tolist()))
+            counts[out] = counts.get(out, 0) + 1
+        assert set(counts) <= set(law)
+        expected = np.array([p * seeds for p in law.values()])
+        observed = np.array([counts.get(edge_set, 0) for edge_set in law])
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.999, len(law) - 1)
+
+    @pytest.mark.parametrize("num_nodes, edges", [
+        (0, []),
+        (1, []),
+        (2, []),
+        (2, [(0, 1)]),
+        (6, []),
+        (6, list(itertools.combinations(range(6), 2))),
+    ], ids=["0-nodes", "1-node", "2-nodes", "2-nodes-1-edge", "edgeless", "complete"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degenerate_graphs_stay_valid(self, num_nodes, edges, seed):
+        g = Graph.from_edges(num_nodes, edges, np.arange(num_nodes, dtype=float)[:, None],
+                             domain_id=2)
+        out = perturb_edges(g, 1.0, seed)
+        rebuilt = Graph.from_edges(num_nodes, out.edge_array, out.features, domain_id=2)
+        assert_same_bytes(out, rebuilt)
+        np.testing.assert_array_equal(out.features, g.features)
+        if not edges:
+            assert out.num_edges == 0
+
+
+def sequential_edit_law(num_nodes: int, edges, actions: int) -> dict[frozenset, float]:
+    """Exact distribution of the final edge set after ``actions`` sequential
+    edits, by dynamic programming over every edge set: each action deletes
+    a uniform present pair or inserts a uniform absent one with chance 1/2
+    each, and an impossible action leaves the set as it is."""
+    pairs = list(itertools.combinations(range(num_nodes), 2))
+    law = {frozenset(map(tuple, edges)): 1.0}
+    for _ in range(actions):
+        step: dict[frozenset, float] = {}
+        for edge_set, p in law.items():
+            absent = [e for e in pairs if e not in edge_set]
+            for choices, edit in ((sorted(edge_set), edge_set.difference),
+                                  (absent, edge_set.union)):
+                if not choices:
+                    step[edge_set] = step.get(edge_set, 0.0) + p / 2
+                for e in choices:
+                    key = edit({e})
+                    step[key] = step.get(key, 0.0) + p / 2 / len(choices)
+        law = step
+    return law
 
 
 def sbm_1000_edges() -> Graph:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphmia.graph import Graph
+from graphmia.graph import Graph, rank_to_id
 from graphmia.rng import derive_seed, substream
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
@@ -20,7 +20,6 @@ from graphmia.victim import (
     NoNegativeError,
     SSLObjective,
     _closed_row,
-    _rank_to_id,
     _sample_negative_pairs,
     _sample_outside,
     _view_info_nce,
@@ -86,7 +85,7 @@ def assert_row_bijection(graph: Graph) -> None:
         assert closed.tolist() == sorted([node, *graph.neighbors(node).tolist()])
         for excluded in (np.array([node]), closed):
             complement = np.setdiff1d(np.arange(n), excluded)
-            got = _rank_to_id(excluded, np.arange(n - len(excluded)))
+            got = rank_to_id(excluded, np.arange(n - len(excluded)))
             assert got.tolist() == complement.tolist()
 
 

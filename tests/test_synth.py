@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphmia.graph import graph_fingerprint
+from graphmia.graph import graph_fingerprint, triu_pair
 from graphmia.rng import derive_seed
-from graphmia.synth import sbm_graph, triu_pair
+from graphmia.synth import sbm_graph
 
 
 class TestTriuPair:
