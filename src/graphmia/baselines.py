@@ -20,9 +20,9 @@ import numpy as np
 from .attack import classify, fit_mlp_classifier
 from .config import ExperimentConfig
 from .graph import Graph, perturb_edges
-from .nn import NumericError, cosine_rows, minimize
+from .nn import NumericError, ParamSet, cosine_rows, minimize
 from .rng import derive_seed, substream
-from .victim import NodeLoss, VictimModel, embed
+from .victim import VictimModel, embed, loss_chunks
 
 KINDS = ("embed-mia", "grad-mia", "nlo-mia", "glo-mia", "ge-mia", "gpia")
 
@@ -95,17 +95,18 @@ def input_gradient_features(
 ) -> np.ndarray:
     """Each node's gradient of its own SSL loss with respect to its own
     feature row, one row per node of the ascending ``nodes``; every node's
-    references come from one stream, ``substream(seed, "grad-feature")``."""
-    rng = substream(seed, "grad-feature")
+    references come from one stream, ``substream(seed, "grad-feature")``.
+    The nodes run in :func:`victim.loss_chunks` at the shared parameters,
+    each reading its own row of its chunk's feature gradient."""
     rows = []
-    for node in nodes:
-        node = int(node)
-        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng)
-        _, _, dx = terms(model, 0, want_feature_grad=True)
-        if not np.all(np.isfinite(dx)):
-            raise NumericError(f"non-finite input gradient at node {node}")
-        rows.append(dx[np.searchsorted(terms.ball, node)])
-    return np.stack(rows)
+    for terms in loss_chunks(model, graph, nodes, substream(seed, "grad-feature")):
+        _, _, dx = terms.evaluate(model, want_feature_grad=True)
+        feats = dx[terms.node_rows]
+        bad = ~np.all(np.isfinite(feats), axis=1)
+        if bad.any():
+            raise NumericError(f"non-finite input gradient at node {terms.nodes[np.argmax(bad)]}")
+        rows.append(feats)
+    return np.concatenate(rows)
 
 
 def grad_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
@@ -256,31 +257,35 @@ def parameter_change_features(
     copy of the model on each node's own SSL loss for ``GPIA_EPOCHS`` Adam
     steps at ``GPIA_LR``.  Every epoch of a node runs on one L-hop ball that
     covers all its epochs' samples.  All draws come from one stream,
-    ``substream(seed, "gpia")``, a node's epochs drawn together before its
-    fine-tune, over the ascending ``nodes``; so a node that diverges leaves
-    every later node's draws as they were.  Returns the surviving node
-    order, the feature matrix, and the diverged-node count."""
+    ``substream(seed, "gpia")``, a node's epochs drawn together when it
+    joins its chunk, over the ascending ``nodes``; so a node that diverges
+    leaves every later node's draws as they were.
+
+    The nodes run in :func:`victim.loss_chunks`: a chunk's fine-tunes run
+    in lockstep, one row each of a (B, P) parameter block, through one
+    ``minimize``.  A node whose loss or encoder output turns non-finite
+    leaves its chunk before that epoch's step and is counted; the others
+    run on as if it were not there.  Returns the surviving node order, the
+    feature matrix, and the diverged-node count."""
     rng = substream(seed, "gpia")
     kept: list[int] = []
     rows: list[np.ndarray] = []
     diverged = 0
     base = model.params
-    for node in nodes:
-        node = int(node)
-        terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng,
-                         draws=GPIA_EPOCHS)
-        tuned = model.copy()
-        try:
-            minimize(tuned.params, GPIA_LR, GPIA_EPOCHS, lambda e: terms(tuned, e)[:2],
-                     "per-node fine-tune", lambda e: f"node {node}, epoch {e}")
-        except NumericError:
-            diverged += 1
-            continue
-        delta = np.array([
-            np.linalg.norm(tuned.params.tensors[k] - base.tensors[k]) for k in base.names
-        ])
-        kept.append(node)
-        rows.append(delta)
+    for terms in loss_chunks(model, graph, nodes, rng, draws=GPIA_EPOCHS):
+        count = len(terms.nodes)
+        block = ParamSet.over(np.repeat(base.vector[None, :], count, axis=0), base.layout)
+        tuned = VictimModel(block, model.objective)
+        history = minimize(block, GPIA_LR, GPIA_EPOCHS,
+                           lambda e: terms.evaluate(tuned, e)[:2],
+                           "per-node fine-tune", lambda e: f"epoch {e}")
+        running = ~np.isnan(history[-1]) if history else np.ones(count, dtype=bool)
+        diverged += count - int(running.sum())
+        for b in np.flatnonzero(running):
+            kept.append(terms.nodes[b])
+            rows.append(np.array([
+                np.linalg.norm(block.tensors[k][b] - base.tensors[k]) for k in base.names
+            ]))
     return kept, np.stack(rows) if rows else np.zeros((0, len(base.names))), diverged
 
 

@@ -15,6 +15,11 @@ one call of :func:`minimize`.  Each step computes the loss and gradients,
 raises :class:`NumericError` naming the stage and the step if the loss is
 not finite or a kernel found a non-finite value, takes one Adam step and
 appends the loss to the history.
+
+Per-node stages stack B independent problems: a :class:`BlockOperator`
+holds their aggregation operators block-diagonally, the encoder runs
+them in one pass, and a (B, P) parameter block holds one problem's
+parameters in each row.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ class ParamSet:
     ``layout`` is the tuple of (name, shape) in insertion order, and
     ``vector`` holds the matrices row-major in that order; ``tensors`` maps
     each name to a reshaped view into ``vector``.  ``ParamSet(dict)`` copies
-    the matrices in.
+    the matrices in.  A block, ``ParamSet.over`` a (B, P) array, holds B
+    parameter vectors of one layout, one a row; its tensors are (B, rows,
+    cols) views.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray]) -> None:
@@ -67,11 +74,14 @@ class ParamSet:
 
     @cached_property
     def tensors(self) -> dict[str, np.ndarray]:
-        views, start = {}, 0
-        for name, (rows, cols) in self.layout:
-            views[name] = self.vector[start:start + rows * cols].reshape(rows, cols)
-            start += rows * cols
-        return views
+        lead = self.vector.shape[:-1]
+        return {name: self.vector[..., lo:hi].reshape(*lead, *shape)
+                for (name, shape), lo, hi in self.spans()}
+
+    def spans(self):
+        """(name and shape, start, end) of each matrix in ``vector``."""
+        ends = list(accumulate(rows * cols for _, (rows, cols) in self.layout))
+        return zip(self.layout, [0, *ends], ends)
 
     @property
     def names(self) -> list[str]:
@@ -111,7 +121,8 @@ class GCNEncoder:
     """Stack of symmetric-normalized aggregation + linear layers.
 
     ReLU between layers, linear output so embeddings are signed.  Weights
-    are named ``gcn.{l}``; in a model they are views into its ParamSet.
+    are named ``gcn.{l}``; in a model they are views into its ParamSet,
+    (d, d') each, or (B, d, d') in a block model: one encoder either way.
     """
 
     weights: list[np.ndarray]
@@ -122,11 +133,11 @@ class GCNEncoder:
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     @classmethod
     def init(cls, dims: list[int], seed: int) -> "GCNEncoder":
@@ -140,35 +151,140 @@ class GCNEncoder:
         return [(f"gcn.{i}", w) for i, w in enumerate(self.weights)]
 
     def forward(self, a_hat, h0: np.ndarray) -> tuple[np.ndarray, list]:
-        """Returns final embeddings and the per-layer cache for backward."""
+        """Returns final embeddings and the per-layer cache for backward.
+
+        ``a_hat`` is one symmetric operator, or a :class:`BlockOperator`
+        whose layer k runs only at the rows ``rows[k + 1]``: ``h0`` is given
+        at ``rows[0]`` and the embeddings come back at the loss rows.  The
+        weights are shared (d, d') or per block (B, d, d'); with per-block
+        weights each block is its own problem, so a non-finite output is
+        left for the caller to find per block."""
+        op = BlockOperator.of(a_hat)
         if h0.shape[1] != self.input_dim:
             raise ShapeError(f"encoder input dim {self.input_dim}, got {h0.shape[1]}")
-        if h0.shape[0] != a_hat.shape[0]:
+        if h0.shape[0] != op.count(0):
             raise ShapeError("feature rows do not match graph node count")
         cache = []
         h = h0
+        last = len(self.weights) - 1
         # a diverged model overflows here; the finite check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for i, w in enumerate(self.weights):
-                m = a_hat @ h
-                z = m @ w
+                m = op.forward(h, i)
+                z = block_matmul(m, w, op.bounds_at(i + 1))
                 cache.append((m, z))
-                h = np.maximum(z, 0.0) if i < len(self.weights) - 1 else z
-        if not np.all(np.isfinite(h)):
+                h = np.maximum(z, 0.0) if i < last else z
+        if self.weights[0].ndim == 2 and not np.all(np.isfinite(h)):
             raise NumericError("non-finite encoder output")
         return h, cache
 
     def backward(self, a_hat, cache: list, d_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients (per-layer weight grads, d_input) for upstream d_out."""
+        """Gradients (per-layer weight grads, d_input) for upstream d_out at
+        the rows ``forward`` returned; d_input is at the rows h0 was given
+        at.  Under a :class:`BlockOperator` each weight gradient is per
+        block, (B, d, d')."""
+        op = BlockOperator.of(a_hat)
+        last = len(self.weights) - 1
         grads: list[np.ndarray] = [np.empty(0)] * len(self.weights)
         dh = d_out
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(last, -1, -1):
             m, z = cache[i]
-            dz = dh if i == len(self.weights) - 1 else dh * (z > 0.0)
-            grads[i] = m.T @ dz
-            dm = dz @ self.weights[i].T
-            dh = a_hat @ dm
+            bounds = op.bounds_at(i + 1)
+            dz = dh if i == last else dh * (z > 0.0)
+            grads[i] = block_gram(m, dz, bounds)
+            dm = block_matmul(dz, self.weights[i].swapaxes(-1, -2), bounds)
+            dh = op.backward(dm, i)
         return grads, dh
+
+
+@dataclass(frozen=True)
+class BlockOperator:
+    """B independent problems' aggregation operators, stacked, and the rows
+    at which an L-layer encoder runs on them.
+
+    ``full`` is the symmetric block-diagonal (N, N) operator, block b on
+    rows ``bounds[b]:bounds[b + 1]``; the blocks do not interact, so every
+    row of a product is its block's own.  ``rows[L]`` are the sorted loss
+    rows, and ``rows[k]`` holds ``rows[k + 1]`` and their neighbours: layer
+    k reads its input at ``rows[k]`` and runs only at ``rows[k + 1]``,
+    through ``links[k]``, the rows of ``full`` at ``rows[k + 1]`` and its
+    columns at ``rows[k]``.  That is exact, since a row of a product reads
+    only its neighbours; the backward pass goes back through the transpose
+    of each link, one hop per layer.  ``bounds`` None is one problem whose
+    loss reads every row: ``BlockOperator.of(a_hat)``.
+    """
+
+    full: object
+    bounds: np.ndarray | None
+    rows: tuple = ()
+    links: tuple = ()
+
+    @classmethod
+    def of(cls, a_hat) -> "BlockOperator":
+        return a_hat if isinstance(a_hat, BlockOperator) else cls(a_hat, None)
+
+    @classmethod
+    def at_rows(cls, full, bounds: np.ndarray, loss_rows: np.ndarray, layers: int) -> "BlockOperator":
+        """The stack ``full`` under an encoder of ``layers`` layers whose
+        loss reads the sorted stacked ``loss_rows``."""
+        rows, links = [loss_rows], []
+        for _ in range(layers):
+            starts = full.indptr[rows[0]]
+            counts = full.indptr[rows[0] + 1] - starts
+            entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            cols = full.indices[entries]
+            reached = np.sort(cols)
+            first = np.ones(len(reached), dtype=bool)
+            first[1:] = reached[1:] != reached[:-1]
+            rows.insert(0, reached[first])
+            indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            links.insert(0, sp.csr_array(
+                (full.data[entries], np.searchsorted(rows[0], cols), indptr),
+                shape=(len(rows[1]), len(rows[0]))))
+        return cls(full, bounds, tuple(rows), tuple(links))
+
+    @property
+    def blocks(self) -> int | None:
+        return None if self.bounds is None else len(self.bounds) - 1
+
+    def count(self, k: int) -> int:
+        """Number of rows at level k."""
+        return self.full.shape[0] if not self.rows else len(self.rows[k])
+
+    def bounds_at(self, k: int) -> np.ndarray | None:
+        """Block bounds of the rows at level k."""
+        return self.bounds if not self.rows else np.searchsorted(self.rows[k], self.bounds)
+
+    def forward(self, h: np.ndarray, k: int) -> np.ndarray:
+        """Layer k's aggregation of ``h`` (at level k), at level k + 1."""
+        return self.links[k] @ h if self.links else self.full @ h
+
+    def backward(self, dm: np.ndarray, k: int) -> np.ndarray:
+        """The transpose of ``forward(., k)`` applied to ``dm``."""
+        return self.links[k].T @ dm if self.links else self.full @ dm
+
+
+def block_matmul(a: np.ndarray, w: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
+    """Each block of rows of ``a`` times its block's matrix: ``a @ w`` for
+    a shared (k, m) ``w`` or no blocks, else block b's rows times w[b]."""
+    if w.ndim == 2:
+        return a @ w
+    out = np.empty((len(a), w.shape[-1]))
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(a[lo:hi], w[b], out=out[lo:hi])
+    return out
+
+
+def block_gram(a: np.ndarray, b: np.ndarray, bounds: np.ndarray | None) -> np.ndarray:
+    """``a.T @ b`` per block of rows, stacked (B, ka, kb); one (ka, kb)
+    product without blocks."""
+    if bounds is None:
+        return a.T @ b
+    out = np.empty((len(bounds) - 1, a.shape[1], b.shape[1]))
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(a[lo:hi].T, b[lo:hi], out=out[k])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +455,42 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bce_terms(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each score's binary cross-entropy on sigmoid(score) and its
+    derivative, before any mean is taken."""
+    softplus = np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
+    return softplus - labels * scores, sigmoid(scores) - labels
+
+
 def bce_with_logits(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy on sigmoid(scores); gradient w.r.t. scores."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if scores.shape != labels.shape:
         raise ShapeError("scores and labels disagree")
-    softplus = np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))
-    loss = float((softplus - labels * scores).mean())
-    dscores = (sigmoid(scores) - labels) / len(scores)
+    terms, dscores = _bce_terms(scores, labels)
+    loss = float(terms.mean())
     if not np.isfinite(loss):
         raise NumericError("non-finite link-prediction loss")
-    return loss, dscores
+    return loss, dscores / len(scores)
 
 
-def info_nce(
-    pos_sim: np.ndarray, neg_sims: np.ndarray, temperature: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean InfoNCE over anchors.
+def grouped_bce(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``count`` groups' mean binary cross-entropy over its scores
+    (``groups`` gives each score's group; an empty group's is 0) and the
+    gradient of each group's own mean w.r.t. its scores.  Nothing is
+    checked: a group's non-finite mean is its caller's to read."""
+    terms, dscores = _bce_terms(scores, labels)
+    sizes = np.bincount(groups, minlength=count)
+    losses = np.zeros(count)
+    np.divide(np.bincount(groups, terms, minlength=count), sizes, out=losses, where=sizes > 0)
+    return losses, dscores / sizes[groups]
 
-    ``pos_sim`` is (n,), ``neg_sims`` is (n, K); similarities are divided by
-    ``temperature`` and the positive competes against the K negatives.
-    Returns (loss, d_pos_sim, d_neg_sims).
-    """
+
+def _info_nce_terms(pos_sim, neg_sims, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each anchor's InfoNCE and its gradient w.r.t. [pos | negs] times the
+    temperature."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     pos = np.asarray(pos_sim, dtype=np.float64).ravel()
@@ -373,14 +502,36 @@ def info_nce(
     exp = np.exp(z - m)
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = (z - m) - np.log(denom)
-    n = pos.shape[0]
-    loss = -float(log_probs[:, 0].mean())
     dz = exp / denom
     dz[:, 0] -= 1.0
-    dz /= n * temperature
+    return -log_probs[:, 0], dz
+
+
+def info_nce(
+    pos_sim: np.ndarray, neg_sims: np.ndarray, temperature: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean InfoNCE over anchors.
+
+    ``pos_sim`` is (n,), ``neg_sims`` is (n, K); similarities are divided by
+    ``temperature`` and the positive competes against the K negatives.
+    Returns (loss, d_pos_sim, d_neg_sims).
+    """
+    losses, dz = _info_nce_terms(pos_sim, neg_sims, temperature)
+    loss = float(losses.mean())
+    dz /= len(losses) * temperature
     if not np.isfinite(loss):
         raise NumericError("non-finite contrastive loss")
     return loss, dz[:, 0], dz[:, 1:]
+
+
+def info_nce_rows(
+    pos_sim: np.ndarray, neg_sims: np.ndarray, temperature: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each anchor's own InfoNCE, as :func:`info_nce` of that anchor alone,
+    and the gradients of each anchor's loss; nothing is checked."""
+    losses, dz = _info_nce_terms(pos_sim, neg_sims, temperature)
+    dz /= temperature
+    return losses, dz[:, 0], dz[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -392,49 +543,81 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, one vector each, on a ParamSet's layout."""
+    """Bias-corrected Adam moments, one vector (or block) each, on a
+    ParamSet's layout, and two scratch rows as long as its largest matrix."""
 
     lr: float
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
     @classmethod
     def init(cls, params: ParamSet, lr: float) -> "AdamState":
-        return cls(lr=lr, m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
+        widest = max((hi - lo for _, lo, hi in params.spans()), default=0)
+        return cls(lr=lr, m=np.zeros_like(params.vector), v=np.zeros_like(params.vector),
+                   scratch=np.empty((2, *params.vector.shape[:-1], widest)))
 
 
-def adam_step(state: AdamState, params: ParamSet, grads: ParamSet) -> None:
-    """One in-place Adam update of ``params`` (and ``state``)."""
+def adam_step(state: AdamState, params: ParamSet, grads: ParamSet,
+              rows: np.ndarray | None = None) -> None:
+    """One in-place Adam update of ``params`` (and ``state``), one matrix
+    at a time in the state's scratch rows, so that a step allocates
+    nothing.  With a block, only the rows where the mask ``rows`` holds
+    (default all) move."""
     params.check_layout(grads)
     state.step += 1
-    g, m, v = grads.vector, state.m, state.v
-    m *= BETA1
-    m += (1.0 - BETA1) * g
-    v *= BETA2
-    v += (1.0 - BETA2) * (g * g)
-    params.vector -= state.lr * (m / (1.0 - BETA1 ** state.step)) / (
-        np.sqrt(v / (1.0 - BETA2 ** state.step)) + EPS)
+    c1, c2 = 1.0 - BETA1 ** state.step, 1.0 - BETA2 ** state.step
+    frozen = rows is not None and not rows.all()
+    for _, lo, hi in params.spans():
+        g, m, v = grads.vector[..., lo:hi], state.m[..., lo:hi], state.v[..., lo:hi]
+        a, b = state.scratch[..., :hi - lo]
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=a), out=a)
+        # lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
+        np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
+        np.divide(np.multiply(state.lr, np.divide(m, c1, out=a), out=a), b, out=a)
+        p = params.vector[..., lo:hi]
+        if frozen:
+            np.subtract(p, a, out=p, where=rows[:, None])
+        else:
+            p -= a
 
 
 def minimize(params: ParamSet, lr: float, steps: int,
              loss_and_grads: Callable[[int], tuple[float, ParamSet]],
-             stage: str, step_name: Callable[[int], str]) -> list[float]:
+             stage: str, step_name: Callable[[int], str]) -> list:
     """Take ``steps`` Adam steps on ``params`` in place and return each
     step's loss.  ``loss_and_grads(k)`` gives step k's loss and gradients at
     the current parameters; a non-finite loss raises ``NumericError("<stage>
     diverged at <step_name(k)>")`` before step k changes anything, and a
     ``NumericError`` raised inside ``loss_and_grads(k)`` is raised again with
-    that prefix before its own message."""
+    that prefix before its own message.
+
+    A (B, P) block holds B independent problems, one a row, stepped in
+    lockstep: ``loss_and_grads(k)`` gives a (B,) loss array and a (B, P)
+    gradient block.  A row whose loss is not finite leaves before step k
+    changes it, and stays as it was; each history entry reads NaN for
+    every row that has left."""
     state = AdamState.init(params, lr)
-    history: list[float] = []
+    history: list = []
+    running = np.ones(params.vector.shape[:-1], dtype=bool)
     for k in range(steps):
         try:
             loss, grads = loss_and_grads(k)
         except NumericError as exc:
             raise NumericError(f"{stage} diverged at {step_name(k)}: {exc}") from exc
-        if not np.isfinite(loss):
-            raise NumericError(f"{stage} diverged at {step_name(k)}")
-        adam_step(state, params, grads)
-        history.append(loss)
+        if running.ndim == 0:
+            if not np.isfinite(loss):
+                raise NumericError(f"{stage} diverged at {step_name(k)}")
+            adam_step(state, params, grads)
+            history.append(loss)
+            continue
+        running &= np.isfinite(loss)
+        # a row that has left takes no step; zeros keep its moments finite
+        grads.vector[~running] = 0.0
+        adam_step(state, params, grads, running)
+        history.append(np.where(running, loss, np.nan))
     return history

@@ -17,7 +17,7 @@ from .config import ExperimentConfig
 from .graph import Graph
 from .nn import ParamSet
 from .rng import substream
-from .victim import VictimModel, fine_tune, per_node_ssl_loss
+from .victim import VictimModel, fine_tune, loss_chunks
 
 
 class FisherDiag(ParamSet):
@@ -33,17 +33,20 @@ def estimate_fisher(model: VictimModel, shadow_train: Graph, seed: int) -> Fishe
     """Empirical diagonal Fisher on the shadow training graph.
 
     Each node's SSL loss contribution counts as one sample; its squared
-    parameter gradient is accumulated and the sum averaged over nodes.
-    Every node's references come from one stream, ``substream(seed,
-    "fisher")``, drawn in ascending node order.
+    parameter gradient is accumulated in node order and the sum averaged
+    over nodes.  Every node's references come from one stream,
+    ``substream(seed, "fisher")``, drawn in ascending node order.  The
+    nodes run in :func:`victim.loss_chunks` at the shared parameters; a
+    chunk's one backward pass gives each node's own gradient.
     """
     if shadow_train.num_nodes == 0:
         raise ValueError("shadow training graph is empty")
     acc = model.params.zeros_like()
     rng = substream(seed, "fisher")
-    for node in range(shadow_train.num_nodes):
-        _, grads = per_node_ssl_loss(model, shadow_train, node, rng)
-        acc.vector += grads.vector * grads.vector
+    for terms in loss_chunks(model, shadow_train, range(shadow_train.num_nodes), rng):
+        _, grads, _ = terms.evaluate(model)
+        for g in grads.vector:
+            acc.vector += g * g
     acc.vector /= shadow_train.num_nodes
     return FisherDiag(acc.tensors)
 

@@ -9,18 +9,25 @@ attack pipeline needs: embed, fine-tune, and per-node loss terms.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _csr_slice, ball_matrix, rank_to_id
+from .graph import BallStack, Graph, _csr_slice, rank_to_id
 from .nn import (
+    BlockOperator,
     GCNEncoder,
+    NumericError,
     ParamSet,
     ShapeError,
     bce_with_logits,
+    block_gram,
+    block_matmul,
     glorot,
+    grouped_bce,
     info_nce,
+    info_nce_rows,
     minimize,
     ref_cosines,
     scatter_matrix,
@@ -128,27 +135,49 @@ class VictimModel:
 
     def _forward(self, x: np.ndarray, a_hat, domain_id: int) -> tuple[np.ndarray, ForwardCache]:
         """Embeddings of the feature rows ``x`` under the symmetric
-        aggregation operator ``a_hat`` (a graph's, or a node ball's)."""
+        aggregation operator ``a_hat`` (a graph's), or at the loss rows of
+        a :class:`BlockOperator` of node balls, whose projector runs only at
+        the rows its encoder reads.  A block model (its params a (B, P)
+        block) runs block b on row b of its parameters."""
         if domain_id not in self.projectors:
             raise MissingProjectorError(f"no projector for domain {domain_id}")
         w = self.projectors[domain_id]
-        if x.shape[1] != w.shape[0]:
+        if x.shape[1] != w.shape[-2]:
             raise ShapeError(
-                f"domain {domain_id} features have dim {x.shape[1]}, projector expects {w.shape[0]}"
+                f"domain {domain_id} features have dim {x.shape[1]}, projector expects {w.shape[-2]}"
             )
-        h, layers = self.encoder.forward(a_hat, x @ w)
-        return h, ForwardCache(a_hat=a_hat, x=x, layers=layers, domain_id=domain_id)
+        op = BlockOperator.of(a_hat)
+        if op.rows:
+            x = x[op.rows[0]]
+        h, layers = self.encoder.forward(op, block_matmul(x, w, op.bounds_at(0)))
+        return h, ForwardCache(a_hat=op, x=x, layers=layers, domain_id=domain_id)
 
     def backward(
-        self, cache: ForwardCache, d_out: np.ndarray, want_feature_grad: bool = False
+        self, cache: ForwardCache, d_out: np.ndarray, want_feature_grad: bool = False,
+        out: ParamSet | None = None,
     ) -> tuple[ParamSet, np.ndarray | None]:
-        """Parameter gradients (aligned with ``self.params``) for upstream d_out."""
-        layer_grads, dh0 = self.encoder.backward(cache.a_hat, cache.layers, d_out)
-        grads = self.params.zeros_like()
-        grads.tensors[f"proj.{cache.domain_id}"] += cache.x.T @ dh0
+        """Parameter gradients (aligned with ``self.params``) for upstream
+        d_out, added into ``out`` when it is given, and optionally the
+        gradient with respect to ``x``.  Under a :class:`BlockOperator` the
+        parameter gradients are a (B, P) block, one row per block, and the
+        feature gradient has a row for every stacked row."""
+        op = cache.a_hat
+        layer_grads, dh0 = self.encoder.backward(op, cache.layers, d_out)
+        grads = out
+        if grads is None:
+            lead = self.params.vector.shape[:-1] if op.bounds is None else (op.blocks,)
+            grads = ParamSet.over(np.zeros((*lead, self.params.vector.shape[-1])), self.params.layout)
+        w = self.projectors[cache.domain_id]
+        grads.tensors[f"proj.{cache.domain_id}"] += block_gram(cache.x, dh0, op.bounds_at(0))
         for i, g in enumerate(layer_grads):
             grads.tensors[f"gcn.{i}"] += g
-        dx = dh0 @ self.projectors[cache.domain_id].T if want_feature_grad else None
+        if not want_feature_grad:
+            return grads, None
+        dx = block_matmul(dh0, w.swapaxes(-1, -2), op.bounds_at(0))
+        if op.rows:
+            spread = np.zeros((op.full.shape[0], dx.shape[1]))
+            spread[op.rows[0]] = dx
+            dx = spread
         return grads, dx
 
 
@@ -221,18 +250,20 @@ def _sample_negative_pairs(
     return np.divmod(rank_to_id(excluded, rng.integers(pool, size=count)), n)
 
 
-def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
-    """BCE on sigmoid(h_u . h_v) over the pairs (us, vs); gradient w.r.t. h.
-
-    The gradient is one pair-operator product with the bits of
+def _pair_pullback(h: np.ndarray, us, vs, dscores) -> np.ndarray:
+    """The gradient w.r.t. ``h`` of scores h_u . h_v over the pairs (us, vs)
+    with upstream ``dscores``: one pair-operator product with the bits of
     ``np.add.at(dh, us, dscores * h[vs])`` followed by
-    ``np.add.at(dh, vs, dscores * h[us])`` (see :func:`scatter_matrix`).
-    """
-    scores = np.einsum("ij,ij->i", h[us], h[vs])
-    loss, dscores = bce_with_logits(scores, labels)
+    ``np.add.at(dh, vs, dscores * h[us])`` (see :func:`scatter_matrix`)."""
     pair_op = scatter_matrix(np.concatenate([us, vs]), np.concatenate([vs, us]),
                              np.concatenate([dscores, dscores]), (len(h), len(h)))
-    return loss, pair_op @ h
+    return pair_op @ h
+
+
+def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
+    """BCE on sigmoid(h_u . h_v) over the pairs (us, vs); gradient w.r.t. h."""
+    loss, dscores = bce_with_logits(np.einsum("ij,ij->i", h[us], h[vs]), labels)
+    return loss, _pair_pullback(h, us, vs, dscores)
 
 
 def _view_info_nce(h: np.ndarray, hv: np.ndarray, anchors, negatives, temperature: float):
@@ -324,62 +355,199 @@ def _draw_node_refs(graph: Graph, objective: SSLObjective, node: int, rng: np.ra
     return negs, _augment_draws(graph, rng)
 
 
-class NodeLoss:
-    """One node's SSL loss term under ``draws`` reference draws, evaluated
-    on the one L-hop ball that covers the references of every draw.
+@dataclass(frozen=True)
+class NodeDraws:
+    """A node's reference draws, taken together, and the L-hop ball that
+    covers the node and the references of every draw.  Link-prediction
+    nodes that are isolated or adjacent to every other node (no positive
+    or no negative) draw nothing, and their ball is the node alone."""
 
-    Every draw is taken from ``rng`` here, when the term is built: draws
-    never depend on a model, so a per-node fine-tune runs every epoch on
-    the same slice of the graph, and what a stage draws for its next node
-    does not depend on how this node's model run ends.  Link-prediction
-    nodes that are isolated or adjacent to every other node (no positive or
-    no negative) draw nothing and contribute zero loss and zero gradients.
+    node: int
+    draws: list
+    ball: np.ndarray
+
+    @classmethod
+    def draw(cls, graph: Graph, objective: SSLObjective, hops: int, node: int,
+             rng: np.random.Generator, draws: int = 1) -> "NodeDraws":
+        node = int(node)
+        degree = len(graph.neighbors(node))
+        if objective.kind == LINK_PREDICTION and degree in (0, graph.num_nodes - 1):
+            return cls(node, [], np.array([node], dtype=np.int64))
+        taken = [_draw_node_refs(graph, objective, node, rng) for _ in range(draws)]
+        return cls(node, taken, node_ball(graph, np.concatenate([[node], *(d[0] for d in taken)]), hops))
+
+
+# working-set budget of one chunk of per-node terms, in bytes
+CHUNK_BYTES = 3 * 2**20
+
+
+def loss_chunks(model: VictimModel, graph: Graph, nodes, rng: np.random.Generator,
+                draws: int = 1):
+    """The :class:`NodeLoss` chunks of ``nodes``, in the given order.
+
+    Each node takes all its draws from ``rng`` when it joins a chunk, so
+    the draws follow the node order whatever the chunk bounds.  A chunk
+    takes nodes while its working set stays within ``CHUNK_BYTES``: per
+    node, five parameter-sized arrays (a per-node fine-tune's parameters,
+    its two Adam moments and scratch, the gradients) plus, per ball row,
+    its features and six activations of the embedding width (under the
+    contrastive objective, the view's copy of the row adds its features
+    and two more); a node that alone exceeds the budget is a chunk of one.
+    """
+    hops = model.encoder.num_layers
+    chunk, used = [], 0
+    for node in nodes:
+        term = NodeDraws.draw(graph, model.objective, hops, node, rng, draws)
+        cost = _term_bytes(model, graph, len(term.ball))
+        if chunk and used + cost > CHUNK_BYTES:
+            yield NodeLoss(graph, model.objective, chunk)
+            chunk, used = [], 0
+        chunk.append(term)
+        used += cost
+    if chunk:
+        yield NodeLoss(graph, model.objective, chunk)
+
+
+def _term_bytes(model: VictimModel, graph: Graph, ball_size: int) -> int:
+    """A node's share of its chunk's working set (see :func:`loss_chunks`)."""
+    features, width = graph.feature_dim, model.encoder.output_dim
+    per_row = features + 6 * width
+    if model.objective.kind == CONTRASTIVE:
+        per_row += features + 2 * width
+    return 8 * (5 * model.params.vector.shape[-1] + per_row * ball_size)
+
+
+class NodeLoss:
+    """The SSL loss terms of a chunk of B nodes, each on its own ball: the
+    balls are stacked into one block-diagonal operator (a
+    :class:`graph.BallStack`), so a chunk runs the projector, the encoder
+    and its backward pass once for all its nodes.
+
+    ``evaluate(model, draw)`` gives every node's loss under its draw
+    ``draw``, with the parameter gradients of each node's own loss.  Each
+    layer runs only at the rows its output feeds: the last at each block's
+    loss rows, the node and its distinct references, and every earlier
+    layer one hop further out (:meth:`nn.BlockOperator.at_rows`); the loss
+    scatters its gradient with one ``scatter_matrix``.  Under the
+    contrastive objective a node's block holds its ball twice, in the
+    graph and in the draw's view, so both passes run as one; the view
+    operators of the whole chunk are built in one vectorised pass over the
+    balls' CSR entries, the draws' kept edges and the view degrees, when
+    the draw is evaluated, and not kept.
+
+    Every draw was taken when the node's :class:`NodeDraws` was, before
+    any model runs: a per-node fine-tune runs every epoch on the same
+    slice of the graph, and what a stage draws for its next node does not
+    depend on how this chunk's model runs end.  A node that draws nothing
+    contributes zero loss and zero gradients.
     """
 
-    def __init__(self, graph: Graph, objective: SSLObjective, hops: int, node: int,
-                 rng: np.random.Generator, draws: int = 1) -> None:
+    def __init__(self, graph: Graph, objective: SSLObjective, terms: list[NodeDraws]) -> None:
         self.graph = graph
         self.objective = objective
-        self.node = node = int(node)
-        degree = len(graph.neighbors(node))
-        self.empty = objective.kind == LINK_PREDICTION and degree in (0, graph.num_nodes - 1)
-        if self.empty:
-            self.ball = np.array([node], dtype=np.int64)
-            return
-        self.draws = [_draw_node_refs(graph, objective, node, rng) for _ in range(draws)]
-        self.ball = node_ball(graph, np.concatenate([[node], *(d[0] for d in self.draws)]), hops)
-        self.a_hat, self.x = ball_matrix(graph, self.ball), graph.features[self.ball]
+        self.terms = terms
+        self.nodes = [t.node for t in terms]
+        # stacked blocks: each node's ball, then (contrastive) its view's
+        copies = 1 if objective.kind == LINK_PREDICTION else 2
+        self.stack = BallStack.of(graph, [t.ball for t in terms for _ in range(copies)])
+        self.bounds = self.stack.bounds[::copies]
+        self.owner = self.stack.blocks // copies
+        first = np.flatnonzero(self.stack.blocks % copies == 0)
+        # each node's ball (its first copy): its ids, their nodes and the node's own row
+        self.ids = self.stack.ids[first]
+        self.ball_owner = self.owner[first]
+        self.node_rows = np.searchsorted(
+            first, self.stack.rows_of(np.arange(len(terms)) * copies, np.array(self.nodes)))
+        self.x = graph.features[self.stack.ids]
+        self.a_hat = self.stack.matrix() if copies == 1 else None
+        self.empty = np.array([not t.draws for t in terms])
+        self._grads = None
 
-    def __call__(
-        self, model: VictimModel, draw: int = 0, want_feature_grad: bool = False
-    ) -> tuple[float, ParamSet, np.ndarray | None]:
-        """Loss, parameter gradients and (optionally) the gradient with
-        respect to the feature rows of ``self.ball``; every other row's is
-        zero."""
-        if self.empty:
-            dx = np.zeros((1, self.graph.feature_dim)) if want_feature_grad else None
-            return 0.0, model.params.zeros_like(), dx
-        others, extra = self.draws[draw]
-        h, cache = model._forward(self.x, self.a_hat, self.graph.domain_id)
-        a = np.searchsorted(self.ball, [self.node])
-        b = np.searchsorted(self.ball, others)
-        if self.objective.kind == LINK_PREDICTION:
-            loss, dh = _pair_bce(h, np.repeat(a, len(b)), b, extra)
-            return (loss, *model.backward(cache, dh, want_feature_grad=want_feature_grad))
-        keep_edges, drop_cols = extra
-        # the view's neighbourhoods lie inside the graph's: the ball serves
-        view = _csr_slice(self.graph, keep_edges[self.graph.entry_edges], self.graph.features)
-        xv = self.x.copy()
-        xv[:, drop_cols] = 0.0
-        hv, cache_v = model._forward(xv, ball_matrix(view, self.ball), self.graph.domain_id)
-        loss, dh, dhv = _view_info_nce(h, hv, a, b[None, :], self.objective.temperature)
-        grads, dx = model.backward(cache, dh, want_feature_grad=want_feature_grad)
-        grads_v, dx_v = model.backward(cache_v, dhv, want_feature_grad=want_feature_grad)
-        grads.add_(grads_v)
+    def evaluate(self, model: VictimModel, draw: int = 0, want_feature_grad: bool = False
+                 ) -> tuple[np.ndarray, ParamSet, np.ndarray | None]:
+        """Each node's loss (B,), the (B, P) block of their parameter
+        gradients (overwritten by the next evaluation) and, optionally, the
+        gradient with respect to the feature rows of each node's ball,
+        ``ids``; every other row's is zero.
+
+        ``model`` is shared by every node, or a block model with one
+        parameter row per node.  Shared, a non-finite loss raises
+        :class:`NumericError`.  Per node, each node is its own problem: a
+        node whose loss or encoder output is not finite reads a NaN loss,
+        and the rest of the chunk is computed as if it were not there,
+        with no floating-point warning."""
+        per_node = model.params.vector.ndim == 2
+        if self._grads is None:
+            self._grads = np.zeros((len(self.nodes), model.params.vector.shape[-1]))
+        else:
+            self._grads.fill(0.0)
+        grads = ParamSet.over(self._grads, model.params.layout)
+        with np.errstate(all="ignore") if per_node else contextlib.nullcontext():
+            if self.objective.kind == LINK_PREDICTION:
+                losses, dx = self._link_prediction(model, draw, want_feature_grad, grads)
+            else:
+                losses, dx = self._contrastive(model, draw, want_feature_grad, grads)
+        if not per_node and not np.all(np.isfinite(losses)):
+            raise NumericError(f"non-finite loss at node {self.nodes[np.argmax(~np.isfinite(losses))]}")
+        grads.vector[self.empty] = 0.0
+        if want_feature_grad:
+            dx[self.empty[self.ball_owner]] = 0.0
+        return losses, grads, dx
+
+    def _embed(self, model: VictimModel, x: np.ndarray, a_hat, loss_rows: np.ndarray):
+        """Embeddings at the sorted stacked ``loss_rows``, with per-node
+        NaN losses marked where a node's rows are not finite."""
+        op = BlockOperator.at_rows(a_hat, self.bounds, loss_rows, model.encoder.num_layers)
+        h, cache = model._forward(x, op, self.graph.domain_id)
+        bad = self.owner[loss_rows[~np.all(np.isfinite(h), axis=1)]]
+        return h, cache, np.bincount(bad, minlength=len(self.nodes)) > 0
+
+    def _link_prediction(self, model, draw, want_feature_grad, grads):
+        refs = [t.draws[draw] for t in self.terms if t.draws]
+        blocks = np.flatnonzero(~self.empty)
+        groups = np.repeat(blocks, [len(others) for others, _ in refs])
+        others = self.stack.rows_of(groups, np.concatenate([np.zeros(0, np.int64), *(o for o, _ in refs)]))
+        labels = np.concatenate([np.zeros(0), *(l for _, l in refs)])
+        anchors = self.node_rows[groups]
+        rows = np.union1d(self.node_rows[blocks], others)
+        h, cache, bad = self._embed(model, self.x, self.a_hat, rows)
+        us, vs = np.searchsorted(rows, anchors), np.searchsorted(rows, others)
+        losses, dscores = grouped_bce(np.einsum("ij,ij->i", h[us], h[vs]), labels, groups,
+                                      len(self.nodes))
+        losses[bad] = np.nan
+        _, dx = model.backward(cache, _pair_pullback(h, us, vs, dscores), want_feature_grad, grads)
+        return losses, dx
+
+    def _contrastive(self, model, draw, want_feature_grad, grads):
+        count = len(self.nodes)
+        negatives = np.stack([t.draws[draw][0] for t in self.terms])
+        keep_edges, drop_cols = (np.stack(d) for d in zip(*(t.draws[draw][1] for t in self.terms)))
+        # even blocks are the graph (every edge kept, no column masked),
+        # odd blocks the view; each view's neighbourhoods lie inside the
+        # graph's, so the ball serves both
+        keep = np.ones((2 * count, keep_edges.shape[1]), dtype=bool)
+        keep[1::2] = keep_edges
+        drop = np.zeros((2 * count, drop_cols.shape[1]), dtype=bool)
+        drop[1::2] = drop_cols
+        nodes = np.array(self.nodes, dtype=np.int64)
+        anchors = self.stack.rows_of(2 * np.arange(count), nodes)
+        views = self.stack.rows_of(2 * np.arange(count) + 1, nodes)
+        negs = self.stack.rows_of(2 * np.arange(count)[:, None], negatives)
+        rows = np.union1d(np.concatenate([anchors, views]), negs)
+        x = np.where(drop[self.stack.blocks], 0.0, self.x)
+        h, cache, bad = self._embed(model, x, self.stack.matrix(keep), rows)
+        # the first reference of node b is its own view row, read in h too
+        refs = np.column_stack([np.searchsorted(rows, views), np.searchsorted(rows, negs)])
+        s, pullback = ref_cosines(h, [h], np.searchsorted(rows, anchors), refs)
+        losses, dpos, dneg = info_nce_rows(s[:, 0], s[:, 1:], self.objective.temperature)
+        losses[bad] = np.nan
+        dh, (dh_view,) = pullback(np.column_stack([dpos, dneg]))
+        _, dx = model.backward(cache, dh + dh_view, want_feature_grad, grads)
         if want_feature_grad:
             # masked columns of the view contribute nothing to the raw-feature grad
-            dx = dx + dx_v * (~drop_cols)[None, :]
-        return loss, grads, dx
+            graph_rows = self.stack.blocks % 2 == 0
+            dx = dx[graph_rows] + dx[~graph_rows] * ~drop_cols[self.owner[graph_rows]]
+        return losses, dx
 
 
 def per_node_ssl_loss(
@@ -391,12 +559,13 @@ def per_node_ssl_loss(
     Link prediction: the node's incident edges plus the same number of
     random non-edges from it.  Contrastive: the node's anchor term against
     one augmented view and K negatives.  Computed exactly on the node's
-    L-hop ball (see :class:`NodeLoss`), so the cost is O(ball), not
-    O(graph).
+    L-hop ball, as a :class:`NodeLoss` chunk of one, so the cost is
+    O(ball), not O(graph).
     """
-    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng)
-    loss, grads, _ = terms(model)
-    return loss, grads
+    terms = NodeLoss(graph, model.objective,
+                     [NodeDraws.draw(graph, model.objective, model.encoder.num_layers, node, rng)])
+    losses, grads, _ = terms.evaluate(model)
+    return float(losses[0]), ParamSet.over(grads.vector[0], grads.layout)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from graphmia.synth import sbm_graph
 from graphmia.victim import (
     LINK_PREDICTION,
     CONTRASTIVE,
+    NodeDraws,
     NodeLoss,
     SSLObjective,
     VictimModel,
@@ -144,12 +145,13 @@ def max_rel_error(analytic: ParamSet, numeric: ParamSet, floor: float = 1e-3) ->
 
 def whole_graph_feature_grad(model: VictimModel, graph: Graph, node: int, rng):
     """The gradient of ``per_node_ssl_loss(model, graph, node, rng)`` with
-    respect to every feature row: ``NodeLoss``'s ball rows placed into a
-    zero (num_nodes x feature_dim) array."""
-    terms = NodeLoss(graph, model.objective, model.encoder.num_layers, node, rng)
-    _, _, ball_dx = terms(model, 0, want_feature_grad=True)
+    respect to every feature row: the ball rows of a ``NodeLoss`` chunk of
+    one placed into a zero (num_nodes x feature_dim) array."""
+    terms = NodeLoss(graph, model.objective,
+                     [NodeDraws.draw(graph, model.objective, model.encoder.num_layers, node, rng)])
+    _, _, ball_dx = terms.evaluate(model, want_feature_grad=True)
     dx = np.zeros_like(graph.features)
-    dx[terms.ball] = ball_dx
+    dx[terms.ids] = ball_dx
     return dx
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphmia.baselines as bl
+import graphmia.victim as victim_mod
 from graphmia.baselines import (
     best_threshold,
     embed_mia,
@@ -21,12 +25,12 @@ from graphmia.baselines import (
 )
 from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph, graph_fingerprint, induced_subgraph, partition_shadow
-from graphmia.nn import NumericError
+from graphmia.nn import GCNEncoder
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
-    NodeLoss,
+    NodeDraws,
     SSLObjective,
     per_node_ssl_loss,
 )
@@ -194,58 +198,122 @@ class TestGpia:
         _, feats, _ = parameter_change_features(model, graph, [0], seed=1)
         assert feats.shape == (1, len(model.params.names))
 
+    @staticmethod
+    def _diverging(monkeypatch, node: int, epoch: int | None):
+        """Make ``node``'s row of its chunk's per-node loss NaN at its epoch
+        ``epoch`` (every epoch when None); returns the list of chunks."""
+        chunks = []
+
+        class Diverging(victim_mod.NodeLoss):
+            def __init__(self, graph, objective, terms):
+                super().__init__(graph, objective, terms)
+                chunks.append(self.nodes)
+
+            def evaluate(self, model, draw=0, want_feature_grad=False):
+                losses, grads, dx = super().evaluate(model, draw, want_feature_grad)
+                if node in self.nodes and epoch in (None, draw):
+                    losses[self.nodes.index(node)] = np.nan
+                return losses, grads, dx
+
+        monkeypatch.setattr(victim_mod, "NodeLoss", Diverging)
+        return chunks
+
+    @staticmethod
+    def _two_per_chunk(monkeypatch, model, graph, nodes):
+        """A chunk budget that takes the four ``nodes`` two at a time."""
+        rng = np.random.default_rng(0)
+        costs = [victim_mod._term_bytes(model, graph, len(NodeDraws.draw(
+            graph, model.objective, 2, v, rng, bl.GPIA_EPOCHS).ball)) for v in nodes]
+        monkeypatch.setattr(victim_mod, "CHUNK_BYTES", max(sum(costs[:2]), sum(costs[2:])))
+
     def test_diverged_node_counted_and_left_out(self, monkeypatch, setting):
+        # node 1 shares its chunk with node 0; node 2 opens the next chunk
         graph, _, model, _ = setting
         nodes = [0, 1, 2, 3]
         monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
+        self._two_per_chunk(monkeypatch, model, graph, nodes)
         kept, want, diverged = parameter_change_features(model, graph, nodes, seed=1)
         assert kept == nodes and diverged == 0
-
-        class Diverging(NodeLoss):
-            """Node 2's loss turns NaN at its second epoch."""
-
-            def __call__(self, model, draw=0, want_feature_grad=False):
-                loss, grads, dx = super().__call__(model, draw, want_feature_grad)
-                return (np.nan if (self.node, draw) == (2, 1) else loss), grads, dx
-
-        monkeypatch.setattr(bl, "NodeLoss", Diverging)
+        chunks = self._diverging(monkeypatch, node=1, epoch=1)
         kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
-        assert kept == [0, 1, 3] and diverged == 1
-        np.testing.assert_array_equal(feats, want[[0, 1, 3]])
-
-        class KernelFails(NodeLoss):
-            """Node 1's encoder output turns non-finite at its second epoch."""
-
-            def __call__(self, model, draw=0, want_feature_grad=False):
-                if (self.node, draw) == (1, 1):
-                    raise NumericError("non-finite encoder output")
-                return super().__call__(model, draw, want_feature_grad)
-
-        monkeypatch.setattr(bl, "NodeLoss", KernelFails)
-        kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
+        assert chunks == [[0, 1], [2, 3]]
         assert kept == [0, 2, 3] and diverged == 1
-        np.testing.assert_array_equal(feats, want[[0, 2, 3]])
+        assert feats.tobytes() == want[[0, 2, 3]].tobytes()
+
+    def test_non_finite_encoder_output_counted(self, monkeypatch, setting):
+        # node 2's encoder output turns non-finite at its second epoch; the
+        # chunk finds it per node, with no floating-point warning
+        graph, _, model, _ = setting
+        nodes = [0, 1, 2, 3]
+        monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
+        _, want, _ = parameter_change_features(model, graph, nodes, seed=1)
+        chunks = self._diverging(monkeypatch, node=-1, epoch=None)  # records the chunks only
+        real, calls = GCNEncoder.forward, []
+
+        def overflowing(self, a_hat, h0):
+            h, cache = real(self, a_hat, h0)
+            calls.append(None)
+            if len(calls) == 2:
+                lo, hi = a_hat.bounds_at(len(a_hat.rows) - 1)[2:4]
+                h[lo:hi] = np.inf
+            return h, cache
+
+        monkeypatch.setattr(GCNEncoder, "forward", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
+        assert chunks == [nodes]
+        assert kept == [0, 1, 3] and diverged == 1
+        assert feats.tobytes() == want[[0, 1, 3]].tobytes()
+
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_real_divergence_warns_nothing(self, kind):
+        # a step size that overflows every node's parameters: each row
+        # leaves its chunk as its loss turns non-finite, and numpy warns of
+        # nothing on the way
+        graph = sbm_graph(30, 4, 6.0, seed=8)
+        model = tiny_model(graph, SSLObjective(kind, negatives_per_positive=3), emb_dim=6)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(bl, "GPIA_LR", 1e300)
+            mp.setattr(bl, "GPIA_EPOCHS", 4)
+            kept, feats, diverged = parameter_change_features(model, graph, range(6), seed=2)
+        assert kept == [] and feats.shape == (0, len(model.params.names)) and diverged == 6
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
     def test_divergence_leaves_the_next_node_bit_identical(self, monkeypatch, kind):
-        # a node's epochs are all drawn when its term is built, so a node
-        # that stops at its first epoch takes as many draws as one that runs
+        # a node's epochs are all drawn when it joins its chunk, so a node
+        # that stops at its first epoch takes as many draws as one that
+        # runs; its chunk partner (node 5) and the first node of the next
+        # chunk (node 6) run as if it were not there
         graph = sbm_graph(30, 4, 6.0, seed=8)
         model = tiny_model(graph, SSLObjective(kind, negatives_per_positive=3), emb_dim=6)
+        nodes = [4, 5, 6, 7]
         monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
-        _, want, _ = parameter_change_features(model, graph, [4, 5], seed=2)
+        self._two_per_chunk(monkeypatch, model, graph, nodes)
+        _, want, _ = parameter_change_features(model, graph, nodes, seed=2)
+        chunks = self._diverging(monkeypatch, node=4, epoch=0)
+        kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=2)
+        assert chunks == [[4, 5], [6, 7]]
+        assert kept == [5, 6, 7] and diverged == 1
+        assert feats.tobytes() == want[1:].tobytes()
 
-        class Diverging(NodeLoss):
-            """Node 4's loss is NaN at its first epoch."""
-
-            def __call__(self, model, draw=0, want_feature_grad=False):
-                loss, grads, dx = super().__call__(model, draw, want_feature_grad)
-                return (np.nan if self.node == 4 else loss), grads, dx
-
-        monkeypatch.setattr(bl, "NodeLoss", Diverging)
-        kept, feats, diverged = parameter_change_features(model, graph, [4, 5], seed=2)
-        assert kept == [5] and diverged == 1
-        assert feats[0].tobytes() == want[1].tobytes()
+    def test_peak_memory_does_not_grow_with_the_queried_nodes(self):
+        # the chunk budget bounds the working set: 120 queried nodes peak
+        # as 30 do, and well under twice the budget (the per-node code of
+        # the same stage peaked near 1.3 MB on the audit fixtures)
+        graph = sbm_graph(150, 6, 10.0, seed=3)
+        model = tiny_model(graph, SSLObjective(CONTRASTIVE), emb_dim=64)
+        peaks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bl, "GPIA_EPOCHS", 2)
+            for count in (30, 120):
+                tracemalloc.start()
+                parameter_change_features(model, graph, range(count), seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+        assert peaks[1] <= 2 * victim_mod.CHUNK_BYTES, peaks
 
 
 class TestEndToEndDeterminism:

@@ -3,8 +3,9 @@
 The reference below evaluates one node's SSL loss on the whole graph, with
 the normalized adjacency built entry by entry by the dense oracle of
 ``test_nn`` and every node embedded, exactly as the loss is defined.  The
-ball code must match it (and everything built on it: the Fisher diagonal
-and GPIA features) to 1e-12 relative.  The oracle's matrix has the
+ball code must match it (and everything built on it: the Fisher diagonal,
+Grad-MIA and GPIA features, whose nodes run in chunks of stacked balls)
+to 1e-12 relative.  The oracle's matrix has the
 package's entry rounding and is applied in sparse form, so that each row
 sums the same entries in the same order as the package does: a dense
 product, or one last bit of an entry, rounds differently, and where a
@@ -18,14 +19,17 @@ ball, not to the graph.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 import graphmia.baselines as bl
+import graphmia.victim as victim_mod
 from graphmia.baselines import input_gradient_features
-from graphmia.graph import Graph
+from graphmia.graph import Graph, ball_matrix
 from graphmia.nn import (
     AdamState,
     GCNEncoder,
@@ -40,11 +44,10 @@ from graphmia.victim import (
     CONTRASTIVE,
     LINK_PREDICTION,
     SSLObjective,
+    NodeDraws,
     VictimModel,
     _augment_draws,
-    NodeLoss,
     _sample_outside,
-    ball_matrix,
     node_ball,
     per_node_ssl_loss,
 )
@@ -140,9 +143,11 @@ def close(got, want) -> bool:
 
 
 @st.composite
-def hub_graphs(draw):
+def hub_graphs(draw, isolated_first: bool = False):
     """A hub adjacent to every node outside a trailing run of isolated
-    nodes (to all others when that run is empty), plus random edges."""
+    nodes (to all others when that run is empty), plus random edges.  With
+    ``isolated_first`` the isolated nodes come right after the hub (node
+    0), so that a chunk of a few nodes holds the hub and an isolated node."""
     n = draw(st.integers(6, 14))
     isolated = draw(st.integers(0, 2))
     core = n - isolated
@@ -150,8 +155,35 @@ def hub_graphs(draw):
                          max_size=2 * n))
     edges = {(0, v) for v in range(1, core)}
     edges |= {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    if isolated_first:
+        # relabel: the hub stays 0, the isolated nodes become 1..isolated
+        label = np.r_[0, np.arange(1, core) + isolated, np.arange(1, isolated + 1)]
+        edges = {(int(label[u]), int(label[v])) for u, v in edges}
     feats = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=(n, 3))
     return Graph.from_edges(n, sorted(edges), feats)
+
+
+# Per-node working-set budgets (``victim.CHUNK_BYTES``) for the tests'
+# 8-wide models: one node per chunk, a few nodes per chunk (balls of every
+# size side by side), and every node in one chunk.
+BUDGETS = (0, 2**15, 2**30)
+
+
+@contextlib.contextmanager
+def chunked(budget: int):
+    """Run the per-node stages under ``budget``; yields the monkeypatch and
+    the list of each chunk's nodes, filled as the chunks are built."""
+    chunks = []
+
+    class Recording(victim_mod.NodeLoss):
+        def __init__(self, graph, objective, terms):
+            super().__init__(graph, objective, terms)
+            chunks.append(self.nodes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(victim_mod, "CHUNK_BYTES", budget)
+        mp.setattr(victim_mod, "NodeLoss", Recording)
+        yield mp, chunks
 
 
 def model_for(graph: Graph, kind: str, layers: int, seed: int) -> VictimModel:
@@ -181,30 +213,33 @@ class TestBallExactness:
                 assert close(grads.tensors[name], ref_grads.tensors[name]), (node, name)
             assert close(dx, ref_dx), node
 
-    @given(graph=hub_graphs(), kind=st.sampled_from([LINK_PREDICTION, CONTRASTIVE]),
-           seed=st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_fisher_diagonal(self, graph, kind, seed):
+    @given(graph=hub_graphs(isolated_first=True), kind=st.sampled_from([LINK_PREDICTION, CONTRASTIVE]),
+           seed=st.integers(0, 2**16), budget=st.sampled_from(BUDGETS))
+    @settings(max_examples=20, deadline=None)
+    def test_fisher_diagonal(self, graph, kind, seed, budget):
         model = model_for(graph, kind, 2, seed)
-        fisher = estimate_fisher(model, graph, seed)
+        with chunked(budget) as (_, chunks):
+            fisher = estimate_fisher(model, graph, seed)
         n = graph.num_nodes
+        assert [v for c in chunks for v in c] == list(range(n))
         rng = substream(seed, "fisher")
         ref_grads = [whole_graph_loss(model, graph, v, rng)[1] for v in range(n)]
         for name, value in fisher.items():
             want = sum(g.tensors[name] ** 2 for g in ref_grads) / n
             assert close(value, want), name
 
-    @given(graph=hub_graphs(), kind=st.sampled_from([LINK_PREDICTION, CONTRASTIVE]),
-           seed=st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_gpia_features(self, graph, kind, seed):
+    @given(graph=hub_graphs(isolated_first=True), kind=st.sampled_from([LINK_PREDICTION, CONTRASTIVE]),
+           seed=st.integers(0, 2**16), budget=st.sampled_from(BUDGETS))
+    @settings(max_examples=20, deadline=None)
+    def test_gpia_features(self, graph, kind, seed, budget):
         model = model_for(graph, kind, 2, seed)
         nodes = range(graph.num_nodes)
-        with pytest.MonkeyPatch.context() as mp:
+        with chunked(budget) as (mp, chunks):
             mp.setattr(bl, "GPIA_EPOCHS", 3)
             mp.setattr(bl, "GPIA_LR", 1e-2)
             kept, feats, diverged = bl.parameter_change_features(model, graph, nodes, seed)
         assert kept == list(nodes) and diverged == 0
+        assert [v for c in chunks for v in c] == list(nodes)
         base = model.params
         compared = 0
         rng = substream(seed, "gpia")
@@ -224,6 +259,19 @@ class TestBallExactness:
             compared += 1
         assume(compared > 0)
 
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_chunks_hold_a_hub_and_an_isolated_node(self, kind):
+        # the chunk budget of the two tests above at its middle value, on a
+        # hub graph with isolated nodes 1 and 2: several chunks, the first
+        # holding the hub and an isolated node (an empty link-prediction term)
+        n = 10
+        edges = [(0, v) for v in range(3, n)] + [(3, 4), (5, 6), (7, 8), (8, 9)]
+        graph = Graph.from_edges(n, edges, np.random.default_rng(1).normal(size=(n, 3)))
+        model = model_for(graph, kind, 2, seed=2)
+        with chunked(BUDGETS[1]) as (_, chunks):
+            estimate_fisher(model, graph, seed=3)
+        assert len(chunks) > 1 and {0, 1} <= set(chunks[0])
+
 
 class TestPartialBalls:
     """On a long path every ball is a small part of the graph, so the
@@ -232,15 +280,19 @@ class TestPartialBalls:
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
     def test_path_nodes_match_the_whole_graph(self, kind):
-        n = 40
+        # a path with one chord and an isolated last node: balls of several
+        # sizes, and an empty link-prediction term, in Grad-MIA's chunks
+        n = 41
         feats = np.random.default_rng(3).normal(size=(n, 3))
-        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(5, 20)], feats)
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(5, 20)], feats)
         model = model_for(g, kind, 2, seed=4)
-        grad_rows = input_gradient_features(model, g, range(n), seed=6)
+        with chunked(BUDGETS[1]) as (_, chunks):
+            grad_rows = input_gradient_features(model, g, range(n), seed=6)
+        assert len(chunks) > 1 and max(len(c) for c in chunks) > 1
         # Grad-MIA's stream, walked over the nodes in order once per side
         rngs = [substream(6, "grad-feature") for _ in range(4)]
         for node in range(n):
-            assert len(NodeLoss(g, model.objective, 2, node, rngs[0]).ball) < n
+            assert len(NodeDraws.draw(g, model.objective, 2, node, rngs[0]).ball) < n
             loss, grads = per_node_ssl_loss(model, g, node, rngs[1])
             dx = whole_graph_feature_grad(model, g, node, rngs[2])
             ref_loss, ref_grads, ref_dx = whole_graph_loss(model, g, node, rngs[3])
@@ -320,3 +372,33 @@ class TestPerNodeCostIsLocal:
         targets = 5 if kind == LINK_PREDICTION else 2 * 4
         assert large <= 400 * targets * 5
         assert large <= 2.2 * small, (small, large)
+
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_gpia_last_layer_runs_at_the_loss_rows(self, kind, monkeypatch):
+        # per epoch, the rows through the encoder's last layer are the loss
+        # rows of the epoch's draws: each node and its distinct references
+        # (in the contrastive view, the node alone), not the balls
+        n, epochs, nodes = 60, 3, range(0, 60, 6)
+        feats = np.random.default_rng(0).normal(size=(n, 3))
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], feats)
+        model = model_for(g, kind, 2, seed=1)
+        last_rows = []
+        real = GCNEncoder.forward
+
+        def counting(self, a_hat, h0):
+            h, cache = real(self, a_hat, h0)
+            last_rows.append(cache[-1][1].shape[0])
+            return h, cache
+
+        monkeypatch.setattr(GCNEncoder, "forward", counting)
+        monkeypatch.setattr(bl, "GPIA_EPOCHS", epochs)
+        bl.parameter_change_features(model, g, nodes, seed=2)
+        # the same draws, replayed from the stage's stream
+        rng = substream(2, "gpia")
+        terms = [NodeDraws.draw(g, model.objective, 2, v, rng, epochs) for v in nodes]
+        view_rows = 0 if kind == LINK_PREDICTION else 1
+        want = [sum(len(np.union1d([t.node], t.draws[e][0])) + view_rows for t in terms)
+                for e in range(epochs)]
+        # every node fits one chunk: one forward pass per epoch
+        assert last_rows == want
+        assert sum(want) < epochs * sum(len(t.ball) for t in terms)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import graphmia.shadow as shadow_mod
+import graphmia.victim as victim_mod
 from graphmia.config import ExperimentConfig
 from graphmia.nn import ParamSet, ShapeError
 from graphmia.shadow import (
@@ -59,10 +59,11 @@ class TestEstimateFisher:
             1: ParamSet({k: np.full_like(t, -3.0) for k, t in model.params.items()}),
         }
 
-        def fake_loss(model_, graph_, node, rng):
-            return 0.0, grads_by_node[node]
+        def fake_evaluate(self, model_, draw=0, want_feature_grad=False):
+            block = np.stack([grads_by_node[v].vector for v in self.nodes])
+            return np.zeros(len(self.nodes)), ParamSet.over(block, model_.params.layout), None
 
-        monkeypatch.setattr(shadow_mod, "per_node_ssl_loss", fake_loss)
+        monkeypatch.setattr(victim_mod.NodeLoss, "evaluate", fake_evaluate)
         fisher = estimate_fisher(model, g, seed=0)
         for v in fisher.tensors.values():
             np.testing.assert_allclose(v, 5.0)
