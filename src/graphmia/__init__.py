@@ -11,6 +11,7 @@ from .amplify import (
 from .attack import (
     AttackDataset,
     AttackModel,
+    Scores,
     build_attack_dataset,
     infer_membership,
     train_attack_model,

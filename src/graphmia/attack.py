@@ -41,6 +41,23 @@ class AttackDataset:
         return self.x.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """One query side's answers: the ascending local ids of the nodes kept,
+    their predicted labels (1 = member) and membership scores, one entry
+    each, and ``asked``, how many nodes were queried.  A node the attack
+    could not answer is absent from ``nodes``; ``asked - len(self)`` counts
+    them."""
+
+    nodes: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+    asked: int
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
 @dataclass
 class AttackModel:
     mlp: MLP
@@ -129,17 +146,16 @@ def infer_membership(
     graph: Graph,
     nodes,
     seed: int,
-) -> dict[int, tuple[int, float]]:
+) -> Scores:
     """Query the target model and classify each node's similarity row of
     m positives and m negatives, where 2m is the attack model's input width.
 
-    Returns node -> (predicted label, membership score).  Nodes whose
-    features cannot be built (isolated under link prediction) are absent
-    from the result.
+    Nodes whose features cannot be built (isolated under link prediction)
+    are absent from the record but counted in its ``asked``.
     """
     m = attack_model.feature_dim // 2
     plan = draw_sample_plan(graph, nodes, target_model.objective, m, seed)
-    if not plan.nodes:
-        return {}
-    labels, scores = classify(attack_model.mlp, similarity_profile(target_model, plan))
-    return {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}
+    labels, scores = (classify(attack_model.mlp, similarity_profile(target_model, plan))
+                      if plan.nodes else (np.zeros(0, dtype=np.int64), np.zeros(0)))
+    return Scores(np.array(plan.nodes, dtype=np.int64), labels, scores,
+                  len(plan.nodes) + len(plan.skipped))

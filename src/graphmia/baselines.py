@@ -3,11 +3,12 @@
 Every baseline consumes the same shadow split and seeds as the primary
 similarity attack within one experiment, so comparisons are paired.  Each
 takes a list of query graphs and a matching list of query node sets (the
-query sides) and returns one prediction dict per side, all in the same
-schema: node -> (label, membership score).  The five shadow-trained
-attacks fit their decision rule once per call and answer every side from it;
-the MLP-based ones fit the attack MLP with the ``ExperimentConfig`` they are
-given.  Protocol settings are the module constants below, read at call time.
+query sides) and returns one :class:`attack.Scores` record per side: the
+nodes it kept, their labels and membership scores, and how many nodes
+were asked.  The five shadow-trained attacks fit their decision rule once
+per call and answer every side from it; the MLP-based ones fit the attack
+MLP with the ``ExperimentConfig`` they are given.  Protocol settings are
+the module constants below, read at call time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .attack import classify, fit_mlp_classifier
+from .attack import Scores, classify, fit_mlp_classifier
 from .config import ExperimentConfig
 from .graph import Graph, perturb_edges
 from .nn import NumericError, ParamSet, cosine_rows, minimize
@@ -32,20 +33,19 @@ GE_REFERENCES = 20  # GE-MIA reference nodes per side
 GPIA_EPOCHS = 10  # GPIA per-node fine-tune epochs
 GPIA_LR = 1e-3  # GPIA per-node fine-tune learning rate
 
-Predictions = dict[int, tuple[int, float]]
-
 
 def _shadow_attack(extract, fit, shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
-                   target_model: VictimModel, query_graphs, query_nodes) -> list[Predictions]:
+                   target_model: VictimModel, query_graphs, query_nodes) -> list[Scores]:
     """Fit a decision rule once on shadow features, then answer every query side.
 
-    ``extract(model, graph, nodes, role)`` returns the nodes it kept and
-    their feature rows; ``role`` is ``"shadow"`` or ``"target"``.  Shadow
-    train rows are labelled member (1) and shadow test rows non-member (0).
-    ``fit(x, y)`` returns the rule, a map from a feature matrix to (labels,
-    membership scores).  ``shadow_graphs`` is the (shadow-train,
-    shadow-test) pair, all of whose nodes are used.  One prediction dict per
-    (query graph, query nodes) pair, in order.
+    ``extract(model, graph, nodes, role)`` takes ascending ``nodes`` and
+    returns the ones it kept, in order, and their feature rows; ``role`` is
+    ``"shadow"`` or ``"target"``.  Shadow train rows are labelled member (1)
+    and shadow test rows non-member (0).  ``fit(x, y)`` returns the rule, a
+    map from a feature matrix to (labels, membership scores).
+    ``shadow_graphs`` is the (shadow-train, shadow-test) pair, all of whose
+    nodes are used.  One ``Scores`` per (query graph, query nodes) pair, in
+    order.
     """
     x_tr, x_te = (extract(shadow_model, g, list(range(g.num_nodes)), "shadow")[1]
                   for g in shadow_graphs)
@@ -55,9 +55,9 @@ def _shadow_attack(extract, fit, shadow_model: VictimModel, shadow_graphs: tuple
     )
     sides = []
     for graph, nodes in zip(query_graphs, query_nodes, strict=True):
-        kept, qx = extract(target_model, graph, sorted(int(v) for v in nodes), "target")
-        labels, scores = rule(qx)
-        sides.append({v: (int(l), float(s)) for v, l, s in zip(kept, labels, scores)})
+        order = sorted(int(v) for v in nodes)
+        kept, qx = extract(target_model, graph, order, "target")
+        sides.append(Scores(np.array(kept, dtype=np.int64), *rule(qx), len(order)))
     return sides
 
 
@@ -76,7 +76,7 @@ def _fit_mlp(cfg: ExperimentConfig, seed: int):
 
 def embed_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
               target_model: VictimModel, query_graphs, query_nodes,
-              cfg: ExperimentConfig, seed: int) -> list[Predictions]:
+              cfg: ExperimentConfig, seed: int) -> list[Scores]:
     def extract(model, graph, nodes, role):
         return nodes, embed(model, graph)[np.array(nodes, dtype=np.int64)]
 
@@ -111,7 +111,7 @@ def input_gradient_features(
 
 def grad_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
              target_model: VictimModel, query_graphs, query_nodes,
-             cfg: ExperimentConfig, seed: int) -> list[Predictions]:
+             cfg: ExperimentConfig, seed: int) -> list[Scores]:
     def extract(model, graph, nodes, role):
         return nodes, input_gradient_features(model, graph, nodes, derive_seed(seed, "grad-mia"))
 
@@ -155,7 +155,7 @@ def _view_similarities(seed: int):
 
 def nlo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
             target_model: VictimModel, query_graphs, query_nodes,
-            cfg: ExperimentConfig, seed: int) -> list[Predictions]:
+            cfg: ExperimentConfig, seed: int) -> list[Scores]:
     return _shadow_attack(
         _view_similarities(seed), _fit_mlp(cfg, derive_seed(seed, "nlo-mia")),
         shadow_model, shadow_graphs, target_model, query_graphs, query_nodes,
@@ -185,7 +185,7 @@ def _fit_threshold(x: np.ndarray, y: np.ndarray):
 
 def glo_mia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
             target_model: VictimModel, query_graphs, query_nodes,
-            cfg: ExperimentConfig, seed: int) -> list[Predictions]:
+            cfg: ExperimentConfig, seed: int) -> list[Scores]:
     """The perturbation procedure of NLO-MIA under this call's own seed,
     but thresholding the mean similarity."""
     views = _view_similarities(seed)
@@ -217,10 +217,11 @@ def ge_references(member_graph: Graph, nonmember_graph: Graph,
 
 
 def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
-           nonmember_graph: Graph, nonmember_refs, query_graphs, query_nodes) -> list[Predictions]:
+           nonmember_graph: Graph, nonmember_refs, query_graphs, query_nodes) -> list[Scores]:
     """Predict by the nearer of the member/non-member reference centroids;
-    exactly equidistant queries go to non-member.  One prediction dict per
-    (query graph, query nodes) pair, in order."""
+    exactly equidistant queries go to non-member.  The score is the cosine
+    margin toward the member centroid.  One ``Scores`` per (query graph,
+    query nodes) pair, in order, every queried node kept."""
     embeddings: dict[int, np.ndarray] = {}
 
     def embedded(graph: Graph) -> np.ndarray:
@@ -237,12 +238,12 @@ def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
     c_non = centroid(nonmember_graph, nonmember_refs)
     sides = []
     for graph, nodes in zip(query_graphs, query_nodes, strict=True):
-        order = sorted(int(v) for v in nodes)
-        hq = embedded(graph)[np.array(order, dtype=np.int64)]
+        order = np.array(sorted(int(v) for v in nodes), dtype=np.int64)
+        hq = embedded(graph)[order]
         sim_mem = cosine_rows(hq, np.broadcast_to(c_mem, hq.shape))
         sim_non = cosine_rows(hq, np.broadcast_to(c_non, hq.shape))
         margin = sim_mem - sim_non  # cosine distance difference, sign-flipped
-        sides.append({v: (int(m > 0), float(m)) for v, m in zip(order, margin)})
+        sides.append(Scores(order, (margin > 0).astype(np.int64), margin, len(order)))
     return sides
 
 
@@ -252,7 +253,7 @@ def ge_mia(target_model: VictimModel, member_graph: Graph, member_refs,
 
 def parameter_change_features(
     model: VictimModel, graph: Graph, nodes, seed: int
-) -> tuple[list[int], np.ndarray, int]:
+) -> tuple[list[int], np.ndarray]:
     """Per-layer L2 norms of the parameter change after fine-tuning a fresh
     copy of the model on each node's own SSL loss for ``GPIA_EPOCHS`` Adam
     steps at ``GPIA_LR``.  Every epoch of a node runs on one L-hop ball that
@@ -264,13 +265,12 @@ def parameter_change_features(
     The nodes run in :func:`victim.loss_chunks`: a chunk's fine-tunes run
     in lockstep, one row each of a (B, P) parameter block, through one
     ``minimize``.  A node whose loss or encoder output turns non-finite
-    leaves its chunk before that epoch's step and is counted; the others
-    run on as if it were not there.  Returns the surviving node order, the
-    feature matrix, and the diverged-node count."""
+    leaves its chunk before that epoch's step and is left out; the others
+    run on as if it were not there.  Returns the surviving nodes, in
+    order, and their feature rows."""
     rng = substream(seed, "gpia")
     kept: list[int] = []
     rows: list[np.ndarray] = []
-    diverged = 0
     base = model.params
     for terms in loss_chunks(model, graph, nodes, rng, draws=GPIA_EPOCHS):
         count = len(terms.nodes)
@@ -280,22 +280,19 @@ def parameter_change_features(
                            lambda e: terms.evaluate(tuned, e)[:2],
                            "per-node fine-tune", lambda e: f"epoch {e}")
         running = ~np.isnan(history[-1]) if history else np.ones(count, dtype=bool)
-        diverged += count - int(running.sum())
         for b in np.flatnonzero(running):
             kept.append(terms.nodes[b])
             rows.append(np.array([
                 np.linalg.norm(block.tensors[k][b] - base.tensors[k]) for k in base.names
             ]))
-    return kept, np.stack(rows) if rows else np.zeros((0, len(base.names))), diverged
+    return kept, np.stack(rows) if rows else np.zeros((0, len(base.names)))
 
 
 def gpia(shadow_model: VictimModel, shadow_graphs: tuple[Graph, Graph],
          target_model: VictimModel, query_graphs, query_nodes,
-         cfg: ExperimentConfig, seed: int) -> list[Predictions]:
+         cfg: ExperimentConfig, seed: int) -> list[Scores]:
     def extract(model, graph, nodes, role):
-        kept, feats, _ = parameter_change_features(
-            model, graph, nodes, derive_seed(seed, f"gpia-{role}"))
-        return kept, feats
+        return parameter_change_features(model, graph, nodes, derive_seed(seed, f"gpia-{role}"))
 
     return _shadow_attack(
         extract, _fit_mlp(cfg, derive_seed(seed, "gpia")),

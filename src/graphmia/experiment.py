@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .amplify import SamplePlan, UnlearnResult, draw_sample_plan, similarity_profile, unlearn
-from .attack import build_attack_dataset, infer_membership, train_attack_model
+from .attack import Scores, build_attack_dataset, infer_membership, train_attack_model
 from .baselines import KINDS as BASELINE_KINDS
 from .baselines import embed_mia, ge_mia, ge_references, glo_mia, gpia, grad_mia, nlo_mia
 from .checkpoint import load_pretrained, victim_path
@@ -269,21 +269,11 @@ def build_context(cfg: ExperimentConfig, seed: int,
     )
 
 
-def _score(
-    ctx: AttackContext,
-    member_preds: dict[int, tuple[int, float]],
-    nonmember_preds: dict[int, tuple[int, float]],
-    attack: str,
-) -> MetricsReport:
-    """Map local predictions back to original node ids and score them."""
-    predictions: dict[int, int] = {}
-    truth: dict[int, int] = {}
-    for preds, ids, member in ((member_preds, ctx.attack_domain.member_nodes, 1),
-                               (nonmember_preds, ctx.attack_domain.nonmember_nodes, 0)):
-        for local, (label, _) in preds.items():
-            node = int(ids[local])
-            predictions[node] = label
-            truth[node] = member
+def _score(ctx: AttackContext, member: Scores, nonmember: Scores, attack: str) -> MetricsReport:
+    """Score the kept nodes' labels of both query sides against the true
+    membership: 1 on the member side, 0 on the non-member side."""
+    predictions = np.concatenate([member.labels, nonmember.labels])
+    truth = np.repeat(np.array([1, 0], dtype=np.int64), [len(member), len(nonmember)])
     return accuracy_f1(predictions, truth, attack=attack, seed=ctx.seed)
 
 
@@ -333,16 +323,10 @@ def run_similarity_attack(ctx: AttackContext, variant: str) -> RunRecord:
     shadow, distilled = build_shadow_model(ctx, variant)
     dataset = build_attack_dataset(shadow, *ctx.attack_plans)
     attack_model = train_attack_model(dataset, cfg, seed=derive_seed(seed, "attack-train"))
-    members, nonmembers = ctx.query_nodes
-    member_preds = infer_membership(
-        attack_model, ctx.target, ctx.attack_domain.member_graph, members,
-        seed=derive_seed(seed, "infer-members"),
-    )
-    nonmember_preds = infer_membership(
-        attack_model, ctx.target, ctx.attack_domain.nonmember_graph, nonmembers,
-        seed=derive_seed(seed, "infer-nonmembers"),
-    )
-    report = _score(ctx, member_preds, nonmember_preds, PRIMARY_ATTACK)
+    graphs = (ctx.attack_domain.member_graph, ctx.attack_domain.nonmember_graph)
+    sides = [infer_membership(attack_model, ctx.target, g, nodes, derive_seed(seed, f"infer-{p}"))
+             for g, nodes, p in zip(graphs, ctx.query_nodes, ("members", "nonmembers"))]
+    report = _score(ctx, *sides, PRIMARY_ATTACK)
     extras = {}
     if distilled is not None:  # the amplification record's lines
         # the shadow's profiles are the attack dataset's rows
@@ -370,7 +354,7 @@ def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
 
     if kind == "ge-mia":
         ref_m, ref_n = ge_references(mg, ng, seed)
-        member_preds, nonmember_preds = ge_mia(ctx.target, mg, ref_m, ng, ref_n, graphs, nodes)
+        sides = ge_mia(ctx.target, mg, ref_m, ng, ref_n, graphs, nodes)
     else:
         fn = {
             "embed-mia": embed_mia,
@@ -379,11 +363,11 @@ def run_baseline(ctx: AttackContext, kind: str) -> RunRecord:
             "glo-mia": glo_mia,
             "gpia": gpia,
         }[kind]
-        member_preds, nonmember_preds = fn(
+        sides = fn(
             ctx.scratch_shadow, (ctx.shadow_train_graph, ctx.shadow_test_graph), ctx.target,
             graphs, nodes, cfg, derive_seed(seed, "baseline", kind),
         )
-    report = _score(ctx, member_preds, nonmember_preds, kind)
+    report = _score(ctx, *sides, kind)
     return RunRecord(
         report=report, variant=VARIANT_FULL, config_hash=config_hash(cfg),
         split_fingerprint=ctx.split_fingerprint,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -32,35 +34,31 @@ class MetricsReport:
 
 
 def accuracy_f1(
-    predictions: dict[int, int], truth: dict[int, int], attack: str = "", seed: int = 0
+    predictions: np.ndarray, truth: np.ndarray, attack: str = "", seed: int = 0
 ) -> MetricsReport:
     """Accuracy and F1 of membership predictions against ground truth.
 
-    Both maps must cover exactly the same nodes.  F1 is 0 by convention
-    when precision or recall is undefined (no predicted or no true
-    positives); accuracy and f1 are single exact divisions of integer
-    counts, so recomputing them from the stored confusion counts
-    reproduces them bit for bit.
+    ``predictions`` and ``truth`` are equal-length 1-D arrays of 0/1
+    labels, entry i of both for one node.  F1 is 0 by convention when
+    precision or recall is undefined (no predicted or no true positives);
+    accuracy and f1 are single exact divisions of integer counts, so
+    recomputing them from the stored confusion counts reproduces them bit
+    for bit.
     """
-    if predictions.keys() != truth.keys():
-        raise KeyError("prediction and truth node sets differ")
-    if not truth:
+    predictions, truth = np.asarray(predictions), np.asarray(truth)
+    if predictions.ndim != 1 or predictions.shape != truth.shape:
+        raise ValueError("predictions and truth must be 1-D arrays of one length")
+    if not len(truth):
         raise ValueError("no nodes to evaluate")
-    tp = fp = tn = fn = 0
-    for node, y in truth.items():
-        p = predictions[node]
-        if p not in (0, 1) or y not in (0, 1):
-            raise ValueError("labels must be 0 or 1")
-        if p == 1 and y == 1:
-            tp += 1
-        elif p == 1 and y == 0:
-            fp += 1
-        elif p == 0 and y == 0:
-            tn += 1
-        else:
-            fn += 1
-    total = tp + fp + tn + fn
-    acc = (tp + tn) / total
+    p, y = predictions == 1, truth == 1
+    if not (np.all(p | (predictions == 0)) and np.all(y | (truth == 0))):
+        raise ValueError("labels must be 0 or 1")
+    # Python ints, so that the report serialises to JSON
+    tp = int(np.count_nonzero(p & y))
+    fp = int(np.count_nonzero(p & ~y))
+    fn = int(np.count_nonzero(~p & y))
+    tn = len(truth) - tp - fp - fn
+    acc = (tp + tn) / len(truth)
     denom = 2 * tp + fp + fn
     f1 = 2 * tp / denom if denom else 0.0
     return MetricsReport(

@@ -33,6 +33,7 @@ def pytest_terminal_summary(terminalreporter):
         name, outcome = _CRITERION_RESULTS[num]
         terminalreporter.write_line(f"criterion {num} ({name.replace('_', ' ')}): {outcome}")
 
+from graphmia.attack import Scores
 from graphmia.graph import Graph
 from graphmia.nn import GCNEncoder, ParamSet, ShapeError
 from graphmia.synth import sbm_graph
@@ -166,3 +167,30 @@ def nan_on_call(monkeypatch, module, name: str, bad_call: int) -> None:
         return (np.nan if len(calls) == bad_call + 1 else loss), grads
 
     monkeypatch.setattr(module, name, diverging)
+
+
+def assert_same_scores(got, want) -> None:
+    """Assert that two ``Scores`` records, or two lists of them, are equal
+    bit for bit: the same ``asked`` and the same dtype and bytes in every
+    array."""
+    if isinstance(got, Scores):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.asked == b.asked
+        for name in ("nodes", "labels", "scores"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def assert_record_of(record: Scores, queried) -> None:
+    """Assert that ``record`` answers a query of the nodes ``queried``:
+    ``asked`` counts them, every array has one entry per kept node, and the
+    kept nodes are an ascending subset of the queried ones."""
+    queried = sorted(int(v) for v in queried)
+    assert record.asked == len(queried)
+    assert len(record.nodes) == len(record.labels) == len(record.scores) == len(record)
+    assert record.nodes.dtype == record.labels.dtype == np.int64
+    assert record.scores.dtype == np.float64
+    assert np.all(np.diff(record.nodes) > 0)
+    assert set(record.nodes.tolist()) <= set(queried)

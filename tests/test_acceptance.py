@@ -229,10 +229,9 @@ class TestCriterion6MetricOracle:
     def test_criterion_6_metric_oracle(self):
         n = 8
         for truth_bits in itertools.product([0, 1], repeat=n):
-            truth = {i: t for i, t in enumerate(truth_bits)}
+            truth = np.array(truth_bits)
             for pred_bits in itertools.product([0, 1], repeat=n):
-                preds = {i: p for i, p in enumerate(pred_bits)}
-                rep = accuracy_f1(preds, truth)
+                rep = accuracy_f1(np.array(pred_bits), truth)
                 tp = sum(p and t for p, t in zip(pred_bits, truth_bits))
                 fp = sum(p and not t for p, t in zip(pred_bits, truth_bits))
                 tn = sum((not p) and (not t) for p, t in zip(pred_bits, truth_bits))
@@ -254,7 +253,7 @@ class TestCriterion7BaselineShapes:
         assert GE_REFERENCES == 20
 
         assert GPIA_EPOCHS == 10
-        _, change, _ = parameter_change_features(model, g, [0], seed=3)
+        _, change = parameter_change_features(model, g, [0], seed=3)
         assert change.shape == (1, len(model.params.names))
 
         assert ExperimentConfig().hidden_dim == 256

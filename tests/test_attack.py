@@ -8,6 +8,7 @@ from graphmia.attack import (
     AttackDataset,
     AttackModel,
     DataQualityError,
+    Scores,
     build_attack_dataset,
     classify,
     infer_membership,
@@ -19,6 +20,8 @@ from graphmia.nn import MLP, ShapeError
 from graphmia.rng import derive_seed
 from graphmia.synth import sbm_graph
 from graphmia.victim import LINK_PREDICTION, SSLObjective, VictimModel
+
+from conftest import assert_record_of, assert_same_scores
 
 
 def shadow_plans(model, train_g, test_g, m, seed, train_nodes=None):
@@ -177,7 +180,7 @@ class TestInferMembership:
         attack = train_attack_model(ds, ExperimentConfig(epochs_attack=30), seed=2)
         a = infer_membership(attack, model, test_g, range(10), seed=5)
         b = infer_membership(attack, model, test_g, range(10), seed=5)
-        assert a == b
+        assert_same_scores(a, b)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_sample_width_from_attack_model(self, pipeline_bits, m):
@@ -188,5 +191,30 @@ class TestInferMembership:
         got = infer_membership(attack, model, test_g, range(10), seed=5)
         plan = draw_sample_plan(test_g, range(10), model.objective, m, 5)
         labels, scores = classify(attack.mlp, similarity_profile(model, plan))
-        assert got == {v: (int(l), float(s)) for v, l, s in zip(plan.nodes, labels, scores)}
+        assert_same_scores(got, Scores(np.array(plan.nodes), labels, scores, 10))
+
+    def test_isolated_node_dropped_on_the_record(self, pipeline_bits):
+        # link prediction has no positive for an isolated node: the record
+        # leaves it out and still counts it as asked
+        model, train_g, test_g = pipeline_bits
+        n = test_g.num_nodes
+        graph = Graph.from_edges(n + 1, test_g.edge_array.tolist(),
+                                 np.vstack([test_g.features, test_g.features[:1]]))
+        connected = [v for v in range(12) if len(graph.neighbors(v))]
+        queried = connected + [n]
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
+        attack = train_attack_model(ds, ExperimentConfig(epochs_attack=5), seed=2)
+        record = infer_membership(attack, model, graph, queried, seed=5)
+        assert_record_of(record, queried)
+        assert len(record) == record.asked - 1
+        assert record.nodes.tolist() == connected
+
+    def test_empty_plan_gives_an_empty_record(self, pipeline_bits):
+        model, train_g, test_g = pipeline_bits
+        ds = build_attack_dataset(model, *shadow_plans(model, train_g, test_g, 3, seed=2))
+        attack = train_attack_model(ds, ExperimentConfig(epochs_attack=5), seed=2)
+        isolated = Graph.from_edges(3, [], np.ones((3, 8)))
+        record = infer_membership(attack, model, isolated, range(3), seed=5)
+        assert_record_of(record, range(3))
+        assert len(record) == 0
 

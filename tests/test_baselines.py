@@ -35,7 +35,7 @@ from graphmia.victim import (
     per_node_ssl_loss,
 )
 
-from conftest import tiny_model
+from conftest import assert_record_of, assert_same_scores, tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -124,21 +124,21 @@ class TestThreshold:
         monkeypatch.setattr(bl, "EDGE_FRACTION", 0.0)
         # budget 0: every similarity is exactly 1, threshold grid = {1.0},
         # rule is >= so everything is predicted member
-        preds = glo_mia(model, split, model, [graph], [range(6)], fast, seed=3)[0]
-        assert all(label == 1 for label, _ in preds.values())
+        record = glo_mia(model, split, model, [graph], [range(6)], fast, seed=3)[0]
+        assert record.nodes.tolist() == list(range(6)) and np.all(record.labels == 1)
 
 
 class TestGeMia:
     def test_member_centroid_query(self, setting):
         graph, _, model, _ = setting
-        preds = ge_mia(model, graph, [0, 1, 2], graph, [50, 51, 52], [graph], [[0]])[0]
-        assert preds[0][0] == 1
+        record = ge_mia(model, graph, [0, 1, 2], graph, [50, 51, 52], [graph], [[0]])[0]
+        assert record.nodes.tolist() == [0] and record.labels.tolist() == [1]
 
     def test_equidistant_tie_goes_nonmember(self, setting):
         graph, _, model, _ = setting
         refs = [3, 4, 5]
-        preds = ge_mia(model, graph, refs, graph, refs, [graph], [[10]])[0]
-        assert preds[10][0] == 0
+        record = ge_mia(model, graph, refs, graph, refs, [graph], [[10]])[0]
+        assert record.nodes.tolist() == [10] and record.labels.tolist() == [0]
 
     def test_references_capped_sorted_and_deterministic(self, setting):
         graph, _, _, _ = setting
@@ -189,13 +189,13 @@ class TestGpia:
     def test_zero_lr_zero_change(self, setting, monkeypatch):
         graph, _, model, _ = setting
         monkeypatch.setattr(bl, "GPIA_LR", 0.0)
-        _, feats, _ = parameter_change_features(model, graph, [0, 1], seed=1)
+        _, feats = parameter_change_features(model, graph, [0, 1], seed=1)
         np.testing.assert_array_equal(feats, 0.0)
 
     def test_feature_length_is_parameter_count(self, setting, monkeypatch):
         graph, _, model, _ = setting
         monkeypatch.setattr(bl, "GPIA_EPOCHS", 1)
-        _, feats, _ = parameter_change_features(model, graph, [0], seed=1)
+        _, feats = parameter_change_features(model, graph, [0], seed=1)
         assert feats.shape == (1, len(model.params.names))
 
     @staticmethod
@@ -232,12 +232,12 @@ class TestGpia:
         nodes = [0, 1, 2, 3]
         monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
         self._two_per_chunk(monkeypatch, model, graph, nodes)
-        kept, want, diverged = parameter_change_features(model, graph, nodes, seed=1)
-        assert kept == nodes and diverged == 0
+        kept, want = parameter_change_features(model, graph, nodes, seed=1)
+        assert kept == nodes
         chunks = self._diverging(monkeypatch, node=1, epoch=1)
-        kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
+        kept, feats = parameter_change_features(model, graph, nodes, seed=1)
         assert chunks == [[0, 1], [2, 3]]
-        assert kept == [0, 2, 3] and diverged == 1
+        assert kept == [0, 2, 3] and len(nodes) - len(kept) == 1
         assert feats.tobytes() == want[[0, 2, 3]].tobytes()
 
     def test_non_finite_encoder_output_counted(self, monkeypatch, setting):
@@ -246,7 +246,7 @@ class TestGpia:
         graph, _, model, _ = setting
         nodes = [0, 1, 2, 3]
         monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
-        _, want, _ = parameter_change_features(model, graph, nodes, seed=1)
+        _, want = parameter_change_features(model, graph, nodes, seed=1)
         chunks = self._diverging(monkeypatch, node=-1, epoch=None)  # records the chunks only
         real, calls = GCNEncoder.forward, []
 
@@ -261,9 +261,9 @@ class TestGpia:
         monkeypatch.setattr(GCNEncoder, "forward", overflowing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=1)
+            kept, feats = parameter_change_features(model, graph, nodes, seed=1)
         assert chunks == [nodes]
-        assert kept == [0, 1, 3] and diverged == 1
+        assert kept == [0, 1, 3] and len(nodes) - len(kept) == 1
         assert feats.tobytes() == want[[0, 1, 3]].tobytes()
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
@@ -273,12 +273,14 @@ class TestGpia:
         # nothing on the way
         graph = sbm_graph(30, 4, 6.0, seed=8)
         model = tiny_model(graph, SSLObjective(kind, negatives_per_positive=3), emb_dim=6)
+        nodes = range(6)
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")
             mp.setattr(bl, "GPIA_LR", 1e300)
             mp.setattr(bl, "GPIA_EPOCHS", 4)
-            kept, feats, diverged = parameter_change_features(model, graph, range(6), seed=2)
-        assert kept == [] and feats.shape == (0, len(model.params.names)) and diverged == 6
+            kept, feats = parameter_change_features(model, graph, nodes, seed=2)
+        assert kept == [] and feats.shape == (0, len(model.params.names))
+        assert len(nodes) - len(kept) == 6
 
     @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
     def test_divergence_leaves_the_next_node_bit_identical(self, monkeypatch, kind):
@@ -291,12 +293,23 @@ class TestGpia:
         nodes = [4, 5, 6, 7]
         monkeypatch.setattr(bl, "GPIA_EPOCHS", 3)
         self._two_per_chunk(monkeypatch, model, graph, nodes)
-        _, want, _ = parameter_change_features(model, graph, nodes, seed=2)
+        _, want = parameter_change_features(model, graph, nodes, seed=2)
         chunks = self._diverging(monkeypatch, node=4, epoch=0)
-        kept, feats, diverged = parameter_change_features(model, graph, nodes, seed=2)
+        kept, feats = parameter_change_features(model, graph, nodes, seed=2)
         assert chunks == [[4, 5], [6, 7]]
-        assert kept == [5, 6, 7] and diverged == 1
+        assert kept == [5, 6, 7] and len(nodes) - len(kept) == 1
         assert feats.tobytes() == want[1:].tobytes()
+
+    def test_divergence_dropped_on_the_record(self, monkeypatch, setting, fast):
+        # a query node that diverges leaves the side's record but stays
+        # counted in its ``asked``
+        graph, _, model, split = setting
+        nodes = [0, 1, 2, 3]
+        self._diverging(monkeypatch, node=1, epoch=0)
+        record = gpia(model, split, model, [graph], [nodes], fast, seed=8)[0]
+        assert_record_of(record, nodes)
+        assert record.asked - len(record) == 1
+        assert record.nodes.tolist() == [0, 2, 3]
 
     def test_peak_memory_does_not_grow_with_the_queried_nodes(self):
         # the chunk budget bounds the working set: 120 queried nodes peak
@@ -323,7 +336,7 @@ class TestEndToEndDeterminism:
         nodes = range(5)
         a = fn(model, split, model, [graph], [nodes], fast, seed=8)[0]
         b = fn(model, split, model, [graph], [nodes], fast, seed=8)[0]
-        assert a == b
+        assert_same_scores(a, b)
 
     def test_embed_feature_dim_is_embedding_dim(self, setting):
         graph, _, model, split = setting
@@ -379,8 +392,20 @@ class TestQuerySides:
         graphs, nodes = self._sides(setting)
         both = fn(model, split, target, graphs, nodes, fast, seed=8)
         one = [fn(model, split, target, [g], [n], fast, seed=8)[0] for g, n in zip(graphs, nodes)]
-        assert both == one
-        assert [sorted(side) for side in both] == [sorted(n) for n in nodes]
+        assert_same_scores(both, one)
+        assert [side.nodes.tolist() for side in both] == [sorted(n) for n in nodes]
+
+    @pytest.mark.parametrize("fn", [*SHADOW_TRAINED, ge_mia], ids=lambda f: f.__name__)
+    def test_records_answer_the_queried_nodes(self, fn, setting, fast):
+        graph, _, model, split = setting
+        graphs, nodes = self._sides(setting)
+        if fn is ge_mia:
+            sides = ge_mia(model, graph, [0, 1, 2], graph, [50, 51, 52], graphs, nodes)
+        else:
+            sides = fn(model, split, model, graphs, nodes, fast, seed=8)
+        assert len(sides) == len(nodes)
+        for record, queried in zip(sides, nodes):
+            assert_record_of(record, queried)
 
     def test_ge_mia_two_sides_equal_two_single_sides(self, setting):
         graph, _, model, _ = setting
@@ -389,7 +414,7 @@ class TestQuerySides:
         both = ge_mia(model, graph, refs[0], graph, refs[1], graphs, nodes)
         one = [ge_mia(model, graph, refs[0], graph, refs[1], [g], [n])[0]
                for g, n in zip(graphs, nodes)]
-        assert both == one
+        assert_same_scores(both, one)
 
     def test_ge_mia_embeds_each_graph_once(self, setting, monkeypatch):
         # the member and non-member graphs serve as references and as

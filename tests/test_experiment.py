@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphmia.experiment as exp_mod
+from graphmia.attack import Scores
 from graphmia.config import ConfigError, ExperimentConfig, SyntheticSpec
 from graphmia.experiment import (
     build_context,
@@ -264,7 +265,8 @@ class TestRunBaseline:
 
         def perfect(*args):
             calls.append(args)
-            return [{v: (1, 1.0) for v in members}, {v: (0, 0.0) for v in nonmembers}]
+            return [Scores(np.array(v), np.full(len(v), y), np.full(len(v), float(y)), len(v))
+                    for v, y in ((members, 1), (nonmembers, 0))]
 
         monkeypatch.setattr(exp_mod, kind.replace("-", "_"), perfect)
         record = exp_mod.run_baseline(baseline_ctx, kind)

@@ -237,8 +237,8 @@ class TestBallExactness:
         with chunked(budget) as (mp, chunks):
             mp.setattr(bl, "GPIA_EPOCHS", 3)
             mp.setattr(bl, "GPIA_LR", 1e-2)
-            kept, feats, diverged = bl.parameter_change_features(model, graph, nodes, seed)
-        assert kept == list(nodes) and diverged == 0
+            kept, feats = bl.parameter_change_features(model, graph, nodes, seed)
+        assert kept == list(nodes)
         assert [v for c in chunks for v in c] == list(nodes)
         base = model.params
         compared = 0

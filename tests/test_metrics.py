@@ -1,45 +1,60 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphmia.metrics import MetricsReport, accuracy_f1
 
 
-def as_maps(preds, truths):
-    return (
-        {i: p for i, p in enumerate(preds)},
-        {i: t for i, t in enumerate(truths)},
-    )
+def as_arrays(preds, truths):
+    return np.array(preds), np.array(truths)
 
 
 class TestAccuracyF1:
     def test_perfect(self):
-        preds, truth = as_maps([1, 0, 1, 0], [1, 0, 1, 0])
+        preds, truth = as_arrays([1, 0, 1, 0], [1, 0, 1, 0])
         rep = accuracy_f1(preds, truth)
         assert rep.acc == 1.0 and rep.f1 == 1.0
 
     def test_hand_case(self):
         # tp=2 fp=1 fn=1 tn=2: precision = recall = 2/3, f1 = 2/3, acc = 4/6
-        preds, truth = as_maps([1, 1, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0])
+        preds, truth = as_arrays([1, 1, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0])
         rep = accuracy_f1(preds, truth)
         assert (rep.tp, rep.fp, rep.fn, rep.tn) == (2, 1, 1, 2)
         assert rep.acc == pytest.approx(4 / 6)
         assert rep.f1 == pytest.approx(2 / 3)
 
     def test_all_negative_predictions_f1_zero(self):
-        preds, truth = as_maps([0, 0, 0], [1, 1, 0])
+        preds, truth = as_arrays([0, 0, 0], [1, 1, 0])
         rep = accuracy_f1(preds, truth)
         assert rep.f1 == 0.0
 
-    def test_key_mismatch(self):
-        with pytest.raises(KeyError):
-            accuracy_f1({0: 1}, {1: 1})
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="one length"):
+            accuracy_f1(np.array([1]), np.array([1, 0]))
+
+    def test_empty_and_non_binary_rejected(self):
+        with pytest.raises(ValueError, match="no nodes"):
+            accuracy_f1(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="0 or 1"):
+            accuracy_f1(np.array([2, 0]), np.array([1, 0]))
+        with pytest.raises(ValueError, match="0 or 1"):
+            accuracy_f1(np.array([1, 0]), np.array([1, -1]))
+
+    def test_report_fields_are_python_numbers(self):
+        # numpy counts would make the report unserialisable as JSON
+        rep = accuracy_f1(np.array([1, 1, 0, 0, 1]), np.array([1, 0, 0, 1, 1]))
+        for name in ("tp", "fp", "tn", "fn", "n_members", "n_nonmembers"):
+            assert type(getattr(rep, name)) is int, name
+        assert type(rep.acc) is float and type(rep.f1) is float
+        json.dumps(rep.to_dict())
 
     def test_counts_partition_totals(self):
-        preds, truth = as_maps([1, 0, 1], [0, 0, 1])
+        preds, truth = as_arrays([1, 0, 1], [0, 0, 1])
         rep = accuracy_f1(preds, truth)
         assert rep.tp + rep.fn == rep.n_members
         assert rep.tn + rep.fp == rep.n_nonmembers
@@ -50,7 +65,7 @@ class TestAccuracyF1:
         n = 8
         for truth_bits in itertools.product([0, 1], repeat=n):
             for pred_bits in itertools.product([0, 1], repeat=n):
-                preds, truth = as_maps(pred_bits, truth_bits)
+                preds, truth = as_arrays(pred_bits, truth_bits)
                 rep = accuracy_f1(preds, truth)
                 tp = sum(p and t for p, t in zip(pred_bits, truth_bits))
                 fp = sum(p and not t for p, t in zip(pred_bits, truth_bits))
