@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .graph import Graph
-from .nn import ParamSet, ShapeError, minimize, ref_cosines
+from .nn import BlockOperator, ParamSet, ShapeError, minimize
 from .rng import derive_seed, substream
 from .victim import (
     CONTRASTIVE,
@@ -29,9 +29,10 @@ from .victim import (
     _closed_row,
     _sample_outside,
     augment_graph,
-    embed,
     fine_tune,
+    view_cosines,
     view_seed,
+    view_stack,
 )
 
 _BOUND_TOL = 1e-9
@@ -43,9 +44,11 @@ class SamplePlan:
 
     Row i of ``refs`` holds the node ids that ``nodes[i]`` is compared with:
     ``m`` positives, then ``m`` negatives.  Under the contrastive objective
-    positive column p is the anchor itself, read in ``views[p]``, the shared
-    augmented view drawn with ``view_seed(seed, p)`` from the plan's seed;
-    every other column compares two nodes of the graph itself.
+    positive column p is the anchor itself, read in shared view p, drawn with
+    ``view_seed(seed, p)`` and kept as row p of the masks ``keep_edges`` and
+    ``drop_cols`` (no row under link prediction); every other column
+    compares two nodes of the graph itself.  ``x`` and ``a_hat`` are the
+    :func:`victim.view_stack` of the graph and its views.
     """
 
     graph: Graph
@@ -53,7 +56,10 @@ class SamplePlan:
     nodes: tuple[int, ...]
     skipped: tuple[int, ...]
     refs: np.ndarray
-    views: tuple[Graph, ...]
+    keep_edges: np.ndarray
+    drop_cols: np.ndarray
+    x: np.ndarray
+    a_hat: BlockOperator
 
 
 def draw_sample_plan(
@@ -68,7 +74,8 @@ def draw_sample_plan(
     distinct unless fewer than m are eligible.  Nodes without a sample are
     skipped and recorded: of degree 0 or n - 1 under link prediction, every
     node of a graph of fewer than 2 nodes under the contrastive objective.
-    A contrastive plan with kept nodes builds its shared views here."""
+    A contrastive plan with kept nodes draws its views' masks here; every
+    plan builds its stack here."""
     n = graph.num_nodes
     contrastive = objective.kind == CONTRASTIVE
     rng = substream(seed, "plan")
@@ -90,24 +97,22 @@ def draw_sample_plan(
         rows.append(np.concatenate([positives, _sample_outside(rng, n, excluded, m)]))
     refs = np.array(rows, dtype=np.int64).reshape(len(kept), 2 * m)
     refs.flags.writeable = False
-    views = ()
-    if objective.kind == CONTRASTIVE and kept:
-        views = tuple(augment_graph(graph, view_seed(seed, p)) for p in range(m))
-    return SamplePlan(
-        graph=graph, m=m, nodes=tuple(kept), skipped=tuple(skipped), refs=refs, views=views,
-    )
+    views = [augment_graph(graph, view_seed(seed, p)) for p in range(m if contrastive and kept else 0)]
+    keep_edges, drop_cols = (np.array([v[i] for v in views], dtype=bool).reshape(len(views), size)
+                             for i, size in enumerate((graph.num_edges, graph.feature_dim)))
+    return SamplePlan(graph, m, tuple(kept), tuple(skipped), refs, keep_edges, drop_cols,
+                      *view_stack(graph, keep_edges, drop_cols))
 
 
 def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
     """The (len(plan.nodes), 2m) similarity matrix under ``model``: row i
     holds the cosines of ``plan.nodes[i]`` to its m positives, then its m
-    negatives.
+    negatives, from one encoder pass over the plan's stack.
 
     Profiles of different models against the same plan use identical sample
     identities, so their entry-wise differences isolate the model change.
     """
-    views_h = [embed(model, vg) for vg in plan.views]
-    s, _ = ref_cosines(embed(model, plan.graph), views_h, plan.nodes, plan.refs)
+    s, _ = view_cosines(model, plan.graph, plan.x, plan.a_hat, plan.nodes, plan.refs)
     if s.size and (s.min() < -1.0 - _BOUND_TOL or s.max() > 1.0 + _BOUND_TOL):
         raise ValueError("similarity entries outside [-1, 1]")
     return s
@@ -130,14 +135,8 @@ def fine_tune_augment(
     target: VictimModel, unlearn_graph: Graph, cfg: ExperimentConfig, seed: int
 ) -> VictimModel:
     """Brief SSL fine-tuning of a copy of the target on the unlearn graph."""
-    tuned, _ = fine_tune(
-        target,
-        unlearn_graph,
-        epochs=cfg.epochs_augment,
-        lr=cfg.lr_augment,
-        seed=derive_seed(seed, "augment-ft"),
-    )
-    return tuned
+    return fine_tune(target, unlearn_graph, epochs=cfg.epochs_augment, lr=cfg.lr_augment,
+                     seed=derive_seed(seed, "augment-ft"))[0]
 
 
 def distill_loss_and_grads(
@@ -146,20 +145,12 @@ def distill_loss_and_grads(
     """Sum over plan nodes of ||s_student - s_teacher||^2 with exact gradients.
 
     ``teachers`` is the (len(nodes), 2m) matrix of teacher entries; the
-    teacher is a constant, gradients flow only through the student.
+    teacher is a constant, gradients flow only through the student.  One
+    forward and one backward pass over the plan's stack.
     """
-    h, cache = student.forward(plan.graph)
-    views = [student.forward(vg) for vg in plan.views]
-    views_h = [v[0] for v in views]
-    s, pullback = ref_cosines(h, views_h, plan.nodes, plan.refs)
+    s, backward = view_cosines(student, plan.graph, plan.x, plan.a_hat, plan.nodes, plan.refs)
     resid = s - teachers
-    loss = float((resid * resid).sum())
-    dh, dviews = pullback(2.0 * resid)
-    grads, _ = student.backward(cache, dh)
-    for (_, vcache), dv in zip(views, dviews):
-        g, _ = student.backward(vcache, dv)
-        grads.add_(g)
-    return loss, grads
+    return float((resid * resid).sum()), backward(2.0 * resid)
 
 
 @dataclass
@@ -205,10 +196,5 @@ def unlearn(
     resid = similarity_profile(student, plan) - teachers
     final_loss = float((resid * resid).sum())
     initial = history[0] if history else final_loss
-    return UnlearnResult(
-        model=student,
-        plan=plan,
-        initial_loss=initial,
-        final_loss=final_loss,
-        history=history,
-    )
+    return UnlearnResult(model=student, plan=plan, initial_loss=initial, final_loss=final_loss,
+                         history=history)

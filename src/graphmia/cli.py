@@ -166,14 +166,14 @@ def _positive_int(text: str) -> int:
 
 
 def _sizes(text: str) -> list[int]:
-    parts = text.split(",")
     try:
-        if len(parts) >= 2:
-            return [_positive_int(s) for s in parts]
+        sizes = [_positive_int(s) for s in text.split(",")]
+        if len(set(sizes)) >= 2:
+            return sizes
     except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError(
-        f"expected at least two comma-separated positive node counts, got {text!r}")
+        f"expected comma-separated positive node counts, at least two distinct, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

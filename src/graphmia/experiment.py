@@ -486,8 +486,8 @@ def runtime_scaling_check(sizes: list[int], cfg: ExperimentConfig) -> ScalingRep
     """
     if not sizes or any(int(n) <= 0 for n in sizes):
         raise ValueError("sizes must be positive node counts")
-    if len(sizes) < 2:
-        raise ValueError("need at least two sizes to fit a slope")
+    if len({int(n) for n in sizes}) < 2:
+        raise ValueError("need at least two distinct sizes to fit a slope")
     if cfg.synthetic is None:
         raise ConfigError("scaling check requires a synthetic config")
     configs = [_with_nodes(cfg, int(n)) for n in sizes]

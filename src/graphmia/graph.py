@@ -81,9 +81,10 @@ class Graph:
     ``indices`` are int64, the feature matrix is float64 with one row per
     node, and all three are read-only.  An edge list from outside, or a
     generated one, goes through :meth:`from_edges`, which enforces the
-    invariants (symmetry, no self-loops, no duplicates).  A derived graph
-    (induced subgraph, augmented view) is a slice of its parent's CSR,
-    valid by construction.  The raw constructor serves neither.
+    invariants (symmetry, no self-loops, no duplicates).  An induced
+    subgraph is a slice of its parent's CSR, valid by construction; an
+    augmented view is no graph at all, but a block of a :class:`BallStack`
+    under an edge and a column mask.  The raw constructor serves neither.
     """
 
     indptr: np.ndarray
@@ -191,24 +192,6 @@ class Graph:
         )
 
 
-def _csr_slice(
-    graph: Graph, keep: np.ndarray, features: np.ndarray, nodes: np.ndarray | None = None
-) -> Graph:
-    """The graph of the entries of ``graph.indices`` where ``keep`` holds,
-    over the sorted ids ``nodes`` (default all) relabeled 0..k-1 in order.
-
-    ``keep`` must agree on each entry and its reverse and keep only
-    entries with both ends in ``nodes``; the parent being valid, the slice
-    then is too, so nothing is checked again.
-    """
-    ends = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[graph.indptr]
-    indices = graph.indices[keep]
-    if nodes is not None:
-        ends = np.concatenate([[0], np.cumsum(np.diff(ends)[nodes])])
-        indices = np.searchsorted(nodes, indices)
-    return Graph(_read_only(ends), _read_only(indices), _read_only(features), graph.domain_id)
-
-
 def ball_matrix(graph: Graph, ball: np.ndarray) -> sp.csr_matrix:
     """Â[ball, ball]: the rows and columns of the whole graph's normalized
     adjacency at the sorted ids ``ball``, with the whole graph's degrees
@@ -230,14 +213,15 @@ def ball_matrix(graph: Graph, ball: np.ndarray) -> sp.csr_matrix:
 class BallStack:
     """The sorted node-id balls of B problems on one graph, stacked: row p
     is node ``ids[p]`` of block ``blocks[p]``, and block b holds rows
-    ``bounds[b]:bounds[b + 1]``.
+    ``bounds[b]:bounds[b + 1]``.  A ball may be every node, and may repeat.
 
     ``matrix()`` is Â at every ball at once, block-diagonally: each block
     is :func:`ball_matrix` of its ball, entry for entry and in the same
     order within each row.  ``matrix(keep)`` is the same for augmented
     views, block b's view keeping the graph's edge e where ``keep[b, e]``
     holds, with the view's degrees: one vectorised pass over the balls'
-    CSR entries, with no view graph built.
+    CSR entries.  :meth:`views` adds the masked features; it is the one
+    builder of every augmented view, whole-graph and per-node alike.
     """
 
     graph: Graph
@@ -287,6 +271,14 @@ class BallStack:
         src = np.concatenate([np.full(size, -1), entries[inside]])
         order = np.lexsort((c, r))
         return r[order], c[order], src[order]
+
+    def views(self, keep_edges: np.ndarray, drop_cols: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+        """Features and Â of every block as an augmented view, block b keeping
+        edge e where ``keep_edges[b, e]`` holds and masking feature column j
+        where ``drop_cols[b, j]`` does: the bits that the view rebuilt as a
+        graph gives, its features and ``ball_matrix`` at the block's ball."""
+        x = self.graph.features[self.ids]
+        return np.where(drop_cols[self.blocks], 0.0, x), self.matrix(keep_edges)
 
     def matrix(self, keep: np.ndarray | None = None) -> sp.csr_matrix:
         r, c, src = self._pattern
@@ -431,7 +423,8 @@ def partition_shadow(
 
 
 def induced_subgraph(graph: Graph, nodes) -> Graph:
-    """Subgraph over ``nodes``, relabeled 0..k-1 by ascending original id."""
+    """Subgraph over ``nodes``, relabeled 0..k-1 by ascending original id: a
+    slice of the parent's CSR, valid as the parent is, so nothing is checked."""
     order = np.sort(np.fromiter(nodes, dtype=np.int64))
     if len(order) and (order[0] < 0 or order[-1] >= graph.num_nodes):
         raise NodeRangeError("node set references ids outside the graph")
@@ -440,7 +433,11 @@ def induced_subgraph(graph: Graph, nodes) -> Graph:
     inside = np.zeros(graph.num_nodes, dtype=bool)
     inside[order] = True
     keep = inside[graph._rows()] & inside[graph.indices]
-    return _csr_slice(graph, keep, graph.features[order], order)
+    ends = np.concatenate([[0], np.cumsum(keep, dtype=np.int64)])[graph.indptr]
+    indptr = np.concatenate([[0], np.cumsum(np.diff(ends)[order])])
+    indices = np.searchsorted(order, graph.indices[keep])
+    return Graph(_read_only(indptr), _read_only(indices), _read_only(graph.features[order]),
+                 graph.domain_id)
 
 
 def perturb_edges(graph: Graph, budget_fraction: float, seed: int) -> Graph:

@@ -21,8 +21,18 @@ class MetricsReport:
     n_nonmembers: int
 
     def __post_init__(self) -> None:
+        """Only what :func:`accuracy_f1` writes: non-negative int counts, an
+        int seed, a str attack, and acc and f1 recomputed from the counts."""
+        for name in ("tp", "fp", "tn", "fn", "n_members", "n_nonmembers"):
+            if type(getattr(self, name)) is not int or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be a non-negative int, got {getattr(self, name)!r}")
+        if type(self.seed) is not int or not isinstance(self.attack, str):
+            raise ValueError(f"seed must be an int and attack a str, got {self.seed!r}, {self.attack!r}")
         if self.tp + self.fn != self.n_members or self.tn + self.fp != self.n_nonmembers:
             raise ValueError("confusion counts do not sum to the evaluated nodes")
+        want = _rates(self.tp, self.fp, self.tn, self.fn)
+        if (self.acc, self.f1) != want:
+            raise ValueError(f"acc {self.acc!r} and f1 {self.f1!r} are not {want}, from the counts")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -58,11 +68,17 @@ def accuracy_f1(
     fp = int(np.count_nonzero(p & ~y))
     fn = int(np.count_nonzero(~p & y))
     tn = len(truth) - tp - fp - fn
-    acc = (tp + tn) / len(truth)
-    denom = 2 * tp + fp + fn
-    f1 = 2 * tp / denom if denom else 0.0
+    acc, f1 = _rates(tp, fp, tn, fn)
     return MetricsReport(
         attack=attack, seed=seed, acc=acc, f1=f1,
         tp=tp, fp=fp, tn=tn, fn=fn,
         n_members=tp + fn, n_nonmembers=tn + fp,
     )
+
+
+def _rates(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float]:
+    """Accuracy and F1 of the confusion counts (F1 0 when undefined)."""
+    if not tp + fp + tn + fn:
+        raise ValueError("no nodes evaluated")
+    denom = 2 * tp + fp + fn
+    return (tp + tn) / (tp + fp + tn + fn), (2 * tp / denom if denom else 0.0)

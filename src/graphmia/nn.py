@@ -376,36 +376,33 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_cosines(a, b)[3]
 
 
-def ref_cosines(h: np.ndarray, views_h: list, anchors, refs: np.ndarray):
+def ref_cosines(h: np.ndarray, anchors, refs: np.ndarray, offsets=()):
     """Cosine of each anchor row of ``h`` to its references, and its pullback.
 
-    Entry (i, c) of ``s`` compares ``h[anchors[i]]`` with node ``refs[i, c]``,
-    read in ``views_h[c]`` for c < len(views_h) and in ``h`` for every later
-    c.  ``pullback(upstream)`` returns ``(dh, [dview_p])``, the gradients of
-    sum(upstream * s); a pair with a zero-norm side gets zero gradient.
+    Entry (i, c) of ``s`` compares ``h[anchors[i]]`` with row ``refs[i, c]
+    + offsets[c]`` of ``h`` for c < len(offsets), a view column whose view
+    is a block of ``h``, and with row ``refs[i, c]`` for every later c.
+    ``pullback(upstream)`` returns the gradient of sum(upstream * s) at
+    every row of ``h``; a pair with a zero-norm side gets zero gradient.
 
     Each pair is laid out once, the view columns column by column and then
-    the columns read in ``h`` row by row, and its norms, dot product and
-    cosine serve both directions.  The gradients are one
-    :func:`scatter_matrix` product over the rows of ``h`` stacked on each
-    view's, with the bits of ``np.add.at`` applied term after term in this
-    order: into ``h``, the anchor rows of view column 0, 1, ..., then the
-    anchor rows of the columns read in ``h`` and last their reference rows;
-    into view p, the reference rows of column p.
+    the other columns row by row, and its norms, dot product and cosine
+    serve both directions.  The gradient is one :func:`scatter_matrix`
+    product with the bits of ``np.add.at`` applied term after term in this
+    order: the anchor rows of view column 0, 1, ..., then the anchor rows
+    of the other columns, then the reference rows in the same order.
     """
-    anchors, k = np.asarray(anchors, dtype=np.int64), len(views_h)
+    anchors, k = np.asarray(anchors, dtype=np.int64), len(offsets)
     rows, cols = refs.shape
-    starts = list(accumulate([len(h), *(len(hv) for hv in views_h)], initial=0))
-    stacked = np.concatenate([h, *views_h])
     a_idx = np.concatenate([np.tile(anchors, k), np.repeat(anchors, cols - k)])
-    b_idx = np.concatenate([*(refs[:, p] + starts[p + 1] for p in range(k)), refs[:, k:].ravel()])
-    a, b = stacked[a_idx], stacked[b_idx]
+    b_idx = np.concatenate([*(refs[:, p] + offsets[p] for p in range(k)), refs[:, k:].ravel()])
+    a, b = h[a_idx], h[b_idx]
     na, nb, ok, cos = _row_cosines(a, b)
     s = np.empty(refs.shape)
     s[:, :k] = cos[:k * rows].reshape(k, rows).T
     s[:, k:] = cos[k * rows:].reshape(rows, cols - k)
 
-    def pullback(upstream: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def pullback(upstream: np.ndarray) -> np.ndarray:
         # a degenerate pair's terms are +-0 (zero upstream, unit norms), and
         # a sum that starts at +0 reads them as the zero rows of np.add.at
         g = np.where(ok, np.concatenate([upstream[:, :k].T.ravel(), upstream[:, k:].ravel()]),
@@ -414,9 +411,8 @@ def ref_cosines(h: np.ndarray, views_h: list, anchors, refs: np.ndarray):
         terms = np.concatenate([g * (b / (nai * nbi) - c * a / (nai * nai)),
                                 g * (a / (nai * nbi) - c * b / (nbi * nbi))])
         m = len(terms)
-        grads = scatter_matrix(np.concatenate([a_idx, b_idx]), np.arange(m), np.ones(m),
-                               (starts[-1], m)) @ terms
-        return grads[:len(h)], [grads[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
+        return scatter_matrix(np.concatenate([a_idx, b_idx]), np.arange(m), np.ones(m),
+                              (len(h), m)) @ terms
 
     return s, pullback
 

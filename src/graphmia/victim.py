@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BallStack, Graph, _csr_slice, rank_to_id
+from .graph import BallStack, Graph, rank_to_id
 from .nn import (
     BlockOperator,
     GCNEncoder,
@@ -183,8 +183,7 @@ class VictimModel:
 
 def embed(model: VictimModel, graph: Graph) -> np.ndarray:
     """Node embeddings of ``graph`` under ``model`` (pure, no caching)."""
-    h, _ = model.forward(graph)
-    return h
+    return model.forward(graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +197,49 @@ def _augment_draws(graph: Graph, rng: np.random.Generator) -> tuple[np.ndarray, 
     return keep_edges, drop_cols
 
 
-def augment_graph(graph: Graph, seed: int) -> Graph:
-    """Stochastic view: edge dropout plus feature-column masking at
-    ``EDGE_DROP_RATE`` and ``FEATURE_MASK_RATE``."""
-    keep_edges, drop_cols = _augment_draws(graph, substream(seed, "augment"))
-    masked = graph.features.copy()
-    masked[:, drop_cols] = 0.0
-    return _csr_slice(graph, keep_edges[graph.entry_edges], masked)
+def augment_graph(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stochastic view as its two masks, from ``substream(seed, "augment")``:
+    a kept bit per row of ``edge_array`` (each dropped at ``EDGE_DROP_RATE``)
+    and a masked bit per feature column (at ``FEATURE_MASK_RATE``)."""
+    return _augment_draws(graph, substream(seed, "augment"))
 
 
 def view_seed(seed: int, view_index: int) -> int:
     """Augmentation seed of the shared view ``view_index`` under ``seed``."""
     return derive_seed(seed, "view", view_index)
+
+
+def view_stack(graph: Graph, keep_edges: np.ndarray, drop_cols: np.ndarray
+               ) -> tuple[np.ndarray, BlockOperator]:
+    """The graph and its views as the blocks of one operator over every node:
+    block 0 the graph, block p + 1 the view of mask row p (stacked
+    :func:`augment_graph` masks).  The stacked features and block-diagonal Â
+    of :meth:`graph.BallStack.views`; with no view, the graph's cached own."""
+    n, blocks = graph.num_nodes, len(keep_edges) + 1
+    if blocks == 1:
+        return graph.features, BlockOperator(graph.gcn_matrix, np.array([0, n]))
+    stack = BallStack.of(graph, [np.arange(n, dtype=np.int64)] * blocks)
+    x, a_hat = stack.views(np.vstack([np.ones(graph.num_edges, dtype=bool), keep_edges]),
+                           np.vstack([np.zeros(graph.feature_dim, dtype=bool), drop_cols]))
+    return x, BlockOperator(a_hat, stack.bounds)
+
+
+def view_cosines(model: VictimModel, graph: Graph, x: np.ndarray, a_hat: BlockOperator,
+                 anchors, refs: np.ndarray):
+    """One encoder pass over the :func:`view_stack` ``(x, a_hat)`` of
+    ``graph``: the :func:`nn.ref_cosines` of the anchors to ``refs``, column
+    p reading view p for each view, and the map from their upstream
+    gradient to the parameter gradients: one backward pass, its block rows
+    summed in block order (numpy sums across rows one row at a time)."""
+    n = graph.num_nodes
+    h, cache = model._forward(x, a_hat, graph.domain_id)
+    s, pullback = ref_cosines(h, anchors, refs, range(n, len(h), max(n, 1)))
+
+    def backward(upstream: np.ndarray) -> ParamSet:
+        grads, _ = model.backward(cache, pullback(upstream))
+        return ParamSet.over(grads.vector.sum(axis=0), grads.layout)
+
+    return s, backward
 
 
 def _closed_row(graph: Graph, node: int) -> np.ndarray:
@@ -266,17 +296,6 @@ def _pair_bce(h: np.ndarray, us, vs, labels) -> tuple[float, np.ndarray]:
     return loss, _pair_pullback(h, us, vs, dscores)
 
 
-def _view_info_nce(h: np.ndarray, hv: np.ndarray, anchors, negatives, temperature: float):
-    """InfoNCE of each anchor against itself in the view ``hv`` and its row
-    of ``negatives`` in ``h``: the one-view plan row [anchor | negatives].
-    Returns the loss and its gradients w.r.t. ``h`` and ``hv``."""
-    refs = np.concatenate([anchors[:, None], negatives], axis=1)
-    s, pullback = ref_cosines(h, [hv], anchors, refs)
-    loss, dpos, dneg = info_nce(s[:, 0], s[:, 1:], temperature)
-    dh, (dhv,) = pullback(np.column_stack([dpos, dneg]))
-    return loss, dh, dhv
-
-
 def linkpred_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
     """BCE on sigmoid(h_u . h_v) over all edges plus matched random non-edges.
     A graph without an edge or without a non-edge has zero loss and zero
@@ -297,15 +316,14 @@ def linkpred_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, P
 
 
 def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
-    """InfoNCE: every node against itself in one augmented view and K
-    uniform in-graph negatives."""
+    """InfoNCE: every node against itself in one augmented view and K uniform
+    in-graph negatives, the graph and its view one :func:`view_cosines` pass."""
     n = graph.num_nodes
     if n < 2:
         raise NoNegativeError(f"contrastive graph on {n} node(s) has no negative")
     obj = model.objective
-    view = augment_graph(graph, derive_seed(seed, "loss-view"))
-    h, cache = model.forward(graph)
-    hv, cache_v = model.forward(view)
+    keep_edges, drop_cols = augment_graph(graph, derive_seed(seed, "loss-view"))
+    stack = view_stack(graph, keep_edges[None], drop_cols[None])
 
     # anchor a's r-th non-self node v is the rank a * (n - 1) + r over the
     # pairs (a, v), a != v, mapped past the self-pair keys to the key a * n + v
@@ -313,12 +331,9 @@ def contrastive_loss(model: VictimModel, graph: Graph, seed: int) -> tuple[float
     raw = rng.integers(0, n - 1, size=(n, obj.negatives_per_positive))
     anchors = np.arange(n)
     negatives = rank_to_id(anchors * (n + 1), anchors[:, None] * (n - 1) + raw) % n
-    loss, dh, dhv = _view_info_nce(h, hv, anchors, negatives, obj.temperature)
-
-    grads, _ = model.backward(cache, dh)
-    grads_v, _ = model.backward(cache_v, dhv)
-    grads.add_(grads_v)
-    return loss, grads
+    s, backward = view_cosines(model, graph, *stack, anchors, np.column_stack([anchors, negatives]))
+    loss, dpos, dneg = info_nce(s[:, 0], s[:, 1:], obj.temperature)
+    return loss, backward(np.column_stack([dpos, dneg]))
 
 
 def ssl_loss_and_grads(model: VictimModel, graph: Graph, seed: int) -> tuple[float, ParamSet]:
@@ -431,9 +446,9 @@ class NodeLoss:
     scatters its gradient with one ``scatter_matrix``.  Under the
     contrastive objective a node's block holds its ball twice, in the
     graph and in the draw's view, so both passes run as one; the view
-    operators of the whole chunk are built in one vectorised pass over the
-    balls' CSR entries, the draws' kept edges and the view degrees, when
-    the draw is evaluated, and not kept.
+    blocks of the whole chunk are built by one :meth:`graph.BallStack.views`
+    call on the draws' masks, the one builder of every augmented view,
+    when the draw is evaluated, and not kept.
 
     Every draw was taken when the node's :class:`NodeDraws` was, before
     any model runs: a per-node fine-tune runs every epoch on the same
@@ -525,24 +540,20 @@ class NodeLoss:
         # even blocks are the graph (every edge kept, no column masked),
         # odd blocks the view; each view's neighbourhoods lie inside the
         # graph's, so the ball serves both
-        keep = np.ones((2 * count, keep_edges.shape[1]), dtype=bool)
-        keep[1::2] = keep_edges
-        drop = np.zeros((2 * count, drop_cols.shape[1]), dtype=bool)
-        drop[1::2] = drop_cols
+        keep, drop = np.repeat(keep_edges, 2, axis=0), np.repeat(drop_cols, 2, axis=0)
+        keep[::2], drop[::2] = True, False
         nodes = np.array(self.nodes, dtype=np.int64)
         anchors = self.stack.rows_of(2 * np.arange(count), nodes)
         views = self.stack.rows_of(2 * np.arange(count) + 1, nodes)
         negs = self.stack.rows_of(2 * np.arange(count)[:, None], negatives)
         rows = np.union1d(np.concatenate([anchors, views]), negs)
-        x = np.where(drop[self.stack.blocks], 0.0, self.x)
-        h, cache, bad = self._embed(model, x, self.stack.matrix(keep), rows)
+        h, cache, bad = self._embed(model, *self.stack.views(keep, drop), rows)
         # the first reference of node b is its own view row, read in h too
         refs = np.column_stack([np.searchsorted(rows, views), np.searchsorted(rows, negs)])
-        s, pullback = ref_cosines(h, [h], np.searchsorted(rows, anchors), refs)
+        s, pullback = ref_cosines(h, np.searchsorted(rows, anchors), refs, [0])
         losses, dpos, dneg = info_nce_rows(s[:, 0], s[:, 1:], self.objective.temperature)
         losses[bad] = np.nan
-        dh, (dh_view,) = pullback(np.column_stack([dpos, dneg]))
-        _, dx = model.backward(cache, dh + dh_view, want_feature_grad, grads)
+        _, dx = model.backward(cache, pullback(np.column_stack([dpos, dneg])), want_feature_grad, grads)
         if want_feature_grad:
             # masked columns of the view contribute nothing to the raw-feature grad
             graph_rows = self.stack.blocks % 2 == 0
@@ -572,14 +583,8 @@ def per_node_ssl_loss(
 # training loops
 
 
-def fine_tune(
-    model: VictimModel,
-    graph: Graph,
-    epochs: int,
-    lr: float,
-    seed: int,
-    penalty_grads=None,
-) -> tuple[VictimModel, list[float]]:
+def fine_tune(model: VictimModel, graph: Graph, epochs: int, lr: float, seed: int,
+              penalty_grads=None) -> tuple[VictimModel, list[float]]:
     """Plain SSL fine-tuning of a copy of ``model`` on one graph.
 
     ``penalty_grads``, when given, is called with the live ParamSet and must

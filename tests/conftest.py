@@ -156,6 +156,30 @@ def whole_graph_feature_grad(model: VictimModel, graph: Graph, node: int, rng):
     return dx
 
 
+def view_graph(graph: Graph, keep_edges: np.ndarray, drop_cols: np.ndarray) -> Graph:
+    """Oracle of an augmented view: the view of ``graph`` under its two
+    masks, rebuilt as a graph of its own by the validating
+    ``Graph.from_edges`` from the kept rows of ``edge_array`` and the
+    features with the masked columns zeroed."""
+    masked = graph.features.copy()
+    masked[:, drop_cols] = 0.0
+    return Graph.from_edges(graph.num_nodes, graph.edge_array[keep_edges], masked,
+                            domain_id=graph.domain_id)
+
+
+def assert_block(x: np.ndarray, a_hat, bounds, block: int, features: np.ndarray, matrix) -> None:
+    """Assert that block ``block`` of the stacked features ``x`` and the
+    block-diagonal CSR operator ``a_hat``, rows ``bounds[block]`` up to
+    ``bounds[block + 1]``, holds ``features`` and the CSR ``matrix``: the
+    same feature and operator bits, and the same entries in the same order."""
+    lo, hi = int(bounds[block]), int(bounds[block + 1])
+    first, last = a_hat.indptr[lo], a_hat.indptr[hi]
+    assert x[lo:hi].shape == features.shape and x[lo:hi].tobytes() == features.tobytes()
+    assert a_hat.data[first:last].tobytes() == matrix.data.tobytes()
+    np.testing.assert_array_equal(a_hat.indices[first:last] - lo, matrix.indices)
+    np.testing.assert_array_equal(a_hat.indptr[lo:hi + 1] - first, matrix.indptr)
+
+
 def nan_on_call(monkeypatch, module, name: str, bad_call: int) -> None:
     """Rebind ``module.name``, a (loss, grads) function, so that its
     ``bad_call``-th call (0-based) returns a NaN loss."""

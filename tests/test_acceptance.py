@@ -30,9 +30,15 @@ from graphmia.baselines import (
     parameter_change_features,
 )
 from graphmia.config import ExperimentConfig, SyntheticSpec
-from graphmia.experiment import run_experiment, runtime_scaling_check
+from graphmia.experiment import (
+    VARIANT_FULL,
+    build_context,
+    run_experiment,
+    run_similarity_attack,
+    runtime_scaling_check,
+)
 from graphmia.metrics import accuracy_f1
-from graphmia.nn import MLP, cross_entropy
+from graphmia.nn import MLP, BlockOperator, GCNEncoder, cross_entropy
 from graphmia.shadow import FisherDiag, estimate_fisher, ewc_penalty, incremental_finetune
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
@@ -259,15 +265,22 @@ class TestCriterion7BaselineShapes:
         assert ExperimentConfig().hidden_dim == 256
 
 
+SCALING_SIZES = [500, 1000, 2000, 4000]
+
+
+def scaling_config(nodes_per_domain: int = 500) -> ExperimentConfig:
+    """Criterion 8's config, at ``nodes_per_domain`` nodes per domain."""
+    return ExperimentConfig(
+        epochs_pretrain=60, epochs_augment=3, epochs_unlearn=20, epochs_shadow=40,
+        epochs_attack=100, repetitions=1, seed=3, m_samples=5, emb_dim=64,
+        synthetic=SyntheticSpec(domains=2, nodes_per_domain=nodes_per_domain, feature_dim=16,
+                                avg_degree=10),
+    )
+
+
 class TestCriterion8ComplexityScaling:
     def test_criterion_8_linear_scaling(self):
-        cfg = ExperimentConfig(
-            epochs_pretrain=60, epochs_augment=3, epochs_unlearn=20, epochs_shadow=40,
-            epochs_attack=100, repetitions=1, seed=3, m_samples=5, emb_dim=64,
-            synthetic=SyntheticSpec(domains=2, nodes_per_domain=500, feature_dim=16,
-                                    avg_degree=10),
-        )
-        report = runtime_scaling_check([500, 1000, 2000, 4000], cfg)
+        report = runtime_scaling_check(SCALING_SIZES, scaling_config())
         assert 0.8 <= report.slope <= 1.4, (
             f"log-log slope {report.slope:.3f}, times {report.seconds}"
         )
@@ -275,6 +288,50 @@ class TestCriterion8ComplexityScaling:
         assert all(1.5 <= r <= 3.0 for r in ratios), (
             f"doubling n should roughly double wall time, got ratios {ratios}"
         )
+
+
+class TestCriterion8WorkCount:
+    """Criterion 8's claim, attack cost linear in n, checked on deterministic
+    work counts instead of the clock: over one ``run_similarity_attack(ctx,
+    "full")`` at criterion 8's config and sizes, the rows times the width
+    at which every ``GCNEncoder.forward`` layer runs, and the nonzeros of
+    the aggregation operator times the width of the rows it multiplies,
+    forward and backward.  Neither depends on how the rows are split into
+    encoder passes.  At 500 -> 1000 nodes the L-hop balls of the per-node
+    stages still grow, so the first doubling adds less than twice the
+    work (measured ratios 1.89 and 1.54, then 2.02-2.09)."""
+
+    @staticmethod
+    def _work(nodes_per_domain: int, monkeypatch) -> tuple[int, int]:
+        ctx = build_context(scaling_config(nodes_per_domain), 3)
+        work = [0, 0]
+        forward = GCNEncoder.forward
+
+        def encoder_rows(self, a_hat, h0):
+            h, cache = forward(self, a_hat, h0)
+            work[0] += sum(m.shape[0] * m.shape[1] for m, _ in cache)
+            return h, cache
+
+        def nonzeros(real):
+            def product(self, h, k):
+                work[1] += (self.links[k] if self.links else self.full).nnz * h.shape[1]
+                return real(self, h, k)
+            return product
+
+        with monkeypatch.context() as mp:
+            mp.setattr(GCNEncoder, "forward", encoder_rows)
+            mp.setattr(BlockOperator, "forward", nonzeros(BlockOperator.forward))
+            mp.setattr(BlockOperator, "backward", nonzeros(BlockOperator.backward))
+            run_similarity_attack(ctx, VARIANT_FULL)
+        return work[0], work[1]
+
+    def test_work_grows_linearly(self, monkeypatch):
+        counts = np.array([self._work(n, monkeypatch) for n in SCALING_SIZES], dtype=float)
+        for name, work in zip(("encoder rows x width", "aggregation nonzeros x width"), counts.T):
+            ratios = work[1:] / work[:-1]
+            slope = float(np.polyfit(np.log(SCALING_SIZES), np.log(work), 1)[0])
+            assert np.all((1.5 <= ratios) & (ratios <= 2.2)), (name, work.tolist(), ratios.tolist())
+            assert 0.85 <= slope <= 1.1, (name, work.tolist(), slope)
 
 
 class TestCriterion9Determinism:

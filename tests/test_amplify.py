@@ -17,7 +17,7 @@ from graphmia.amplify import (
 )
 from graphmia.config import ExperimentConfig
 from graphmia.graph import Graph
-from graphmia.nn import NumericError
+from graphmia.nn import GCNEncoder, NumericError
 from graphmia.rng import derive_seed
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
@@ -27,12 +27,20 @@ from graphmia.victim import (
     NoPositiveError,
     SSLObjective,
     augment_graph,
+    contrastive_loss,
     embed,
     ssl_loss_and_grads,
     view_seed,
 )
 
-from conftest import finite_diff_grads, max_rel_error, nan_on_call, tiny_model
+from conftest import (
+    assert_block,
+    finite_diff_grads,
+    max_rel_error,
+    nan_on_call,
+    tiny_model,
+    view_graph,
+)
 
 
 def cycle_graph(n: int = 6, feature_dim: int = 3) -> Graph:
@@ -66,11 +74,17 @@ class TestSamplePlan:
     def test_contrastive_shared_views(self, contrastive_objective):
         g = sbm_graph(12, 4, 4.0, seed=3)
         plan = draw_sample_plan(g, range(12), contrastive_objective, 2, seed=9)
-        assert len(plan.views) == 2
-        for p, view in enumerate(plan.views):
-            want = augment_graph(g, view_seed(9, p))
-            for field in ("indptr", "indices", "features"):
-                np.testing.assert_array_equal(getattr(view, field), getattr(want, field))
+        assert plan.keep_edges.shape == (2, g.num_edges)
+        assert plan.drop_cols.shape == (2, g.feature_dim)
+        op = plan.a_hat
+        np.testing.assert_array_equal(op.bounds, np.arange(4) * g.num_nodes)
+        assert_block(plan.x, op.full, op.bounds, 0, g.features, g.gcn_matrix)
+        for p in range(2):
+            keep_edges, drop_cols = augment_graph(g, view_seed(9, p))
+            np.testing.assert_array_equal(plan.keep_edges[p], keep_edges)
+            np.testing.assert_array_equal(plan.drop_cols[p], drop_cols)
+            view = view_graph(g, keep_edges, drop_cols)
+            assert_block(plan.x, op.full, op.bounds, p + 1, view.features, view.gcn_matrix)
         # every node reads itself in each shared view
         for p in range(2):
             np.testing.assert_array_equal(plan.refs[:, p], plan.nodes)
@@ -108,7 +122,7 @@ class TestSimilarityProfile:
         plan = draw_sample_plan(g, range(8), obj, 2, seed=6)
         prof = similarity_profile(model, plan)
         h = embed(model, g)
-        views_h = [embed(model, augment_graph(g, view_seed(6, p))) for p in range(2)]
+        views_h = [embed(model, view_graph(g, *augment_graph(g, view_seed(6, p)))) for p in range(2)]
         assert len(views_h) == 2 and plan.nodes == tuple(range(8))
         for i, v in enumerate(plan.nodes):
             for p, hv in enumerate(views_h):
@@ -129,8 +143,8 @@ class TestSimilarityProfile:
     def test_out_of_range_cosine_rejected(self, linkpred_objective, small_sbm, monkeypatch):
         model = tiny_model(small_sbm, linkpred_objective)
         plan = draw_sample_plan(small_sbm, range(6), linkpred_objective, 2, seed=8)
-        monkeypatch.setattr(amplify, "ref_cosines",
-                            lambda h, views_h, anchors, refs: (np.full(refs.shape, 1.5), None))
+        monkeypatch.setattr(amplify, "view_cosines",
+                            lambda *args: (np.full(args[-1].shape, 1.5), None))
         with pytest.raises(ValueError):
             similarity_profile(model, plan)
 
@@ -215,6 +229,37 @@ class TestDistillGradients:
         _, grads = distill_loss_and_grads(model, plan, teachers)
         numeric = finite_diff_grads(loss_fn, model.params)
         assert max_rel_error(grads, numeric) < 1e-4
+
+
+class TestOneEncoderPass:
+    """The graph and every view of a stage call run as the blocks of one
+    operator: one encoder forward per profile, and one forward plus one
+    backward per distillation step and per contrastive loss."""
+
+    @pytest.mark.parametrize("kind", [LINK_PREDICTION, CONTRASTIVE])
+    def test_one_pass_per_call(self, kind, monkeypatch):
+        g = sbm_graph(20, 4, 4.0, seed=2)
+        obj = SSLObjective(kind, negatives_per_positive=3)
+        model = tiny_model(g, obj)
+        plan = draw_sample_plan(g, range(g.num_nodes), obj, 3, seed=5)
+        views = 3 if kind == CONTRASTIVE else 0
+        assert plan.x.shape[0] == (views + 1) * g.num_nodes
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            def counted(self, *args, _real=getattr(GCNEncoder, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(GCNEncoder, name, counted)
+
+        def passes(fn, *args):
+            before = dict(calls)
+            fn(*args)
+            return calls["forward"] - before["forward"], calls["backward"] - before["backward"]
+
+        assert passes(similarity_profile, model, plan) == (1, 0)
+        teachers = np.zeros((len(plan.nodes), 6))
+        assert passes(distill_loss_and_grads, model, plan, teachers) == (1, 1)
+        assert passes(contrastive_loss, model, g, 4) == (1, 1)
 
 
 class TestUnlearn:

@@ -341,7 +341,9 @@ class TestCliArgumentsCheckedFirst:
         (["scaling", "--sizes", "40,x"], "--sizes"),
         (["scaling", "--sizes", "0,40"], "--sizes"),
         (["scaling", "--sizes", "40,"], "--sizes"),
-    ], ids=["trials-0", "trials-neg", "one-size", "size-not-int", "size-0", "size-empty"])
+        (["scaling", "--sizes", "40,40"], "--sizes"),
+    ], ids=["trials-0", "trials-neg", "one-size", "size-not-int", "size-0", "size-empty",
+            "one-distinct-size"])
     def test_bad_argument(self, cli_config, tmp_path, capsys, no_work, argv, match):
         err = self.usage_error([*argv, "--config", str(cli_config), "--out", str(tmp_path)], capsys)
         assert match in err
@@ -417,7 +419,19 @@ class TestEvaluateUnreadableReports:
         (json.dumps({**GOOD_REPORT, "n_members": 3}), "confusion counts do not sum"),
         ("[]", "list indices"),
         (None, "Is a directory"),
-    ], ids=["not-json", "no-seed", "counts-do-not-sum", "not-an-object", "directory"])
+        (json.dumps({**GOOD_REPORT, "acc": "0.5"}), "acc '0.5' and f1 0.5 are not (0.5, 0.5)"),
+        (json.dumps({**GOOD_REPORT, "fn": 1.5, "n_members": 2.5}), "fn must be a non-negative int"),
+        (json.dumps({**GOOD_REPORT, "tp": True}), "tp must be a non-negative int"),
+        (json.dumps({**GOOD_REPORT, "tp": -1, "fn": 3}), "tp must be a non-negative int"),
+        (json.dumps({**GOOD_REPORT, "acc": 7.0}), "acc 7.0 and f1 0.5 are not (0.5, 0.5)"),
+        (json.dumps({**GOOD_REPORT, "f1": float("nan")}), "acc 0.5 and f1 nan are not (0.5, 0.5)"),
+        (json.dumps({**GOOD_REPORT, "seed": "3"}), "seed must be an int and attack a str, got '3'"),
+        (json.dumps({**GOOD_REPORT, "attack": 3}), "seed must be an int and attack a str, got 3, 3"),
+        (json.dumps({**GOOD_REPORT, **dict.fromkeys(["tp", "fp", "tn", "fn", "n_members",
+                                                     "n_nonmembers"], 0)}), "no nodes evaluated"),
+    ], ids=["not-json", "no-seed", "counts-do-not-sum", "not-an-object", "directory",
+            "acc-a-string", "fractional-counts", "bool-count", "negative-count", "acc-not-the-counts",
+            "f1-nan", "seed-a-string", "attack-not-a-str", "no-nodes"])
     def test_bad_report(self, tmp_path, capsys, text, reason):
         (tmp_path / "report_glo-mia_full_seed2.json").write_text(json.dumps(GOOD_REPORT))
         bad = tmp_path / "report_glo-mia_full_seed3.json"

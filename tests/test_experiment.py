@@ -282,6 +282,14 @@ class TestScaling:
         with pytest.raises(ValueError):
             runtime_scaling_check([100], tiny_cfg())
 
+    def test_one_distinct_size_rejected_before_any_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an attack was timed for a slope over one size")
+
+        monkeypatch.setattr(exp_mod, "time_attack_pipeline", refuse)
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            runtime_scaling_check([100, 100], tiny_cfg())
+
     @pytest.mark.parametrize("sizes, bad", [([8, 16], 8), ([16, 8], 8), ([2, 16], 2)])
     def test_every_size_validated_before_warm_up(self, monkeypatch, sizes, bad):
         # the default config cannot run 8 nodes per domain: its 4-node shadow

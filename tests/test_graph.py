@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from graphmia.graph import (
+    BallStack,
     DegenerateSplitError,
     Graph,
     GraphFormatError,
     NodeRangeError,
+    ball_matrix,
     graph_fingerprint,
     induced_subgraph,
     load_graph,
@@ -22,9 +24,9 @@ from graphmia.graph import (
 
 import graphmia.victim as victim_mod
 from graphmia.rng import substream
-from graphmia.victim import _augment_draws, augment_graph
+from graphmia.victim import _augment_draws, augment_graph, view_stack
 
-from conftest import path_graph, triangle_graph
+from conftest import assert_block, path_graph, triangle_graph, view_graph
 
 
 def write_graph_files(tmp_path, edges_text: str, features_text: str):
@@ -285,8 +287,9 @@ def assert_same_bytes(got: Graph, want: Graph) -> None:
 
 
 class TestCsrSlices:
-    """Derived graphs are slices of the parent's CSR; each must equal a
-    validating ``from_edges`` rebuild of the same edges."""
+    """An induced subgraph is a slice of the parent's CSR and a view a
+    block of a stacked operator; each must equal a validating
+    ``from_edges`` rebuild of the same edges."""
 
     @given(graph=graphs_with_isolated(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -306,15 +309,23 @@ class TestCsrSlices:
            seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_view_matches_rebuild(self, graph, rate, seed):
+        """A view is its two masks; every stacked block built from them
+        holds the bits of the view graph rebuilt from its kept edges."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(victim_mod, "EDGE_DROP_RATE", rate)
             keep_edges, drop_cols = _augment_draws(graph, substream(seed, "augment"))
-            view = augment_graph(graph, seed)
-        masked = graph.features.copy()
-        masked[:, drop_cols] = 0.0
-        want = Graph.from_edges(graph.num_nodes, graph.edge_array[keep_edges], masked,
-                                domain_id=graph.domain_id)
-        assert_same_bytes(view, want)
+            got_keep, got_drop = augment_graph(graph, seed)
+        assert got_keep.tobytes() == keep_edges.tobytes() and got_drop.tobytes() == drop_cols.tobytes()
+        view = view_graph(graph, keep_edges, drop_cols)
+        x, a_hat = view_stack(graph, keep_edges[None], drop_cols[None])
+        assert_block(x, a_hat.full, a_hat.bounds, 0, graph.features, graph.gcn_matrix)
+        assert_block(x, a_hat.full, a_hat.bounds, 1, view.features, view.gcn_matrix)
+        # a per-node block: the view at a ball, with the view's degrees
+        ball = np.arange(0, graph.num_nodes, 2)
+        stack = BallStack.of(graph, [np.arange(graph.num_nodes), ball])
+        x, a_hat = stack.views(np.stack([keep_edges] * 2), np.stack([drop_cols] * 2))
+        assert_block(x, a_hat, stack.bounds, 0, view.features, view.gcn_matrix)
+        assert_block(x, a_hat, stack.bounds, 1, view.features[ball], ball_matrix(view, ball))
         if rate == 0.0:
             assert view.num_edges == graph.num_edges
         if rate == 1.0:

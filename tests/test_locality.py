@@ -52,7 +52,7 @@ from graphmia.victim import (
     per_node_ssl_loss,
 )
 
-from conftest import whole_graph_feature_grad
+from conftest import view_graph, whole_graph_feature_grad
 from test_nn import cosine_rows_grad, dense_normalized_adjacency
 
 TOL = 1e-12
@@ -107,9 +107,7 @@ def whole_graph_loss(model: VictimModel, graph: Graph, node: int, rng: np.random
 
     negs = _sample_outside(rng, n, np.array([node]), obj.negatives_per_positive)
     keep_edges, drop_cols = _augment_draws(graph, rng)
-    masked = graph.features.copy()
-    masked[:, drop_cols] = 0.0
-    view = Graph.from_edges(n, graph.edge_array[keep_edges], masked, domain_id=dom)
+    view = view_graph(graph, keep_edges, drop_cols)
     h, fcache = forward(graph)
     hv, vcache = forward(view)
     anchor = np.repeat(h[[node]], len(negs), axis=0)

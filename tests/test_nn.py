@@ -232,6 +232,21 @@ class TestCosine:
         assert val == 1.0 and not flag
 
 
+def views_ref_cosines(h, views_h, anchors, refs):
+    """``ref_cosines`` on views given apart from ``h``: they are stacked
+    under it as its blocks, view column p reading rows offset by view p's
+    block start, and the gradient is split back into ``h``'s and each
+    view's."""
+    starts = np.cumsum([len(h), *(len(hv) for hv in views_h)])
+    s, pullback = ref_cosines(np.concatenate([h, *views_h]), anchors, refs, starts[:-1])
+
+    def split(upstream):
+        grads = pullback(upstream)
+        return grads[:len(h)], [grads[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
+
+    return s, split
+
+
 class TestRefCosines:
     """The one cosine kernel behind similarity profiles, distillation and
     every InfoNCE row, checked entry by entry and by central differences."""
@@ -255,7 +270,7 @@ class TestRefCosines:
     @pytest.mark.parametrize("num_views", [0, 1, 2])
     def test_entries_are_plain_cosines(self, num_views):
         h, views_h, _ = self._inputs(num_views)
-        s, _ = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        s, _ = views_ref_cosines(h, views_h, self.ANCHORS, self.REFS)
         for i, a in enumerate(self.ANCHORS):
             for c, r in enumerate(self.REFS[i]):
                 other = views_h[c][r] if c < num_views else h[r]
@@ -266,7 +281,7 @@ class TestRefCosines:
         # the kernel's entries are those of cosine_rows on each column's
         # rows, byte for byte: one formula behind both
         h, views_h, _ = self._inputs(num_views)
-        s, _ = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        s, _ = views_ref_cosines(h, views_h, self.ANCHORS, self.REFS)
         for c in range(self.REFS.shape[1]):
             other = views_h[c] if c < num_views else h
             want = cosine_rows(h[self.ANCHORS], other[self.REFS[:, c]])
@@ -275,12 +290,12 @@ class TestRefCosines:
     @pytest.mark.parametrize("num_views", [0, 1, 2])
     def test_backward_matches_finite_differences(self, num_views):
         h, views_h, upstream = self._inputs(num_views)
-        _, pullback = ref_cosines(h, views_h, self.ANCHORS, self.REFS)
+        _, pullback = views_ref_cosines(h, views_h, self.ANCHORS, self.REFS)
         dh, dviews = pullback(upstream)
         assert len(dviews) == num_views
 
         def loss():
-            return float((upstream * ref_cosines(h, views_h, self.ANCHORS, self.REFS)[0]).sum())
+            return float((upstream * views_ref_cosines(h, views_h, self.ANCHORS, self.REFS)[0]).sum())
 
         step = 1e-6
         zero_rows = [5, 4, None][:1 + num_views]
@@ -397,7 +412,7 @@ class TestScatterMatrix:
         anchors = rng.integers(n, size=rows)
         refs = rng.integers(n, size=(rows, cols))
         upstream = rng.normal(size=(rows, cols))
-        _, pullback = ref_cosines(h, views_h, anchors, refs)
+        _, pullback = views_ref_cosines(h, views_h, anchors, refs)
         dh, dviews = pullback(upstream)
         ref_dh, ref_dviews = add_at_ref_cosines_backward(h, views_h, anchors, refs, upstream)
         assert dh.tobytes() == ref_dh.tobytes()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphmia.graph import Graph, rank_to_id
+from graphmia.nn import info_nce, ref_cosines
 from graphmia.rng import derive_seed, substream
 from graphmia.synth import sbm_graph
 from graphmia.victim import (
@@ -22,12 +23,11 @@ from graphmia.victim import (
     _closed_row,
     _sample_negative_pairs,
     _sample_outside,
-    _view_info_nce,
     augment_graph,
     contrastive_loss,
 )
 
-from conftest import tiny_model
+from conftest import tiny_model, view_graph
 
 
 class EveryRank:
@@ -148,8 +148,10 @@ def test_contrastive_negatives_are_the_offset_draws():
             0, n - 1, size=(n, obj.negatives_per_positive))
         anchors = np.arange(n)
         negatives = raw + (raw >= anchors[:, None])
+        # the graph and the view graph embedded apart, the loss read in both
         h, _ = model.forward(graph)
-        hv, _ = model.forward(augment_graph(graph, derive_seed(seed, "loss-view")))
-        want, _, _ = _view_info_nce(h, hv, anchors, negatives, obj.temperature)
+        hv, _ = model.forward(view_graph(graph, *augment_graph(graph, derive_seed(seed, "loss-view"))))
+        s, _ = ref_cosines(np.concatenate([h, hv]), anchors, np.column_stack([anchors, negatives]), [n])
+        want, _, _ = info_nce(s[:, 0], s[:, 1:], obj.temperature)
         got, _ = contrastive_loss(model, graph, seed)
         assert got == want

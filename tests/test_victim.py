@@ -37,7 +37,7 @@ from graphmia.victim import (
 
 from conftest import (
     finite_diff_grads, gcn_forward, max_rel_error, nan_on_call, tiny_model,
-    whole_graph_feature_grad,
+    view_graph, whole_graph_feature_grad,
 )
 
 
@@ -311,9 +311,13 @@ class TestAugment:
         fp = graph_fingerprint(small_sbm)
         a = augment_graph(small_sbm, seed=3)
         b = augment_graph(small_sbm, seed=3)
-        assert graph_fingerprint(a) == graph_fingerprint(b)
+        # a view is its two masks: a kept bit per edge, a masked bit per column
+        for got, want, size in zip(a, b, (small_sbm.num_edges, small_sbm.feature_dim)):
+            assert got.dtype == bool and got.shape == (size,)
+            assert got.tobytes() == want.tobytes()
+        assert graph_fingerprint(view_graph(small_sbm, *a)) == graph_fingerprint(view_graph(small_sbm, *b))
         assert graph_fingerprint(small_sbm) == fp
-        assert a.num_edges <= small_sbm.num_edges
+        assert view_graph(small_sbm, *a).num_edges <= small_sbm.num_edges
 
 
 class TestGradients:
