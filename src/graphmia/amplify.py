@@ -98,10 +98,11 @@ def draw_sample_plan(
     refs = np.array(rows, dtype=np.int64).reshape(len(kept), 2 * m)
     refs.flags.writeable = False
     views = [augment_graph(graph, view_seed(seed, p)) for p in range(m if contrastive and kept else 0)]
-    keep_edges, drop_cols = (np.array([v[i] for v in views], dtype=bool).reshape(len(views), size)
-                             for i, size in enumerate((graph.num_edges, graph.feature_dim)))
-    return SamplePlan(graph, m, tuple(kept), tuple(skipped), refs, keep_edges, drop_cols,
-                      *view_stack(graph, keep_edges, drop_cols))
+    keep_edges = np.array([keep for keep, _ in views], dtype=bool).reshape(len(views), graph.num_edges)
+    drop_cols = np.array([drop for _, drop in views], dtype=bool).reshape(len(views), graph.feature_dim)
+    x, a_hat = view_stack(graph, keep_edges, drop_cols)
+    return SamplePlan(graph=graph, m=m, nodes=tuple(kept), skipped=tuple(skipped), refs=refs,
+                      keep_edges=keep_edges, drop_cols=drop_cols, x=x, a_hat=a_hat)
 
 
 def similarity_profile(model: VictimModel, plan: SamplePlan) -> np.ndarray:
@@ -135,8 +136,14 @@ def fine_tune_augment(
     target: VictimModel, unlearn_graph: Graph, cfg: ExperimentConfig, seed: int
 ) -> VictimModel:
     """Brief SSL fine-tuning of a copy of the target on the unlearn graph."""
-    return fine_tune(target, unlearn_graph, epochs=cfg.epochs_augment, lr=cfg.lr_augment,
-                     seed=derive_seed(seed, "augment-ft"))[0]
+    tuned, _ = fine_tune(
+        target,
+        unlearn_graph,
+        epochs=cfg.epochs_augment,
+        lr=cfg.lr_augment,
+        seed=derive_seed(seed, "augment-ft"),
+    )
+    return tuned
 
 
 def distill_loss_and_grads(
@@ -196,5 +203,10 @@ def unlearn(
     resid = similarity_profile(student, plan) - teachers
     final_loss = float((resid * resid).sum())
     initial = history[0] if history else final_loss
-    return UnlearnResult(model=student, plan=plan, initial_loss=initial, final_loss=final_loss,
-                         history=history)
+    return UnlearnResult(
+        model=student,
+        plan=plan,
+        initial_loss=initial,
+        final_loss=final_loss,
+        history=history,
+    )

@@ -240,6 +240,11 @@ class BallStack:
         return np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds))
 
     @cached_property
+    def features(self) -> np.ndarray:
+        """The graph's feature row of every stacked row."""
+        return self.graph.features[self.ids]
+
+    @cached_property
     def _keys(self) -> np.ndarray:
         """Key block * n + id of each stacked row: strictly increasing."""
         return self.blocks * self.graph.num_nodes + self.ids
@@ -277,8 +282,7 @@ class BallStack:
         edge e where ``keep_edges[b, e]`` holds and masking feature column j
         where ``drop_cols[b, j]`` does: the bits that the view rebuilt as a
         graph gives, its features and ``ball_matrix`` at the block's ball."""
-        x = self.graph.features[self.ids]
-        return np.where(drop_cols[self.blocks], 0.0, x), self.matrix(keep_edges)
+        return np.where(drop_cols[self.blocks], 0.0, self.features), self.matrix(keep_edges)
 
     def matrix(self, keep: np.ndarray | None = None) -> sp.csr_matrix:
         r, c, src = self._pattern

@@ -58,8 +58,6 @@ def accuracy_f1(
     predictions, truth = np.asarray(predictions), np.asarray(truth)
     if predictions.ndim != 1 or predictions.shape != truth.shape:
         raise ValueError("predictions and truth must be 1-D arrays of one length")
-    if not len(truth):
-        raise ValueError("no nodes to evaluate")
     p, y = predictions == 1, truth == 1
     if not (np.all(p | (predictions == 0)) and np.all(y | (truth == 0))):
         raise ValueError("labels must be 0 or 1")

@@ -183,7 +183,8 @@ class VictimModel:
 
 def embed(model: VictimModel, graph: Graph) -> np.ndarray:
     """Node embeddings of ``graph`` under ``model`` (pure, no caching)."""
-    return model.forward(graph)[0]
+    h, _ = model.forward(graph)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +214,9 @@ def view_stack(graph: Graph, keep_edges: np.ndarray, drop_cols: np.ndarray
                ) -> tuple[np.ndarray, BlockOperator]:
     """The graph and its views as the blocks of one operator over every node:
     block 0 the graph, block p + 1 the view of mask row p (stacked
-    :func:`augment_graph` masks).  The stacked features and block-diagonal Â
-    of :meth:`graph.BallStack.views`; with no view, the graph's cached own."""
-    n, blocks = graph.num_nodes, len(keep_edges) + 1
-    if blocks == 1:
-        return graph.features, BlockOperator(graph.gcn_matrix, np.array([0, n]))
-    stack = BallStack.of(graph, [np.arange(n, dtype=np.int64)] * blocks)
+    :func:`augment_graph` masks), as :meth:`graph.BallStack.views` builds
+    them: the stacked features and the block-diagonal Â."""
+    stack = BallStack.of(graph, [np.arange(graph.num_nodes, dtype=np.int64)] * (len(keep_edges) + 1))
     x, a_hat = stack.views(np.vstack([np.ones(graph.num_edges, dtype=bool), keep_edges]),
                            np.vstack([np.zeros(graph.feature_dim, dtype=bool), drop_cols]))
     return x, BlockOperator(a_hat, stack.bounds)
@@ -473,7 +471,6 @@ class NodeLoss:
         self.ball_owner = self.owner[first]
         self.node_rows = np.searchsorted(
             first, self.stack.rows_of(np.arange(len(terms)) * copies, np.array(self.nodes)))
-        self.x = graph.features[self.stack.ids]
         self.a_hat = self.stack.matrix() if copies == 1 else None
         self.empty = np.array([not t.draws for t in terms])
         self._grads = None
@@ -525,7 +522,7 @@ class NodeLoss:
         labels = np.concatenate([np.zeros(0), *(l for _, l in refs)])
         anchors = self.node_rows[groups]
         rows = np.union1d(self.node_rows[blocks], others)
-        h, cache, bad = self._embed(model, self.x, self.a_hat, rows)
+        h, cache, bad = self._embed(model, self.stack.features, self.a_hat, rows)
         us, vs = np.searchsorted(rows, anchors), np.searchsorted(rows, others)
         losses, dscores = grouped_bce(np.einsum("ij,ij->i", h[us], h[vs]), labels, groups,
                                       len(self.nodes))
@@ -583,8 +580,14 @@ def per_node_ssl_loss(
 # training loops
 
 
-def fine_tune(model: VictimModel, graph: Graph, epochs: int, lr: float, seed: int,
-              penalty_grads=None) -> tuple[VictimModel, list[float]]:
+def fine_tune(
+    model: VictimModel,
+    graph: Graph,
+    epochs: int,
+    lr: float,
+    seed: int,
+    penalty_grads=None,
+) -> tuple[VictimModel, list[float]]:
     """Plain SSL fine-tuning of a copy of ``model`` on one graph.
 
     ``penalty_grads``, when given, is called with the live ParamSet and must
